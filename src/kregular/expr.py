@@ -6,6 +6,8 @@ Grammar (tokens separated by optional whitespace):
     product := atom ("x" atom)*
     query   := "(" product "," INT ")" ("+" "(" product "," INT ")")*
 
+The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".
+
 A bare product parses to a manifold spec, a parenthesized list to a
 RegularQuery (regime chosen by the caller, default real).  Errors carry the
 character position; semantic violations (closed families need m >= 2, point
@@ -107,9 +109,11 @@ def _parse_product(tokens: _Tokens) -> ManifoldSpec:
         if not _is_letter(tokens.peek()):
             break
         name, name_pos = tokens.take_name()
-        if name != "x":
+        if not name.startswith("x"):
             tokens.pos = save
             break
+        # The lexer reads 'xRP' in 'S^2xRP^3' as one name; keep only the 'x'.
+        tokens.pos = name_pos + 1
         factors.append(_parse_atom(tokens))
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 

@@ -4,14 +4,18 @@ Specs cover spheres, the three projective families, Euclidean space, and
 finite products of those.  The total Stiefel-Whitney class of a projective
 space is (1 + g)^(m+1) in the truncated one-generator ring GF(2)[g]/(g^(m+1))
 with |g| = 1, 2, 4 for RP, CP, HP; spheres and Euclidean space have total
-class 1.  Products multiply the factor classes inside a joint ring with one
-generator per projective factor (Kunneth with independent generators; factors
-with trivial class contribute none), truncated at the total real dimension.
+class 1.  Total classes are multiplicative (Whitney product formula), so the
+dual class of a product is the product of the factors' dual classes, each
+inverted in its factor's own one-generator ring.  The joint ring, with one
+generator per projective factor (factors with trivial class contribute none)
+truncated at the total real dimension, is built only to hold that product
+when the whole dual class is asked for; nothing is inverted there.
 
-The headline quantity is the top degree of the inverted total class, computed
-two ways that must agree: brute-force series inversion, and the closed-form
-power-of-two expressions.  Floor of log2 is taken with int.bit_length, never
-floating point.
+The headline quantity is the top degree of the dual class.  Over GF(2) the
+product of the factors' nonzero top terms is nonzero, so it is the sum of the
+factor top degrees, computed two ways that must agree: per-factor series
+inversion, and the closed-form power-of-two expressions.  Floor of log2 is
+taken with int.bit_length, never floating point.
 """
 
 from __future__ import annotations
@@ -153,8 +157,21 @@ def total_sw(spec: ManifoldSpec) -> GradedSeries:
 
 
 def dual_sw(spec: ManifoldSpec) -> GradedSeries:
-    """Inverse of the total class; degrees up to the real dimension."""
-    return total_sw(spec).inverse()
+    """Inverse of the total class, as the product of the factor duals.
+
+    Each projective factor's total class is inverted in its own
+    one-generator ring, and the result moves onto that factor's generator
+    of the joint ring; nothing is inverted in the joint ring.
+    """
+    ring = cohomology_ring(spec)
+    projective = [a for a in atoms(spec) if type(a) in _GENERATOR_LETTER]
+    dual = ring.one()
+    for i, atom in enumerate(projective):
+        after = (0,) * (len(projective) - i - 1)
+        dual = dual * ring.from_terms(
+            {(0,) * i + e + after: c
+             for e, c in total_sw(atom).inverse().terms.items()})
+    return dual
 
 
 @dataclass(frozen=True)
@@ -167,9 +184,12 @@ class DualClassProfile:
 
 
 def top_dual_degree(spec: ManifoldSpec) -> DualClassProfile:
-    """Brute force: invert the total class and take the top degree."""
-    top = dual_sw(spec).top_degree()
-    assert top is not None  # the dual class always contains 1
+    """Brute force: sum the top degrees of the factors' dual classes.
+
+    Each factor's total class is inverted in its own one-generator ring;
+    every factor dual contains 1, so each has a top degree.
+    """
+    top = sum(total_sw(atom).inverse().top_degree() for atom in atoms(spec))
     return DualClassProfile(spec, top, "series-inversion")
 
 

@@ -6,15 +6,20 @@ record.  Budgets are asserted with a wall clock, measured cold: this file
 sorts first in the suite, so no other test has warmed the caches.
 """
 
+import contextlib
+import io
 import random
 import time
 
-from kregular import (ComplexProj, Euclid, QuatProj, RealProj, RegularQuery,
-                      Sphere, SphereOneI, VandermondeMap, bound_disjoint,
-                      bound_product_2regular, chern_height_of_first_class,
-                      floor_log2, lucas_binom_mod_p, kappa_case,
-                      main_theorem_2_closed_form, real_dimension,
-                      sample_check_regular, top_dual_degree)
+from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
+                      RegularQuery, Sphere, SphereOneI, VandermondeMap,
+                      bound_disjoint, bound_product_2regular,
+                      chern_height_of_first_class, floor_log2,
+                      lucas_binom_mod_p, kappa_case,
+                      main_theorem_1_closed_form, main_theorem_2_closed_form,
+                      real_dimension, sample_check_regular, top_dual_degree,
+                      top_dual_degree_closed_form)
+from kregular.cli import main
 
 
 def timed(budget_seconds):
@@ -152,3 +157,17 @@ def test_criterion_9_lucas_against_pascal():
                 assert lucas_binom_mod_p(n, k, p) == expect, (n, k, p)
             row = [1] + [(row[k - 1] + row[k]) % p
                          for k in range(1, size + 1)]
+
+
+@timed(5.0)
+def test_criterion_10_large_products_factor_by_factor():
+    # A joint-ring inversion of these total classes takes minutes.
+    spec = Product((RealProj(256), ComplexProj(128), QuatProj(64)))
+    assert top_dual_degree_closed_form(spec).top_degree == 761
+    assert top_dual_degree(spec).top_degree == 761
+    spec = Product((RealProj(64), ComplexProj(32), QuatProj(16)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["bound", "RP^64 x CP^32 x HP^16"]) == 0
+    assert out.getvalue().splitlines()[0] == \
+        f"N >= {main_theorem_1_closed_form(spec)} (Main Theorem I)"

@@ -1,13 +1,13 @@
 """CLI surface: pinned text output, JSON determinism, exit codes."""
 
 import json
+import os
 import random
-import shutil
 import string
 import subprocess
+import sys
 
-import pytest
-
+import kregular
 from kregular.cli import (EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE, EXIT_OK,
                           EXIT_USAGE, main)
 
@@ -72,6 +72,13 @@ def test_bound_rejects_bad_expressions(capsys):
     assert code == EXIT_USAGE
     code, _, _ = run_cli(capsys, "bound", "(R^3, 2)")
     assert code == EXIT_USAGE
+
+
+def test_bound_accepts_glued_product_separator(capsys):
+    spaced = run_cli(capsys, "bound", "S^2 x RP^3")
+    assert spaced[0] == EXIT_OK
+    for text in ("S^2xRP^3", "S^2 xRP^3"):
+        assert run_cli(capsys, "bound", text) == spaced, text
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +252,17 @@ def test_cli_fuzz_never_crashes(capsys):
         assert code in (EXIT_OK, EXIT_USAGE)
 
 
-@pytest.mark.skipif(shutil.which("kregular") is None,
-                    reason="entry point not installed")
-def test_installed_entry_point():
-    proc = subprocess.run(["kregular", "bound", "HP^2"],
-                          capture_output=True, text=True)
+def test_module_entry_point():
+    # `python -m kregular.cli` runs the same main() as the console script,
+    # in a fresh process that finds the package the way this one did.
+    src = os.path.dirname(os.path.dirname(kregular.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    command = [sys.executable, "-m", "kregular.cli", "bound"]
+    proc = subprocess.run(command + ["HP^2"], capture_output=True,
+                          text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "N >= 14 (Main Theorem I)"
-    bad = subprocess.run(["kregular", "bound", "RP^1"],
-                         capture_output=True, text=True)
+    bad = subprocess.run(command + ["RP^1"], capture_output=True, text=True,
+                         env=env)
     assert bad.returncode == 1

@@ -23,6 +23,15 @@ def test_parse_product():
     assert spec == Product((Sphere(3), RealProj(5)))
     assert parse_expression("S^2 x S^2 x CP^3") == Product(
         (Sphere(2), Sphere(2), ComplexProj(3)))
+    # The 'x' may touch the next factor name.
+    for text in ("S^2xRP^3", "S^2 xRP^3"):
+        spec = parse_manifold(text)
+        assert spec == Product((Sphere(2), RealProj(3))), text
+        assert render(spec) == "S^2 x RP^3"
+        assert parse_manifold(render(spec)) == spec
+    with pytest.raises(ParseError) as err:
+        parse_expression("S^2xTP^3")
+    assert err.value.position == 4
 
 
 def test_parse_query():
