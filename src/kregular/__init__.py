@@ -24,7 +24,7 @@ from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,
                         top_dual_degree_closed_form, total_sw)
 from .sampler import (DirectSum, ExampleMap, RegularityReport, SphereOneI,
                       VandermondeMap, Witness, ambient_dim,
-                      claimed_regularity, evaluate_rank, float_rank,
+                      claimed_regularity, evaluate_rank,
                       integer_rank_bareiss, parse_map, rational_rank,
                       render_map, sample_check_regular,
                       vandermonde_determinant, vandermonde_rank_exact)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .bounds import (BoundReport, RegularQuery, bound_complex_disjoint,
@@ -28,7 +27,8 @@ from .grassmann import (CHERN, STIEFEL_WHITNEY, InconclusiveTruncationError,
                         cached_presentation)
 from .manifolds import (ManifoldSpec, RealProj, dual_sw, render,
                         top_dual_degree, top_dual_degree_closed_form)
-from .sampler import parse_map, render_map, sample_check_regular
+from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
+                      sample_check_regular)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -169,9 +169,7 @@ def _cmd_lucas(args) -> int:
 
 
 def _point_payload(point) -> list:
-    if isinstance(point, tuple) and point and isinstance(point[0], Fraction):
-        return [str(point[0]), str(point[1])]
-    return [float(c) for c in point]
+    return [str(c) for c in point]
 
 
 def _cmd_verify(args) -> int:
@@ -187,14 +185,13 @@ def _cmd_verify(args) -> int:
                                   seed=args.seed)
     if args.json:
         _emit_json({
-            "schema": "1",
+            "schema": "2",
             "map": render_map(example),
             "tuple_sizes": list(report.tuple_sizes),
             "trials": report.trials,
             "seed": report.seed,
             "violations": report.violations,
             "verdict": report.verdict,
-            "min_singular_ratio": report.min_singular_ratio,
             "expected_violation": report.expected_violation,
             "witnesses": [{
                 "trial": witness.trial,
@@ -207,25 +204,24 @@ def _cmd_verify(args) -> int:
         print(f"tuple sizes: {','.join(str(s) for s in report.tuple_sizes)}")
         print(f"trials: {report.trials} (seed {report.seed})")
         print(f"violations: {report.violations}")
-        if report.min_singular_ratio is not None:
-            print(f"min singular ratio: {report.min_singular_ratio:.3e}")
         if report.expected_violation:
             print("note: tuple size exceeds the claimed regularity; "
                   "violations are expected")
         for witness in report.witnesses:
             chunks = []
-            for part_points in witness.points:
-                rendered = ", ".join(_render_point(p) for p in part_points)
+            for part, part_points in zip(map_parts(example), witness.points):
+                rendered = ", ".join(_render_point(part, p)
+                                     for p in part_points)
                 chunks.append(f"[{rendered}]")
             print(f"witness (trial {witness.trial}): {'; '.join(chunks)}")
         print(f"verdict: {report.verdict}")
     return EXIT_COUNTEREXAMPLE if report.violations else EXIT_OK
 
 
-def _render_point(point) -> str:
-    if isinstance(point, tuple) and point and isinstance(point[0], Fraction):
+def _render_point(part, point) -> str:
+    if isinstance(part, VandermondeMap):
         return f"({point[0]}) + ({point[1]})*i"
-    return "(" + ", ".join(f"{c:.6f}" for c in point) + ")"
+    return "(" + ", ".join(str(c) for c in point) + ")"
 
 
 def _cmd_table(args) -> int:

@@ -1,15 +1,24 @@
 """Randomized full-rank checks for explicit regular maps.
 
 Two example maps and their direct sums: the monomial curve z -> (1, z, ...,
-z^(k-1)) on the plane, realified to 2k-1 coordinates and checked with exact
-rational arithmetic (points are Gaussian rationals, rank by fraction-free
-Bareiss elimination), and the sphere embedding x -> (1, x), checked in
-floating point via singular values with a relative threshold of 1e-8.
+z^(k-1)) on the plane, realified to 2k-1 coordinates, and the sphere embedding
+x -> (1, x).  Every rank is exact.  Each point gives one integer column, its
+map value times a positive integer, which leaves the rank unchanged; columns
+are ranked by fraction-free Bareiss elimination, and a direct sum's rank is
+the sum of its block ranks.
+
+- Plane points are Gaussian rationals z = w/D, with D the lcm of the two
+  denominators and w a Gaussian integer.  Scaled by D^(k-1), the column
+  (1, z, ..., z^(k-1)) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)).
+- Sphere points are rational points of S^m: the inverse stereographic images
+  of t = a/d, with a in Z^m and d >= 1, projected from the north pole, which
+  is therefore never drawn.  The column (1, x) times the lcm of the
+  denominators of x (a divisor of |a|^2 + d^2) is an integer column
+  proportional to (|a|^2 + d^2, 2ad, |a|^2 - d^2).
 
 Sampling is reproducible: trial i draws from random.Random(seed * 1000003
 + i), so verdicts and witnesses are independent of trial order and identical
-across runs.  Sampled configurations keep a minimum pairwise separation of
-1e-3 to stay away from the honest degeneracies (coincident points).
+across runs.  The points of a part are pairwise distinct, compared exactly.
 """
 
 from __future__ import annotations
@@ -18,12 +27,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-import numpy as np
-
-RELATIVE_RANK_TOLERANCE = 1e-8
-MIN_SEPARATION = 1e-3
 _SEED_STRIDE = 1_000_003
 _MAX_WITNESSES = 3
 
@@ -114,7 +119,7 @@ def parse_map(text: str) -> ExampleMap:
 
 
 # ---------------------------------------------------------------------------
-# Exact rational linear algebra.
+# Exact points, integer columns and rank.
 
 def _gm_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
@@ -124,14 +129,29 @@ def _gm_sub(a: Gaussian, b: Gaussian) -> Gaussian:
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _is_exact(value) -> bool:
+    return isinstance(value, (int, Fraction))
+
+
 def as_gaussian(value) -> Gaussian:
     """Coerce an int, Fraction, or (re, im) pair to a Gaussian rational."""
-    if isinstance(value, tuple):
-        re, im = value
-        return (Fraction(re), Fraction(im))
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, tuple) and len(value) == 2 \
+            and all(_is_exact(c) for c in value):
+        return (Fraction(value[0]), Fraction(value[1]))
+    if _is_exact(value):
         return (Fraction(value), Fraction(0))
     raise ValueError(f"not an exact plane point: {value!r}")
+
+
+def as_sphere_point(value, m: int) -> tuple[Fraction, ...]:
+    """Coerce m+1 ints or Fractions of squared norm exactly 1 to a point."""
+    if not (isinstance(value, (tuple, list)) and len(value) == m + 1
+            and all(_is_exact(c) for c in value)):
+        raise ValueError(f"not an exact point of S^{m}: {value!r}")
+    point = tuple(Fraction(c) for c in value)
+    if sum(c * c for c in point) != 1:
+        raise ValueError(f"{value!r} is not on S^{m}")
+    return point
 
 
 def integer_rank_bareiss(rows: list[list[int]]) -> int:
@@ -175,7 +195,10 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
 
 
 def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
-    """Realified evaluation matrix, (2k-1) rows by len(points) columns."""
+    """Unscaled realified evaluation matrix, (2k-1) rows by len(points).
+
+    The tests rank it independently as a reference for the integer columns.
+    """
     pts = [as_gaussian(p) for p in points]
     rows: list[list[Fraction]] = [[Fraction(1)] * len(pts)]
     powers = [(Fraction(1), Fraction(0))] * len(pts)
@@ -184,6 +207,40 @@ def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
         rows.append([p[0] for p in powers])
         rows.append([p[1] for p in powers])
     return rows
+
+
+def vandermonde_integer_column(z: Gaussian, k: int) -> list[int]:
+    """(1, z, ..., z^(k-1)) realified, times D^(k-1) for z = w/D."""
+    re, im = z
+    d = lcm(re.denominator, im.denominator)
+    wr = re.numerator * (d // re.denominator)
+    wi = im.numerator * (d // im.denominator)
+    column = [d ** (k - 1)]
+    power_re, power_im = 1, 0
+    for j in range(k - 2, -1, -1):
+        power_re, power_im = (power_re * wr - power_im * wi,
+                              power_re * wi + power_im * wr)
+        scale = d ** j
+        column += (power_re * scale, power_im * scale)
+    return column
+
+
+def sphere_integer_column(x: Sequence[Fraction]) -> list[int]:
+    """(1, x) times the lcm of the denominators of x."""
+    d = lcm(*(c.denominator for c in x))
+    return [d] + [c.numerator * (d // c.denominator) for c in x]
+
+
+def _direct_sum_rank(parts, points_per_part) -> int:
+    """Rank of the block-diagonal evaluation matrix: sum of block ranks."""
+    total = 0
+    for part, pts in zip(parts, points_per_part):
+        if isinstance(part, VandermondeMap):
+            columns = [vandermonde_integer_column(z, part.k) for z in pts]
+        else:
+            columns = [sphere_integer_column(x) for x in pts]
+        total += integer_rank_bareiss(columns)
+    return total
 
 
 def vandermonde_rank_exact(points: Sequence, k: int) -> int:
@@ -200,7 +257,8 @@ def vandermonde_rank_exact(points: Sequence, k: int) -> int:
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise ValueError(f"points {i} and {j} coincide")
-    return rational_rank(vandermonde_columns(pts, k))
+    return integer_rank_bareiss([vandermonde_integer_column(z, k)
+                                 for z in pts])
 
 
 def vandermonde_determinant(points: Sequence) -> Gaussian:
@@ -214,31 +272,6 @@ def vandermonde_determinant(points: Sequence) -> Gaussian:
 
 
 # ---------------------------------------------------------------------------
-# Float path.
-
-def _rank_from_singular(singular: np.ndarray, rel_tol: float) -> int:
-    if singular.size == 0 or singular[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(singular > rel_tol * singular[0]))
-
-
-def float_rank(matrix: np.ndarray,
-               rel_tol: float = RELATIVE_RANK_TOLERANCE) -> int:
-    """Numerical rank: singular values above rel_tol times the largest."""
-    if matrix.size == 0:
-        return 0
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    return _rank_from_singular(singular, rel_tol)
-
-
-def sphere_columns(points: Sequence[Sequence[float]]) -> np.ndarray:
-    """(1, x) evaluation matrix, (m+2) rows by len(points) columns."""
-    arr = np.asarray(points, dtype=float)
-    ones = np.ones((arr.shape[0], 1))
-    return np.hstack([ones, arr]).T
-
-
-# ---------------------------------------------------------------------------
 # Sampling.
 
 def _sample_plane_points(rng: random.Random, count: int) -> list[Gaussian]:
@@ -246,27 +279,23 @@ def _sample_plane_points(rng: random.Random, count: int) -> list[Gaussian]:
     while len(points) < count:
         z = (Fraction(rng.randint(-64, 64), rng.randint(1, 8)),
              Fraction(rng.randint(-64, 64), rng.randint(1, 8)))
-        if all(_too_far_plane(z, w) for w in points):
+        if z not in points:
             points.append(z)
     return points
 
 
-def _too_far_plane(z: Gaussian, w: Gaussian) -> bool:
-    d = _gm_sub(z, w)
-    return float(d[0]) ** 2 + float(d[1]) ** 2 >= MIN_SEPARATION ** 2
-
-
 def _sample_sphere_points(rng: random.Random, m: int,
-                          count: int) -> list[tuple[float, ...]]:
-    points: list[tuple[float, ...]] = []
+                          count: int) -> list[tuple[Fraction, ...]]:
+    # Inverse stereographic images of t = a/d (see the module docstring).
+    points: list[tuple[Fraction, ...]] = []
     while len(points) < count:
-        vec = [rng.gauss(0.0, 1.0) for _ in range(m + 1)]
-        norm = sum(v * v for v in vec) ** 0.5
-        if norm < 1e-6:
-            continue
-        x = tuple(v / norm for v in vec)
-        if all(sum((a - b) ** 2 for a, b in zip(x, y)) >= MIN_SEPARATION ** 2
-               for y in points):
+        d = rng.randint(1, 8)
+        a = [rng.randint(-8, 8) for _ in range(m)]
+        norm = sum(v * v for v in a)
+        scale = norm + d * d
+        x = tuple(Fraction(2 * v * d, scale) for v in a) \
+            + (Fraction(norm - d * d, scale),)
+        if x not in points:
             points.append(x)
     return points
 
@@ -287,56 +316,25 @@ class RegularityReport:
     seed: int
     violations: int
     witnesses: tuple
-    min_singular_ratio: Optional[float]
     verdict: str
     expected_violation: bool
 
 
 def evaluate_rank(example: ExampleMap, points_per_part: Sequence
                   ) -> tuple[int, int]:
-    """(rank, requested rank) for explicit point tuples; re-checks witnesses."""
+    """(rank, requested rank) for explicit point tuples; re-checks witnesses.
+
+    Plane points are ints, Fractions or (re, im) pairs of them; a point of
+    S^m is m+1 ints or Fractions with squared norm exactly 1.  Anything else,
+    floats included, raises ValueError.
+    """
     parts = map_parts(example)
     if len(points_per_part) != len(parts):
         raise ValueError(f"need point tuples for {len(parts)} parts")
-    wanted = sum(len(pts) for pts in points_per_part)
-    exact = all(isinstance(part, VandermondeMap) for part in parts)
-    if exact:
-        rank = rational_rank(_exact_block_matrix(parts, points_per_part))
-    else:
-        rank = float_rank(_float_block_matrix(parts, points_per_part))
-    return rank, wanted
-
-
-def _exact_block_matrix(parts, points_per_part) -> list[list[Fraction]]:
-    total_cols = sum(len(pts) for pts in points_per_part)
-    rows: list[list[Fraction]] = []
-    col_offset = 0
-    zero = Fraction(0)
-    for part, pts in zip(parts, points_per_part):
-        block = vandermonde_columns(pts, part.k)
-        for block_row in block:
-            row = [zero] * total_cols
-            row[col_offset:col_offset + len(pts)] = block_row
-            rows.append(row)
-        col_offset += len(pts)
-    return rows
-
-
-def _float_block_matrix(parts, points_per_part) -> np.ndarray:
-    total_cols = sum(len(pts) for pts in points_per_part)
-    blocks: list[np.ndarray] = []
-    col_offset = 0
-    for part, pts in zip(parts, points_per_part):
-        if isinstance(part, VandermondeMap):
-            exact = vandermonde_columns([as_gaussian(p) for p in pts], part.k)
-            block = np.array([[float(v) for v in row] for row in exact])
-        else:
-            block = sphere_columns(pts)
-        wide = np.zeros((block.shape[0], total_cols))
-        wide[:, col_offset:col_offset + block.shape[1]] = block
-        blocks.append(wide)
-        col_offset += block.shape[1]
-    return np.vstack(blocks)
+    exact = [[as_gaussian(p) if isinstance(part, VandermondeMap)
+              else as_sphere_point(p, part.m) for p in pts]
+             for part, pts in zip(parts, points_per_part)]
+    return _direct_sum_rank(parts, exact), sum(len(pts) for pts in exact)
 
 
 def sample_check_regular(example: ExampleMap,
@@ -369,10 +367,9 @@ def sample_check_regular(example: ExampleMap,
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
 
-    exact = all(isinstance(part, VandermondeMap) for part in parts)
+    wanted = sum(sizes)
     violations = 0
     witnesses: list[Witness] = []
-    min_ratio: Optional[float] = None
     for trial in range(trials):
         rng = random.Random(seed * _SEED_STRIDE + trial)
         points_per_part = tuple(
@@ -380,17 +377,7 @@ def sample_check_regular(example: ExampleMap,
             if isinstance(part, VandermondeMap)
             else tuple(_sample_sphere_points(rng, part.m, size))
             for part, size in zip(parts, sizes))
-        if exact:
-            rank = rational_rank(_exact_block_matrix(parts, points_per_part))
-        else:
-            matrix = _float_block_matrix(parts, points_per_part)
-            singular = np.linalg.svd(matrix, compute_uv=False)
-            rank = _rank_from_singular(singular, RELATIVE_RANK_TOLERANCE)
-            if singular.size and singular[0] > 0.0:
-                ratio = float(singular[-1] / singular[0])
-                if min_ratio is None or ratio < min_ratio:
-                    min_ratio = ratio
-        if rank < sum(sizes):
+        if _direct_sum_rank(parts, points_per_part) < wanted:
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(Witness(trial, points_per_part))
@@ -401,7 +388,6 @@ def sample_check_regular(example: ExampleMap,
         seed=seed,
         violations=violations,
         witnesses=tuple(witnesses),
-        min_singular_ratio=min_ratio,
         verdict="counterexample" if violations else "no-violation-found",
         expected_violation=any(size > claim
                                for size, claim in zip(sizes, claims)),

@@ -6,8 +6,10 @@ import random
 import string
 import subprocess
 import sys
+from fractions import Fraction
 
 import kregular
+from kregular import evaluate_rank, parse_map
 from kregular.cli import (EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE, EXIT_OK,
                           EXIT_USAGE, main)
 
@@ -181,14 +183,40 @@ def test_verify_json_deterministic(capsys):
     assert out1 == out2
     payload = json.loads(out1)
     assert payload["verdict"] == "no-violation-found"
-    assert payload["min_singular_ratio"] is not None
 
 
-def test_verify_exact_json_has_null_ratio(capsys):
+def test_verify_json_schema_2(capsys):
     code, out, _ = run_cli(capsys, "verify", "vandermonde:2",
                            "--trials", "10", "--json")
     assert code == EXIT_OK
-    assert json.loads(out)["min_singular_ratio"] is None
+    payload = json.loads(out)
+    assert payload["schema"] == "2"
+    assert "min_singular_ratio" not in payload
+
+
+def test_verify_mixed_direct_sum_exits_ok(capsys):
+    code, out, _ = run_cli(capsys, "verify", "vandermonde:8+sphere:2",
+                           "--trials", "300")
+    assert code == EXIT_OK
+    assert "violations: 0" in out.splitlines()
+
+
+def test_verify_mixed_witnesses_recheck_exactly(capsys):
+    text = "vandermonde:4+sphere:2"
+    code, out, _ = run_cli(capsys, "verify", text, "--tuple", "9,3",
+                           "--trials", "5", "--json")
+    assert code == EXIT_COUNTEREXAMPLE
+    witnesses = json.loads(out)["witnesses"]
+    assert len(witnesses) == 3
+    for witness in witnesses:
+        points = [[tuple(Fraction(c) for c in point) for point in part]
+                  for part in witness["points"]]
+        rank, wanted = evaluate_rank(parse_map(text), points)
+        assert wanted == 12 and rank < wanted
+    code, out, _ = run_cli(capsys, "verify", text, "--tuple", "9,3",
+                           "--trials", "1")
+    sphere_chunk = out.splitlines()[-2].split("; ")[1]
+    assert sphere_chunk.startswith("[(") and "." not in sphere_chunk
 
 
 def test_verify_bad_tuple_list(capsys):
@@ -252,12 +280,16 @@ def test_cli_fuzz_never_crashes(capsys):
         assert code in (EXIT_OK, EXIT_USAGE)
 
 
-def test_module_entry_point():
-    # `python -m kregular.cli` runs the same main() as the console script,
-    # in a fresh process that finds the package the way this one did.
+def _fresh_process_env() -> dict:
+    # A fresh process finds the package the way this one did.
     src = os.path.dirname(os.path.dirname(kregular.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
+def test_module_entry_point():
+    # `python -m kregular.cli` runs the same main() as the console script.
+    env = _fresh_process_env()
     command = [sys.executable, "-m", "kregular.cli", "bound"]
     proc = subprocess.run(command + ["HP^2"], capture_output=True,
                           text=True, env=env)
@@ -266,3 +298,10 @@ def test_module_entry_point():
     bad = subprocess.run(command + ["RP^1"], capture_output=True, text=True,
                          env=env)
     assert bad.returncode == 1
+
+
+def test_cli_import_does_not_load_numpy():
+    code = "import kregular.cli, sys; assert 'numpy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_process_env())
+    assert proc.returncode == 0, proc.stderr

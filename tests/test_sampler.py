@@ -3,15 +3,15 @@
 import random
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
-                      claimed_regularity, evaluate_rank, float_rank,
+                      claimed_regularity, evaluate_rank,
                       integer_rank_bareiss, parse_map, rational_rank,
                       render_map, sample_check_regular,
                       vandermonde_determinant, vandermonde_rank_exact)
-from kregular.sampler import sphere_columns, vandermonde_columns
+from kregular.sampler import (_sample_sphere_points, sphere_integer_column,
+                              vandermonde_columns, vandermonde_integer_column)
 
 
 def test_map_validation():
@@ -103,13 +103,6 @@ def test_rational_rank_clears_denominators():
                           [Fraction(2), Fraction(1)]]) == 1
 
 
-def test_float_rank():
-    assert float_rank(np.eye(4)) == 4
-    assert float_rank(np.zeros((3, 2))) == 0
-    near = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
-    assert float_rank(near) == 1
-
-
 # ---------------------------------------------------------------------------
 # Vandermonde exactness.
 
@@ -156,10 +149,35 @@ def test_determinant_agrees_with_rank():
             assert vandermonde_rank_exact(pts, k) == k
 
 
-def test_sphere_columns_shape():
-    cols = sphere_columns([(1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
-    assert cols.shape == (4, 2)
-    assert list(cols[0]) == [1.0, 1.0]
+def test_integer_vandermonde_rank_matches_fraction_oracle():
+    # Small ranges make coincident points, and so rank drops, common.
+    rng = random.Random(23)
+    for _ in range(300):
+        k = rng.randint(2, 6)
+        pts = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+               for _ in range(rng.randint(1, 2 * k + 1))]
+        columns = [vandermonde_integer_column(z, k) for z in pts]
+        assert all(isinstance(c, int) for col in columns for c in col)
+        expect = gauss_rank_oracle(vandermonde_columns(pts, k))
+        assert integer_rank_bareiss(columns) == expect
+        assert evaluate_rank(VandermondeMap(k), (pts,)) == (expect, len(pts))
+
+
+def test_integer_sphere_columns_lie_on_the_sphere():
+    rng = random.Random(29)
+    for m in range(2, 7):
+        pts = _sample_sphere_points(rng, m, 40)
+        assert len(set(pts)) == len(pts)
+        for x in pts:
+            column = sphere_integer_column(x)
+            assert len(column) == m + 2 and column[0] > 0
+            assert column[0] ** 2 == sum(c * c for c in column[1:])
+            assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
+        triple = pts[:3]
+        assert (integer_rank_bareiss([sphere_integer_column(x)
+                                      for x in triple])
+                == gauss_rank_oracle([[1, *x] for x in triple]) == 3)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +187,6 @@ def test_sample_vandermonde_no_violations():
     report = sample_check_regular(VandermondeMap(3), trials=200, seed=1)
     assert report.violations == 0
     assert report.verdict == "no-violation-found"
-    assert report.min_singular_ratio is None  # exact path, no floats
     assert not report.expected_violation
 
 
@@ -177,7 +194,6 @@ def test_sample_sphere_no_violations_at_claim():
     report = sample_check_regular(SphereOneI(3), trials=200, seed=1)
     assert report.tuple_sizes == (3,)
     assert report.violations == 0
-    assert report.min_singular_ratio is not None
 
 
 def test_oversized_tuples_always_violate():
@@ -210,7 +226,41 @@ def test_direct_sum_exact_when_all_vandermonde():
     example = DirectSum((VandermondeMap(2), VandermondeMap(3)))
     report = sample_check_regular(example, trials=100, seed=2)
     assert report.violations == 0
-    assert report.min_singular_ratio is None
+
+
+@pytest.mark.parametrize("text", ["vandermonde:8+sphere:2",
+                                  "vandermonde:5+sphere:3"])
+def test_mixed_direct_sum_has_no_violation(text):
+    # Vandermonde entries dwarf the sphere block; only exact block ranks
+    # keep the sphere block's rank.
+    report = sample_check_regular(parse_map(text), trials=300, seed=0)
+    assert report.violations == 0
+    assert report.verdict == "no-violation-found"
+
+
+def test_mixed_direct_sum_witnesses_recheck_exactly():
+    example = parse_map("vandermonde:4+sphere:2")
+    report = sample_check_regular(example, (9, 5), trials=10, seed=4)
+    assert report.violations == 10
+    for witness in report.witnesses:
+        rank, wanted = evaluate_rank(example, witness.points)
+        assert wanted == 14 and rank < wanted
+
+
+def test_evaluate_rank_rejects_inexact_points():
+    sphere = SphereOneI(2)
+    on_sphere = (Fraction(3, 5), Fraction(4, 5), 0)
+    assert evaluate_rank(sphere, ((on_sphere, (0, 0, 1)),)) == (2, 2)
+    with pytest.raises(ValueError):
+        evaluate_rank(sphere, (((0.6, 0.8, 0.0),),))
+    with pytest.raises(ValueError):
+        evaluate_rank(sphere, (((1, 1, 0),),))
+    with pytest.raises(ValueError):
+        evaluate_rank(sphere, (((1, 0),),))
+    with pytest.raises(ValueError):
+        evaluate_rank(VandermondeMap(2), ((0.5, 1),))
+    with pytest.raises(ValueError):
+        evaluate_rank(VandermondeMap(2), (((0.5, 0), 1),))
 
 
 def test_reports_are_reproducible():
