@@ -6,13 +6,17 @@ manifold), height (first-class height in a Grassmannian quotient), lucas
 projective constructions).  All output is ASCII; --json emits one
 deterministic JSON object per invocation.
 
-Exit codes: 0 success, 1 usage/parse/semantic errors, 2 inconclusive
-truncation, 3 a randomized check found a counterexample.
+Exit codes: 0 success, 1 usage/parse/semantic errors, 3 a randomized check
+found a counterexample; 2 is unused.  `height` needs no truncation choice:
+the Grassmann ring is cut one generator degree past the top cohomological
+degree, which holds every relation, and the cohomology is zero above the top
+degree, so every height is exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -23,8 +27,7 @@ from .bounds import (BoundReport, RegularQuery, bound_complex_disjoint,
 from .bundles import COMPLEX, REAL, UnsupportedBundleError
 from .expr import ParseError, parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
-from .grassmann import (CHERN, STIEFEL_WHITNEY, InconclusiveTruncationError,
-                        cached_presentation)
+from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
 from .manifolds import (ManifoldSpec, RealProj, dual_sw, render,
                         top_dual_degree, top_dual_degree_closed_form)
 from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
@@ -32,7 +35,6 @@ from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_COUNTEREXAMPLE = 3
 
 
@@ -132,11 +134,7 @@ def _cmd_dual_sw(args) -> int:
 
 def _cmd_height(args) -> int:
     classes = CHERN if args.regime == "complex" else STIEFEL_WHITNEY
-    pres = cached_presentation(args.k, args.n, classes,
-                               truncation=args.trunc)
-    chosen = "explicit" if args.trunc is not None else "auto"
-    print(f"note: truncation {pres.ring.truncation} ({chosen})",
-          file=sys.stderr)
+    pres = cached_presentation(args.k, args.n, classes)
     height = pres.height(pres.first_class())
     if args.json:
         _emit_json({
@@ -205,8 +203,8 @@ def _cmd_verify(args) -> int:
         print(f"trials: {report.trials} (seed {report.seed})")
         print(f"violations: {report.violations}")
         if report.expected_violation:
-            print("note: tuple size exceeds the claimed regularity; "
-                  "violations are expected")
+            print("note: a tuple size exceeds its part's ambient "
+                  "dimension; violations are expected")
         for witness in report.witnesses:
             chunks = []
             for part, part_points in zip(map_parts(example), witness.points):
@@ -259,7 +257,9 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _ArgumentParser:
+    """The argparse tree, built on first use and shared by every call."""
     parser = _ArgumentParser(
         prog="kregular",
         description="Bounds and checks for k-regular maps.")
@@ -286,8 +286,6 @@ def build_parser() -> _ArgumentParser:
     p_height.add_argument("--n", type=int, required=True)
     p_height.add_argument("--regime", choices=("complex", "real"),
                           default="complex")
-    p_height.add_argument("--trunc", type=int, default=None,
-                          help="override the automatic ring truncation")
     p_height.add_argument("--json", action="store_true")
     p_height.set_defaults(handler=_cmd_height)
 
@@ -332,9 +330,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InconclusiveTruncationError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
     except (UnsupportedBundleError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

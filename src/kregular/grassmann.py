@@ -13,6 +13,13 @@ degree-d slice is spanned by monomial multiples of the homogeneous
 generators, columns are monomials in descending lexicographic order within
 the degree, and the quotient basis is the non-pivot columns.  All reduction
 is exact (Fraction or GF(p)); nothing is floated.
+
+The cohomology vanishes above top = scale*k(n+1-k): in degree d its
+dimension is the number of partitions of d/scale that fit in a
+k x (n+1-k) box (the Schubert basis), so degrees above the top are zero and
+are never row-reduced.  The ring is cut at top + scale, which holds every
+relation: the last one sits in degree scale*(n+1), and
+scale*(n+1) <= top + scale is (k-1)(n-k) >= 0.
 """
 
 from __future__ import annotations
@@ -29,23 +36,18 @@ CHERN = "chern"
 STIEFEL_WHITNEY = "sw"
 
 
-class InconclusiveTruncationError(RuntimeError):
-    """The truncation is too small to certify the requested (non)vanishing."""
-
-
 class GrassmannPresentation:
     """Truncated presentation of H*(G_k(F^(n+1))) with normal-form data.
 
     k and n fix the Grassmannian (1 <= k <= n); `classes` picks Chern or
     Stiefel-Whitney generators; `field` defaults to QQ for Chern and GF(2)
-    for Stiefel-Whitney.  The default truncation is one generator degree
-    past the top cohomological degree, enough to extract the relations and
-    to certify the height of the first class without retries.
+    for Stiefel-Whitney.  The ring is truncated one generator degree past
+    the top cohomological degree, enough to extract the relations; every
+    degree above the top is zero in the quotient.
     """
 
     def __init__(self, k: int, n: int, classes: str = CHERN,
-                 field: Optional[Field] = None,
-                 truncation: Optional[int] = None):
+                 field: Optional[Field] = None):
         if not (isinstance(k, int) and isinstance(n, int) and 1 <= k <= n):
             raise ValueError(f"need integers 1 <= k <= n, got k={k}, n={n}")
         if classes == CHERN:
@@ -63,12 +65,6 @@ class GrassmannPresentation:
         else:
             raise ValueError(f"unknown class family {classes!r}")
         top = scale * k * (n + 1 - k)
-        if truncation is None:
-            truncation = top + scale
-        if truncation < scale * (n + 1):
-            raise ValueError(
-                f"truncation {truncation} cannot hold the relations "
-                f"(need >= {scale * (n + 1)})")
         self.k = k
         self.n = n
         self.classes = classes
@@ -76,7 +72,7 @@ class GrassmannPresentation:
         self.top_degree = top
         self.ring = SeriesRing(
             field, [(f"{prefix}{i}", scale * i) for i in range(1, k + 1)],
-            truncation)
+            top + scale)
         self.relations = self._extract_relations()
         self._degree_data: dict[int, _DegreeData] = {}
         self._lock = threading.Lock()
@@ -99,6 +95,8 @@ class GrassmannPresentation:
 
     def quotient_basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece of the quotient."""
+        if degree > self.top_degree:
+            return ()
         return self._data(degree).basis
 
     def total_dimension(self) -> int:
@@ -110,23 +108,23 @@ class GrassmannPresentation:
         """Canonical coordinates of `element` on the quotient basis.
 
         Linear over the coefficient field; the zero answer is exact ideal
-        membership for every degree within the truncation.
+        membership.  Terms above the top degree are zero in the quotient and
+        are dropped unreduced.
         """
         self.ring.require_same(element.ring)
         field = self.ring.field
         degree_of = self.ring.degree_of
+        top = self.top_degree
         by_degree: dict[int, dict[tuple[int, ...], Coeff]] = {}
         for exponents, coeff in element.terms.items():
-            by_degree.setdefault(degree_of(exponents), {})[exponents] = coeff
+            degree = degree_of(exponents)
+            if degree <= top:
+                by_degree.setdefault(degree, {})[exponents] = coeff
         coords: dict[tuple[int, ...], Coeff] = {}
         for degree, terms in by_degree.items():
             data = self._data(degree)
             vec = [terms.get(mono, field.zero) for mono in data.monomials]
-            for col, row in data.pivots:
-                c = vec[col]
-                if c != field.zero:
-                    for j in range(col, len(vec)):
-                        vec[j] = field.sub(vec[j], field.mul(c, row[j]))
+            _eliminate(field, data.pivots, vec)
             for j in data.basis_columns:
                 if vec[j] != field.zero:
                     coords[data.monomials[j]] = vec[j]
@@ -135,26 +133,20 @@ class GrassmannPresentation:
     def height(self, element: GradedSeries) -> Union[int, float]:
         """Largest t with element^t nonzero in the quotient.
 
-        Units (nonzero constant term) return math.inf.  When a vanishing
-        power cannot be certified inside the truncation the call raises
-        InconclusiveTruncationError instead of guessing.
+        Units (nonzero constant term) return math.inf.  The first power
+        with a zero normal form is zero in the quotient, so the answer is
+        the exponent before it.
         """
         self.ring.require_same(element.ring)
         if element.is_zero() or self.normal_form(element).is_zero():
             return 0
         if element.constant_coefficient() != self.ring.field.zero:
             return math.inf
-        gmax = element.top_degree()
         power = element
         t = 1
         while True:
             if self.normal_form(power).is_zero():
-                if gmax * t <= self.ring.truncation:
-                    return t - 1
-                raise InconclusiveTruncationError(
-                    f"power {t} computes to zero but only degrees up to "
-                    f"{self.ring.truncation} are certified; rebuild with "
-                    f"truncation >= {gmax * t}")
+                return t - 1
             t += 1
             power = power * element
 
@@ -170,10 +162,6 @@ class GrassmannPresentation:
             return got
 
     def _reduce_degree(self, degree: int) -> "_DegreeData":
-        if degree > self.ring.truncation:
-            raise InconclusiveTruncationError(
-                f"degree {degree} exceeds the ring truncation "
-                f"{self.ring.truncation}")
         field = self.ring.field
         monomials = self.ring.monomials_of_degree(degree)
         index = {mono: i for i, mono in enumerate(monomials)}
@@ -207,14 +195,20 @@ class _DegreeData:
         self.basis = basis
 
 
-def _rref_insert(field: Field, pivots: list[tuple[int, list[Coeff]]],
-                 row: list[Coeff]) -> None:
-    """Fold one row into reduced echelon state (pivots normalized to 1)."""
+def _eliminate(field: Field, pivots: Sequence[tuple[int, list[Coeff]]],
+               row: list[Coeff]) -> None:
+    """Clear every pivot column of `row` in place (pivots normalized to 1)."""
     for col, prow in pivots:
         c = row[col]
         if c != field.zero:
             for j in range(col, len(row)):
                 row[j] = field.sub(row[j], field.mul(c, prow[j]))
+
+
+def _rref_insert(field: Field, pivots: list[tuple[int, list[Coeff]]],
+                 row: list[Coeff]) -> None:
+    """Fold one row into reduced echelon state (pivots normalized to 1)."""
+    _eliminate(field, pivots, row)
     lead = next((j for j, v in enumerate(row) if v != field.zero), None)
     if lead is None:
         return
@@ -288,11 +282,10 @@ class QuotientElement:
 
 @lru_cache(maxsize=None)
 def cached_presentation(k: int, n: int, classes: str = CHERN,
-                        field: Optional[Field] = None,
-                        truncation: Optional[int] = None
+                        field: Optional[Field] = None
                         ) -> GrassmannPresentation:
     """Shared presentations; safe because instances are internally locked."""
-    return GrassmannPresentation(k, n, classes, field, truncation)
+    return GrassmannPresentation(k, n, classes, field)
 
 
 def chern_height_of_first_class(k: int, n: int) -> int:

@@ -80,12 +80,12 @@ def map_parts(example: ExampleMap) -> tuple:
     return example.parts if isinstance(example, DirectSum) else (example,)
 
 
+def _part_dim(part: Union[VandermondeMap, SphereOneI]) -> int:
+    return 2 * part.k - 1 if isinstance(part, VandermondeMap) else part.m + 2
+
+
 def ambient_dim(example: ExampleMap) -> int:
-    total = 0
-    for part in map_parts(example):
-        total += 2 * part.k - 1 if isinstance(part, VandermondeMap) \
-            else part.m + 2
-    return total
+    return sum(_part_dim(part) for part in map_parts(example))
 
 
 def claimed_regularity(example: ExampleMap) -> tuple[int, ...]:
@@ -346,13 +346,15 @@ def sample_check_regular(example: ExampleMap,
     tuple_sizes defaults to the claimed regularity (one entry per part).
     A rank below the requested total is counted as a violation and up to
     three witnesses are kept, re-checkable with evaluate_rank.  Sizes above
-    the claimed regularity are allowed; the report flags that violations
-    are then expected rather than alarming.
+    the claimed regularity are allowed.  expected_violation is set only when
+    some part's tuple size exceeds that part's ambient dimension (2k-1 for
+    vandermonde:k, m+2 for sphere:m): its columns are then dependent, so
+    every trial must violate.  Between the claim and the dimension a
+    violation is possible but not certain.
     """
     parts = map_parts(example)
-    claims = claimed_regularity(example)
     if tuple_sizes is None:
-        sizes = claims
+        sizes = claimed_regularity(example)
     elif isinstance(tuple_sizes, int):
         if len(parts) != 1:
             raise ValueError("per-part tuple sizes required for direct sums")
@@ -389,6 +391,6 @@ def sample_check_regular(example: ExampleMap,
         violations=violations,
         witnesses=tuple(witnesses),
         verdict="counterexample" if violations else "no-violation-found",
-        expected_violation=any(size > claim
-                               for size, claim in zip(sizes, claims)),
+        expected_violation=any(size > _part_dim(part)
+                               for part, size in zip(parts, sizes)),
     )

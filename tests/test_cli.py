@@ -10,8 +10,8 @@ from fractions import Fraction
 
 import kregular
 from kregular import evaluate_rank, parse_map
-from kregular.cli import (EXIT_COUNTEREXAMPLE, EXIT_INCONCLUSIVE, EXIT_OK,
-                          EXIT_USAGE, main)
+from kregular.cli import (EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE,
+                          build_parser, main)
 
 
 def run_cli(capsys, *argv):
@@ -111,7 +111,7 @@ def test_height_text(capsys):
     code, out, err = run_cli(capsys, "height", "--k", "2", "--n", "5")
     assert code == EXIT_OK
     assert out == "8\n"
-    assert "truncation" in err and "auto" in err
+    assert err == ""
 
 
 def test_height_json(capsys):
@@ -123,11 +123,12 @@ def test_height_json(capsys):
     assert payload["element"] == "w1"
 
 
-def test_height_short_truncation_is_inconclusive(capsys):
-    code, _, err = run_cli(capsys, "height", "--k", "2", "--n", "5",
-                           "--trunc", "14")
-    assert code == EXIT_INCONCLUSIVE
-    assert "inconclusive" in err
+def test_height_trunc_option_is_usage_error(capsys):
+    code, out, err = run_cli(capsys, "height", "--k", "2", "--n", "5",
+                             "--trunc", "14")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "--trunc" in err
 
 
 def test_height_impossible_truncation_is_usage_error(capsys):
@@ -201,6 +202,18 @@ def test_verify_mixed_direct_sum_exits_ok(capsys):
     assert "violations: 0" in out.splitlines()
 
 
+def test_verify_expects_violations_only_above_part_dimension(capsys):
+    # 9 plane points may span R^15, so nothing is expected of them.
+    argv = ("verify", "vandermonde:8+sphere:2", "--tuple", "9,3",
+            "--trials", "3")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    assert "note:" not in out
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == EXIT_OK
+    assert json.loads(out)["expected_violation"] is False
+
+
 def test_verify_mixed_witnesses_recheck_exactly(capsys):
     text = "vandermonde:4+sphere:2"
     code, out, _ = run_cli(capsys, "verify", text, "--tuple", "9,3",
@@ -267,6 +280,27 @@ def test_table_rejects_non_projective(capsys):
 
 def test_missing_subcommand_is_usage_error(capsys):
     assert run_cli(capsys)[0] == EXIT_USAGE
+
+
+def test_main_back_to_back_matches_separate_runs(capsys):
+    # The argparse tree is built once and shared; a call, a usage error
+    # included, must leave nothing behind for the next one.
+    argvs = [["bound", "HP^2"],
+             ["height", "--k", "2", "--n", "5", "--json"],
+             ["height", "--k", "2"],
+             ["lucas", "7", "3", "--p", "2"],
+             ["no-such-command"],
+             ["verify", "vandermonde:2", "--trials", "5", "--json"],
+             ["height", "--k", "1", "--n", "4", "--regime", "real"],
+             ["table", "RP^9"]]
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()
+        alone.append(run_cli(capsys, *argv))
+    together = [run_cli(capsys, *argv) for argv in argvs]
+    assert together == alone
+    assert [code for code, _, _ in together].count(EXIT_USAGE) == 2
+    assert build_parser() is build_parser()
 
 
 def test_cli_fuzz_never_crashes(capsys):

@@ -7,8 +7,7 @@ from fractions import Fraction
 import pytest
 
 from kregular import (CHERN, GF2, QQ, STIEFEL_WHITNEY, GrassmannPresentation,
-                      InconclusiveTruncationError, YasuiIntegralModule,
-                      YasuiMod2Module, cached_presentation,
+                      YasuiIntegralModule, YasuiMod2Module, cached_presentation,
                       chern_height_of_first_class, kappa_case)
 
 
@@ -21,9 +20,6 @@ def test_constructor_validation():
         GrassmannPresentation(2, 3, "unknown")
     with pytest.raises(ValueError):
         GrassmannPresentation(2, 3, STIEFEL_WHITNEY, field=QQ)
-    with pytest.raises(ValueError):
-        # Cannot hold the relations: Chern regime needs 2(n+1).
-        GrassmannPresentation(2, 5, CHERN, truncation=10)
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +69,34 @@ def test_quotient_basis_g2c3():
     assert pres.quotient_basis(0) == ((0, 0),)
     assert pres.quotient_basis(2) == ((1, 0),)
     assert pres.quotient_basis(6) == ()
+
+
+def _box_partitions(size: int, rows: int, width: int) -> int:
+    # Partitions of `size` into at most `rows` parts, each at most `width`.
+    if size == 0:
+        return 1
+    if rows == 0:
+        return 0
+    return sum(_box_partitions(size - first, rows - 1, first)
+               for first in range(1, min(width, size) + 1))
+
+
+def test_degree_dimensions_match_box_partitions():
+    # Oracle independent of the relations: the Schubert basis gives
+    # dim H^d(G_k(F^(n+1))) = #partitions of d/scale in a k x (n+1-k) box,
+    # and 0 when scale does not divide d.  Degrees above the top, which
+    # heights never reduce, are row-reduced here up to the ring truncation.
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for classes in (CHERN, STIEFEL_WHITNEY):
+                pres = cached_presentation(k, n, classes)
+                scale = pres.scale
+                assert pres.ring.truncation == pres.top_degree + scale
+                for d in range(pres.top_degree + scale + 1):
+                    expect = (_box_partitions(d // scale, k, n + 1 - k)
+                              if d % scale == 0 else 0)
+                    got = len(pres._reduce_degree(d).basis)
+                    assert got == expect, (k, n, classes, d)
 
 
 def test_total_dimension_is_binomial():
@@ -160,18 +184,20 @@ def test_height_of_units_and_zero():
     assert pres.height(pres.relation_generators()[0]) == 0
 
 
-def test_height_inconclusive_when_truncation_short():
-    # Truncation 12 holds the relations of G_2(C^6) but cannot certify
-    # c1^9 = 0 (degree 18); the call must refuse rather than answer.
-    pres = GrassmannPresentation(2, 5, CHERN, truncation=12)
-    with pytest.raises(InconclusiveTruncationError):
-        pres.height(pres.first_class())
+def test_height_reduces_no_degree_above_top():
+    # c1^9 of G_2(C^6) lies in degree 18 > top 16: it is zero without
+    # being row-reduced, and the height is exact.
+    pres = GrassmannPresentation(2, 5, CHERN)
+    assert pres.height(pres.first_class()) == 8
+    assert max(pres._degree_data) == pres.top_degree == 16
 
 
-def test_degree_beyond_truncation_raises():
-    pres = GrassmannPresentation(1, 2, STIEFEL_WHITNEY, truncation=3)
-    with pytest.raises(InconclusiveTruncationError):
-        pres.quotient_basis(4)
+def test_quotient_basis_is_empty_above_top():
+    pres = GrassmannPresentation(1, 2, STIEFEL_WHITNEY)
+    assert pres.quotient_basis(pres.top_degree) == ((2,),)
+    for degree in (pres.top_degree + 1, pres.ring.truncation + 5):
+        assert pres.quotient_basis(degree) == ()
+    assert max(pres._degree_data) == pres.top_degree
 
 
 def test_cached_presentation_is_shared():
