@@ -13,8 +13,8 @@ from .expr import ParseError, parse_expression, parse_manifold, render_query
 from .fields import (GF2, QQ, PrimeField, RationalField, digit_sum_base_p,
                      is_prime, lucas_binom_mod_p)
 from .grassmann import (CHERN, STIEFEL_WHITNEY, GrassmannPresentation,
-                        QuotientElement, YasuiElement, YasuiIntegralModule,
-                        YasuiMod2Element, YasuiMod2Module, cached_presentation,
+                        YasuiElement, YasuiIntegralModule, YasuiMod2Element,
+                        YasuiMod2Module, cached_presentation,
                         chern_height_of_first_class, kappa_case)
 from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,
                         Product, QuatProj, RealProj, Sphere, atoms,

@@ -30,9 +30,6 @@ MAIN_THEOREM_2 = "Main Theorem II"
 DISJOINT_REAL = "disjoint union lower bound (real)"
 DISJOINT_COMPLEX = "disjoint union lower bound (complex)"
 
-_CLOSED_ATOMS = (Sphere, RealProj, ComplexProj, QuatProj)
-
-
 @dataclass(frozen=True)
 class RegularQuery:
     """Pieces (spec, point count) asked about together, with a regime."""
@@ -106,16 +103,12 @@ def _tightness(record: Optional[ExistenceRecord],
 def bound_product_2regular(spec: ManifoldSpec) -> BoundReport:
     """Least ambient dimension forced on 2-regular maps of a closed product.
 
-    The bound is the two-point bundle's top degree plus two.  Factors must
-    come from the sphere and projective families.
+    The bound is the two-point bundle's top degree plus two, the one-piece
+    case of bound_disjoint.  Factors must come from the sphere and
+    projective families.
     """
     _require_closed_product(spec, "the product bound")
-    profile = lambda_top(spec, 2, REAL)
-    bound = profile.top_degree + 2
-    piece = PieceBound(spec, 2, profile.top_degree, bound,
-                       profile.is_lower_bound, profile.source)
-    return BoundReport(bound, MAIN_THEOREM_1, (piece,),
-                       _tightness(upper_existence_piece(spec, 2), bound))
+    return bound_disjoint(RegularQuery(((spec, 2),)))
 
 
 def main_theorem_1_closed_form(spec: ManifoldSpec) -> int:

@@ -24,8 +24,8 @@ from typing import Optional, Sequence
 from .bounds import (BoundReport, RegularQuery, bound_complex_disjoint,
                      bound_disjoint, bound_product_2regular,
                      projective_table_matches)
-from .bundles import COMPLEX, REAL, UnsupportedBundleError
-from .expr import ParseError, parse_expression, parse_manifold, render_query
+from .bundles import COMPLEX, REAL
+from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
 from .manifolds import (ManifoldSpec, RealProj, dual_sw, render,
@@ -324,13 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnsupportedBundleError, ValueError) as exc:
+    except (_UsageError, ValueError) as exc:
+        # ParseError and UnsupportedBundleError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,8 +11,17 @@ integral (non)vanishing) or over GF(2) for mod-2 questions.
 Normal forms come from per-degree reduced row echelon data: the ideal's
 degree-d slice is spanned by monomial multiples of the homogeneous
 generators, columns are monomials in descending lexicographic order within
-the degree, and the quotient basis is the non-pivot columns.  All reduction
-is exact (Fraction or GF(p)); nothing is floated.
+the degree, and the quotient basis is the non-pivot columns.  A normal form
+is a plain GradedSeries of the presentation's ring whose terms all lie on
+the quotient basis.  All reduction is exact (Fraction or GF(p)); nothing is
+floated.
+
+Pivot rows are kept fully reduced (back-substituted) and dense.  Fully
+reduced, a row's entries in the other pivot columns are zero, so a normal
+form needs one row operation per nonzero pivot coordinate of the element
+(c1^t is a single monomial) instead of a cascade across pivots.  Dense
+lists keep a degree's rows in one compact block; rows keyed by monomial
+are faster to reduce but cost markedly more memory.
 
 The cohomology vanishes above top = scale*k(n+1-k): in degree d its
 dimension is the number of partitions of d/scale that fit in a
@@ -90,9 +99,6 @@ class GrassmannPresentation:
         """The degree-`scale` generator (c1 or w1)."""
         return self.ring.gen(self.ring.names[0])
 
-    def relation_generators(self) -> tuple[GradedSeries, ...]:
-        return self.relations
-
     def quotient_basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece of the quotient."""
         if degree > self.top_degree:
@@ -104,10 +110,10 @@ class GrassmannPresentation:
         return sum(len(self.quotient_basis(d))
                    for d in range(self.top_degree + 1))
 
-    def normal_form(self, element: GradedSeries) -> "QuotientElement":
-        """Canonical coordinates of `element` on the quotient basis.
+    def normal_form(self, element: GradedSeries) -> GradedSeries:
+        """Canonical representative of `element` on the quotient basis.
 
-        Linear over the coefficient field; the zero answer is exact ideal
+        Linear over the coefficient field; a zero result is exact ideal
         membership.  Terms above the top degree are zero in the quotient and
         are dropped unreduced.
         """
@@ -120,15 +126,15 @@ class GrassmannPresentation:
             degree = degree_of(exponents)
             if degree <= top:
                 by_degree.setdefault(degree, {})[exponents] = coeff
-        coords: dict[tuple[int, ...], Coeff] = {}
+        reduced: dict[tuple[int, ...], Coeff] = {}
         for degree, terms in by_degree.items():
             data = self._data(degree)
             vec = [terms.get(mono, field.zero) for mono in data.monomials]
             _eliminate(field, data.pivots, vec)
             for j in data.basis_columns:
                 if vec[j] != field.zero:
-                    coords[data.monomials[j]] = vec[j]
-        return QuotientElement(self, coords)
+                    reduced[data.monomials[j]] = vec[j]
+        return GradedSeries(self.ring, reduced)
 
     def height(self, element: GradedSeries) -> Union[int, float]:
         """Largest t with element^t nonzero in the quotient.
@@ -138,17 +144,14 @@ class GrassmannPresentation:
         the exponent before it.
         """
         self.ring.require_same(element.ring)
-        if element.is_zero() or self.normal_form(element).is_zero():
-            return 0
         if element.constant_coefficient() != self.ring.field.zero:
             return math.inf
         power = element
-        t = 1
-        while True:
-            if self.normal_form(power).is_zero():
-                return t - 1
+        t = 0
+        while not self.normal_form(power).is_zero():
             t += 1
             power = power * element
+        return t
 
     def _data(self, degree: int) -> "_DegreeData":
         got = self._degree_data.get(degree)
@@ -176,7 +179,6 @@ class GrassmannPresentation:
                 for exponents, coeff in shifted.terms.items():
                     row[index[exponents]] = coeff
                 _rref_insert(field, pivots, row)
-        pivots.sort()
         pivot_cols = {col for col, _ in pivots}
         basis_columns = tuple(i for i in range(len(monomials))
                               if i not in pivot_cols)
@@ -222,62 +224,6 @@ def _rref_insert(field: Field, pivots: list[tuple[int, list[Coeff]]],
             for j in range(lead, len(row)):
                 prow[j] = field.sub(prow[j], field.mul(c, row[j]))
     pivots.append((lead, row))
-
-
-class QuotientElement:
-    """Element of a Grassmann quotient in canonical coordinates.
-
-    Coordinates are kept on the monomial basis (non-pivot monomials of each
-    degree); the element is zero iff the coordinate dict is empty.
-    """
-
-    __slots__ = ("presentation", "coords")
-
-    def __init__(self, presentation: GrassmannPresentation,
-                 coords: dict[tuple[int, ...], Coeff]):
-        self.presentation = presentation
-        self.coords = coords
-
-    def is_zero(self) -> bool:
-        return not self.coords
-
-    def coefficient(self, exponents: Sequence[int]) -> Coeff:
-        return self.coords.get(tuple(exponents),
-                               self.presentation.ring.field.zero)
-
-    def __add__(self, other: "QuotientElement") -> "QuotientElement":
-        if other.presentation is not self.presentation:
-            if other.presentation.ring != self.presentation.ring:
-                raise ValueError("quotient elements from different "
-                                 "presentations")
-        field = self.presentation.ring.field
-        out = dict(self.coords)
-        for mono, coeff in other.coords.items():
-            v = field.add(out.get(mono, field.zero), coeff)
-            if v == field.zero:
-                out.pop(mono, None)
-            else:
-                out[mono] = v
-        return QuotientElement(self.presentation, out)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, QuotientElement)
-                and other.presentation.ring == self.presentation.ring
-                and other.coords == self.coords)
-
-    def __hash__(self) -> int:
-        return hash((self.presentation.ring,
-                     frozenset(self.coords.items())))
-
-    def to_series(self) -> GradedSeries:
-        """The canonical representative as an ambient ring element."""
-        return self.presentation.ring.from_terms(dict(self.coords))
-
-    def render(self) -> str:
-        return self.to_series().render()
-
-    def __repr__(self) -> str:
-        return f"<quotient element {self.render()}>"
 
 
 @lru_cache(maxsize=None)

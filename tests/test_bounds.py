@@ -4,14 +4,15 @@ import random
 
 import pytest
 
-from kregular import (COMPLEX, REAL, ComplexProj, Euclid, Product, QuatProj,
-                      RealProj, RegularQuery, Sphere, UnsupportedBundleError,
+from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
+                      PieceBound, Product, QuatProj, RealProj, RegularQuery,
+                      Sphere, TightnessInfo, UnsupportedBundleError,
                       bound_cited, bound_complex_disjoint, bound_disjoint,
                       bound_product_2regular, handel_disjoint_closed_form,
-                      main_theorem_1_closed_form, main_theorem_2_closed_form,
-                      projective_3regular_upper, projective_table_matches,
-                      real_dimension, top_dual_degree, upper_existence,
-                      upper_existence_piece)
+                      lambda_top, main_theorem_1_closed_form,
+                      main_theorem_2_closed_form, projective_3regular_upper,
+                      projective_table_matches, real_dimension,
+                      top_dual_degree, upper_existence, upper_existence_piece)
 from kregular.bounds import (DISJOINT_COMPLEX, DISJOINT_REAL, MAIN_THEOREM_1,
                              MAIN_THEOREM_2)
 
@@ -42,6 +43,29 @@ def test_product_bound_is_labeled():
     (piece,) = report.breakdown
     assert piece.contribution == report.bound
     assert piece.top_degree == 12
+
+
+def test_product_bound_is_the_one_piece_disjoint_bound():
+    # Reference assembled here from the bundle profile and the piece
+    # construction, as the product bound was computed on its own.
+    rng = random.Random(17)
+    families = (Sphere, RealProj, ComplexProj, QuatProj)
+    for _ in range(60):
+        factors = tuple(families[rng.randrange(4)](rng.randint(2, 12))
+                        for _ in range(rng.randint(1, 3)))
+        spec = factors[0] if len(factors) == 1 else Product(factors)
+        report = bound_product_2regular(spec)
+        profile = lambda_top(spec, 2, REAL)
+        bound = profile.top_degree + 2
+        piece = PieceBound(spec, 2, profile.top_degree, bound,
+                           profile.is_lower_bound, profile.source)
+        upper = upper_existence_piece(spec, 2)
+        tightness = (None if upper is None
+                     else TightnessInfo(upper, upper.ambient_dim == bound))
+        assert report == BoundReport(bound, MAIN_THEOREM_1, (piece,),
+                                     tightness)
+        assert report == bound_disjoint(RegularQuery(((spec, 2),), REAL))
+        assert report.bound == main_theorem_1_closed_form(spec)
 
 
 def test_product_bound_requires_closed():
