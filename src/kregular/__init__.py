@@ -1,12 +1,11 @@
 """Exact bounds and randomized checks for k-regular maps."""
 
-from .bounds import (BoundReport, ExistenceRecord, PieceBound, RegularQuery,
-                     TightnessInfo, bound_cited, bound_complex_disjoint,
-                     bound_disjoint, bound_product_2regular,
-                     handel_disjoint_closed_form, main_theorem_1_closed_form,
-                     main_theorem_2_closed_form, projective_3regular_upper,
-                     projective_table_matches, upper_existence,
-                     upper_existence_piece)
+from .bounds import (BoundReport, ExistenceRecord, RegularQuery,
+                     TightnessInfo, bound_cited, bound_disjoint,
+                     bound_product_2regular, handel_disjoint_closed_form,
+                     main_theorem_1_closed_form, main_theorem_2_closed_form,
+                     projective_3regular_upper, projective_table_matches,
+                     upper_existence, upper_existence_piece)
 from .bundles import (COMPLEX, REAL, BundleProfile, UnsupportedBundleError,
                       lambda_top)
 from .expr import ParseError, parse_expression, parse_manifold, render_query

@@ -3,8 +3,9 @@
 Lower bounds come from nonvanishing dual or Chern class degrees of the
 relevant configuration bundles: a class surviving in degree d over a
 k-point configuration space forces every k-regular map into R^N (or C^N)
-to have N at least d plus the point count (real, closed pieces) or d plus
-one (plane pieces).  Every report names the rule that produced each number;
+to have N at least d plus the point count, or d plus one for complex plane
+pieces (see lambda_top).  A disjoint union forces the sum of its pieces'
+contributions.  Every report names the rule that produced each number;
 closed-form power-of-two evaluations are kept separate from the bundle
 computations so the two can be compared in tests.
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .bundles import COMPLEX, REAL, UnsupportedBundleError, lambda_top
+from .bundles import COMPLEX, REAL, BundleProfile, lambda_top
 from .fields import digit_sum_base_p, is_prime
 from .manifolds import (ComplexProj, Euclid, ManifoldSpec, QuatProj,
                         RealProj, Sphere, atoms, floor_log2, is_closed,
@@ -29,6 +30,7 @@ MAIN_THEOREM_1 = "Main Theorem I"
 MAIN_THEOREM_2 = "Main Theorem II"
 DISJOINT_REAL = "disjoint union lower bound (real)"
 DISJOINT_COMPLEX = "disjoint union lower bound (complex)"
+BCLZ_2015 = "Blagojevic-Cohen-Luck-Ziegler (2015)"
 
 @dataclass(frozen=True)
 class RegularQuery:
@@ -49,18 +51,6 @@ class RegularQuery:
                     f"piece ({render(spec)}, {points!r}): point count must "
                     "be an integer >= 2")
         object.__setattr__(self, "pieces", pieces)
-
-
-@dataclass(frozen=True)
-class PieceBound:
-    """One piece's share of a bound: class degree and its contribution."""
-
-    spec: ManifoldSpec
-    points: int
-    top_degree: int
-    contribution: int
-    is_lower_bound: bool
-    source: str
 
 
 @dataclass(frozen=True)
@@ -136,31 +126,33 @@ def _is_mt2_piece(spec: ManifoldSpec, points: int) -> bool:
     return isinstance(spec, _MT2_SINGLE) and points == 2
 
 
-def bound_disjoint(query: RegularQuery) -> BoundReport:
-    """Sum of per-piece bundle degrees plus point counts (real regime).
+def _theorem(query: RegularQuery) -> str:
+    """The theorem whose families contain the query."""
+    pieces = query.pieces
+    if query.regime == COMPLEX:
+        if len(pieces) > 1:
+            return DISJOINT_COMPLEX
+        if isinstance(pieces[0][0], Euclid):
+            return BCLZ_2015
+        return "complex two-point lower bound"
+    if len(pieces) == 1 and pieces[0][1] == 2 and is_closed(pieces[0][0]):
+        return MAIN_THEOREM_1
+    if all(_is_mt2_piece(spec, points) for spec, points in pieces):
+        return MAIN_THEOREM_2
+    return DISJOINT_REAL
 
-    Pieces must each be supported by lambda_top; an unsupported piece
-    raises with the piece named.  The theorem label records whether the
-    query sits inside the disjoint-union theorem's families.
+
+def bound_disjoint(query: RegularQuery) -> BoundReport:
+    """Sum of the pieces' contributions, in either regime.
+
+    Each piece's profile comes from lambda_top; an unsupported piece raises
+    with the piece named.  Tightness needs a construction for every piece,
+    and none are known in the complex regime.
     """
-    if query.regime != REAL:
-        raise ValueError("bound_disjoint handles the real regime; use "
-                         "bound_complex_disjoint for complex queries")
-    breakdown = []
-    for spec, points in query.pieces:
-        profile = lambda_top(spec, points, REAL)
-        breakdown.append(PieceBound(spec, points, profile.top_degree,
-                                    profile.top_degree + points,
-                                    profile.is_lower_bound, profile.source))
+    breakdown = tuple(lambda_top(spec, points, query.regime)
+                      for spec, points in query.pieces)
     bound = sum(piece.contribution for piece in breakdown)
-    if len(query.pieces) == 1 and query.pieces[0][1] == 2 \
-            and is_closed(query.pieces[0][0]):
-        theorem = MAIN_THEOREM_1
-    elif all(_is_mt2_piece(spec, points) for spec, points in query.pieces):
-        theorem = MAIN_THEOREM_2
-    else:
-        theorem = DISJOINT_REAL
-    return BoundReport(bound, theorem, tuple(breakdown),
+    return BoundReport(bound, _theorem(query), breakdown,
                        _tightness(upper_existence(query), bound))
 
 
@@ -200,46 +192,6 @@ def handel_disjoint_closed_form(specs: Sequence[ManifoldSpec]) -> int:
     return total
 
 
-def bound_complex_disjoint(query: RegularQuery) -> BoundReport:
-    """Complex-regular lower bound: per-piece Chern degrees summed.
-
-    Supported pieces: (S^m, 2), (CP^m, 2) with m >= 4 (certified lower
-    bound on the top degree), and (R^m, p) for odd primes p.
-    """
-    if query.regime != COMPLEX:
-        raise ValueError("bound_complex_disjoint needs a complex-regime "
-                         "query")
-    breakdown = []
-    for spec, points in query.pieces:
-        if isinstance(spec, Euclid):
-            if not (points % 2 == 1 and is_prime(points)):
-                raise UnsupportedBundleError(
-                    f"({render(spec)}, {points}): complex plane pieces "
-                    "need an odd prime point count")
-            degree = (spec.m + 1) // 2 * (points - 1)
-            breakdown.append(PieceBound(
-                spec, points, degree, degree + 1, True,
-                "complex p-point classes over R^m survive to degree "
-                "floor((m+1)/2)*(p-1) (Blagojevic-Cohen-Luck-Ziegler "
-                "2015)"))
-        else:
-            profile = lambda_top(spec, points, COMPLEX)
-            breakdown.append(PieceBound(
-                spec, points, profile.top_degree,
-                profile.top_degree + points, profile.is_lower_bound,
-                profile.source))
-    bound = sum(piece.contribution for piece in breakdown)
-    if len(breakdown) == 1:
-        only = breakdown[0]
-        if isinstance(only.spec, Euclid):
-            theorem = "Blagojevic-Cohen-Luck-Ziegler (2015)"
-        else:
-            theorem = "complex two-point lower bound"
-    else:
-        theorem = DISJOINT_COMPLEX
-    return BoundReport(bound, theorem, tuple(breakdown), None)
-
-
 # ---------------------------------------------------------------------------
 # Cited closed-form bounds.
 
@@ -270,11 +222,10 @@ def _cited_real_euclid(m: int, k: int) -> BoundReport:
         raise ValueError("need m >= 1 and k >= 2")
     alpha = digit_sum_base_p(k, 2)
     bound = m * (k - alpha) + alpha
-    theorem = "Blagojevic-Luck-Ziegler (2016)"
-    piece = PieceBound(Euclid(m), k, bound - 1, bound, True,
-                       f"k-regular maps of R^m: N >= m(k - alpha(k)) + "
-                       f"alpha(k) with alpha({k}) = {alpha}")
-    return BoundReport(bound, theorem, (piece,))
+    piece = BundleProfile(Euclid(m), k, REAL, bound - 1, bound, True,
+                          f"k-regular maps of R^m: N >= m(k - alpha(k)) + "
+                          f"alpha(k) with alpha({k}) = {alpha}")
+    return BoundReport(bound, "Blagojevic-Luck-Ziegler (2016)", (piece,))
 
 
 def _cited_complex_euclid(m: int, p: int) -> BoundReport:
@@ -282,8 +233,7 @@ def _cited_complex_euclid(m: int, p: int) -> BoundReport:
         raise ValueError("need m >= 1")
     if not (is_prime(p) and p % 2 == 1):
         raise ValueError(f"{p!r} is not an odd prime")
-    return bound_complex_disjoint(
-        RegularQuery(((Euclid(m), p),), COMPLEX))
+    return bound_disjoint(RegularQuery(((Euclid(m), p),), COMPLEX))
 
 
 def _cited_complex_prime_power(m: int, k: int, p: int) -> BoundReport:
@@ -295,12 +245,11 @@ def _cited_complex_prime_power(m: int, k: int, p: int) -> BoundReport:
         raise ValueError("need k >= 2")
     alpha = digit_sum_base_p(k, p)
     bound = m * (k - alpha) + alpha
-    piece = PieceBound(Euclid(2 * m), k, bound - 1, bound, True,
-                       f"complex k-regular maps of C^m (m a power of {p}): "
-                       f"N >= m(k - alpha_p(k)) + alpha_p(k) with "
-                       f"alpha_{p}({k}) = {alpha}")
-    return BoundReport(bound, "Blagojevic-Cohen-Luck-Ziegler (2015)",
-                       (piece,))
+    piece = BundleProfile(Euclid(2 * m), k, COMPLEX, bound - 1, bound, True,
+                          f"complex k-regular maps of C^m (m a power of "
+                          f"{p}): N >= m(k - alpha_p(k)) + alpha_p(k) with "
+                          f"alpha_{p}({k}) = {alpha}")
+    return BoundReport(bound, BCLZ_2015, (piece,))
 
 
 def _cited_stacked_planes(n: int, m: int, p: int) -> BoundReport:
@@ -308,21 +257,18 @@ def _cited_stacked_planes(n: int, m: int, p: int) -> BoundReport:
         raise ValueError("need n >= 1")
     base = _cited_complex_euclid(m, p)
     bound = n * base.bound
-    piece = PieceBound(Euclid(m), n * p, bound - 1, bound, True,
-                       f"complex np-regular maps: n = {n} copies of the "
-                       "p-regular plane bound")
-    return BoundReport(bound, "Blagojevic-Cohen-Luck-Ziegler (2015)",
-                       (piece,))
+    piece = BundleProfile(Euclid(m), n * p, COMPLEX, bound - 1, bound, True,
+                          f"complex np-regular maps: n = {n} copies of the "
+                          "p-regular plane bound")
+    return BoundReport(bound, BCLZ_2015, (piece,))
 
 
 def _cited_disjoint_planes(ms: Sequence[int], p: int) -> BoundReport:
     if not ms:
         raise ValueError("need at least one plane piece")
     query = RegularQuery(tuple((Euclid(m), p) for m in ms), COMPLEX)
-    report = bound_complex_disjoint(query)
-    return BoundReport(report.bound,
-                       "Blagojevic-Cohen-Luck-Ziegler (2015)",
-                       report.breakdown)
+    report = bound_disjoint(query)
+    return BoundReport(report.bound, BCLZ_2015, report.breakdown)
 
 
 _CITED: dict[str, Callable[..., BoundReport]] = {

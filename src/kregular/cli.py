@@ -21,10 +21,9 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (BoundReport, RegularQuery, bound_complex_disjoint,
-                     bound_disjoint, bound_product_2regular,
-                     projective_table_matches)
-from .bundles import COMPLEX, REAL
+from .bounds import (BoundReport, RegularQuery, bound_disjoint,
+                     bound_product_2regular, projective_table_matches)
+from .bundles import REAL
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
@@ -53,18 +52,16 @@ def _emit_json(payload: dict) -> None:
 
 
 def _cmd_bound(args) -> int:
-    regime = REAL if args.regime == "real" else COMPLEX
-    parsed = parse_expression(args.expression, regime)
+    parsed = parse_expression(args.expression, args.regime)
     if isinstance(parsed, RegularQuery):
         query = parsed
-        report = (bound_disjoint(query) if regime == REAL
-                  else bound_complex_disjoint(query))
+        report = bound_disjoint(query)
     else:
-        query = RegularQuery(((parsed, 2),), regime)
-        report = (bound_product_2regular(parsed) if regime == REAL
-                  else bound_complex_disjoint(query))
+        query = RegularQuery(((parsed, 2),), args.regime)
+        report = (bound_product_2regular(parsed) if args.regime == REAL
+                  else bound_disjoint(query))
     if args.json:
-        _emit_json(_bound_payload(query, regime, report))
+        _emit_json(_bound_payload(query, report))
         return EXIT_OK
     print(f"N >= {report.bound} ({report.theorem})")
     for piece in report.breakdown:
@@ -83,8 +80,7 @@ def _cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _bound_payload(query: RegularQuery, regime: str,
-                   report: BoundReport) -> dict:
+def _bound_payload(query: RegularQuery, report: BoundReport) -> dict:
     breakdown = [{
         "piece": render(piece.spec),
         "points": piece.points,
@@ -103,7 +99,7 @@ def _bound_payload(query: RegularQuery, regime: str,
     return {
         "schema": "1",
         "query": render_query(query),
-        "regime": regime,
+        "regime": query.regime,
         "bound": report.bound,
         "theorem": report.theorem,
         "breakdown": breakdown,
@@ -232,18 +228,15 @@ def _cmd_table(args) -> int:
             raise _UsageError("the table covers RP^m only")
         spec = parsed
     hits = projective_table_matches(spec.m)
-    hits_sorted = sorted(hits, key=lambda pair: pair[1])
+    best = min(hits, key=lambda pair: pair[1], default=None)
     if args.json:
-        best = None
-        if hits_sorted:
-            row, ambient = hits_sorted[0]
-            best = {"condition": row.label, "ambient_dim": ambient}
         _emit_json({
             "schema": "1",
             "manifold": render(spec),
             "rows": [{"condition": row.label, "ambient_dim": ambient}
                      for row, ambient in hits],
-            "best": best,
+            "best": None if best is None else {"condition": best[0].label,
+                                               "ambient_dim": best[1]},
         })
         return EXIT_OK
     if not hits:
@@ -252,7 +245,7 @@ def _cmd_table(args) -> int:
     print(f"3-regular constructions for {render(spec)}:")
     for row, ambient in hits:
         print(f"  {row.label}: R^{ambient}")
-    row, ambient = hits_sorted[0]
+    row, ambient = best
     print(f"best: R^{ambient} [{row.label}]")
     return EXIT_OK
 

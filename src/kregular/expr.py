@@ -45,7 +45,7 @@ def _is_digit(ch: str) -> bool:
 
 
 class _Tokens:
-    """Lexer: NAME, INT, and the punctuation ^ ( ) , +."""
+    """Lexer: NAME, INT, and the one-character symbols ^ ( ) , + x."""
 
     def __init__(self, text: str):
         if not isinstance(text, str):
@@ -104,16 +104,8 @@ def _parse_atom(tokens: _Tokens) -> ManifoldSpec:
 
 def _parse_product(tokens: _Tokens) -> ManifoldSpec:
     factors = [_parse_atom(tokens)]
-    while True:
-        save = tokens.pos
-        if not _is_letter(tokens.peek()):
-            break
-        name, name_pos = tokens.take_name()
-        if not name.startswith("x"):
-            tokens.pos = save
-            break
-        # The lexer reads 'xRP' in 'S^2xRP^3' as one name; keep only the 'x'.
-        tokens.pos = name_pos + 1
+    while tokens.peek() == "x":
+        tokens.take_symbol("x")
         factors.append(_parse_atom(tokens))
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 

@@ -5,16 +5,16 @@ import random
 import pytest
 
 from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
-                      PieceBound, Product, QuatProj, RealProj, RegularQuery,
-                      Sphere, TightnessInfo, UnsupportedBundleError,
-                      bound_cited, bound_complex_disjoint, bound_disjoint,
-                      bound_product_2regular, handel_disjoint_closed_form,
-                      lambda_top, main_theorem_1_closed_form,
-                      main_theorem_2_closed_form, projective_3regular_upper,
-                      projective_table_matches, real_dimension,
-                      top_dual_degree, upper_existence, upper_existence_piece)
-from kregular.bounds import (DISJOINT_COMPLEX, DISJOINT_REAL, MAIN_THEOREM_1,
-                             MAIN_THEOREM_2)
+                      Product, QuatProj, RealProj, RegularQuery, Sphere,
+                      TightnessInfo, UnsupportedBundleError, bound_cited,
+                      bound_disjoint, bound_product_2regular,
+                      handel_disjoint_closed_form, lambda_top,
+                      main_theorem_1_closed_form, main_theorem_2_closed_form,
+                      projective_3regular_upper, projective_table_matches,
+                      real_dimension, top_dual_degree, upper_existence,
+                      upper_existence_piece)
+from kregular.bounds import (BCLZ_2015, DISJOINT_COMPLEX, DISJOINT_REAL,
+                             MAIN_THEOREM_1, MAIN_THEOREM_2)
 
 
 def test_query_validation():
@@ -57,12 +57,11 @@ def test_product_bound_is_the_one_piece_disjoint_bound():
         report = bound_product_2regular(spec)
         profile = lambda_top(spec, 2, REAL)
         bound = profile.top_degree + 2
-        piece = PieceBound(spec, 2, profile.top_degree, bound,
-                           profile.is_lower_bound, profile.source)
+        assert profile.contribution == bound
         upper = upper_existence_piece(spec, 2)
         tightness = (None if upper is None
                      else TightnessInfo(upper, upper.ambient_dim == bound))
-        assert report == BoundReport(bound, MAIN_THEOREM_1, (piece,),
+        assert report == BoundReport(bound, MAIN_THEOREM_1, (profile,),
                                      tightness)
         assert report == bound_disjoint(RegularQuery(((spec, 2),), REAL))
         assert report.bound == main_theorem_1_closed_form(spec)
@@ -122,9 +121,12 @@ def test_disjoint_label_outside_theorem_families():
     assert report.bound == 7 + 3
 
 
-def test_disjoint_rejects_complex_queries_and_bad_pieces():
-    with pytest.raises(ValueError):
-        bound_disjoint(RegularQuery(((Sphere(3), 2),), COMPLEX))
+def test_disjoint_serves_complex_queries_and_rejects_bad_pieces():
+    report = bound_disjoint(RegularQuery(((Sphere(3), 2),), COMPLEX))
+    assert report.bound == 1 + 2
+    assert report.theorem == "complex two-point lower bound"
+    assert report.breakdown == (lambda_top(Sphere(3), 2, COMPLEX),)
+    assert report.tightness is None
     with pytest.raises(UnsupportedBundleError) as err:
         bound_disjoint(RegularQuery(((Euclid(3), 2),), REAL))
     assert "R^3" in str(err.value)
@@ -164,21 +166,21 @@ def test_handel_closed_form():
 # Complex regime.
 
 def test_complex_examples():
-    assert bound_complex_disjoint(
+    assert bound_disjoint(
         RegularQuery(((Sphere(5), 2),), COMPLEX)).bound == 4
-    assert bound_complex_disjoint(
+    assert bound_disjoint(
         RegularQuery(((ComplexProj(4), 2),), COMPLEX)).bound == 8
-    assert bound_complex_disjoint(
+    assert bound_disjoint(
         RegularQuery(((Euclid(3), 3),), COMPLEX)).bound == 5
 
 
 def test_complex_theorem_labels():
-    plane = bound_complex_disjoint(RegularQuery(((Euclid(3), 3),), COMPLEX))
+    plane = bound_disjoint(RegularQuery(((Euclid(3), 3),), COMPLEX))
     assert "Blagojevic" in plane.theorem
-    single = bound_complex_disjoint(
+    single = bound_disjoint(
         RegularQuery(((ComplexProj(4), 2),), COMPLEX))
     assert single.theorem == "complex two-point lower bound"
-    multi = bound_complex_disjoint(
+    multi = bound_disjoint(
         RegularQuery(((Sphere(4), 2), (Euclid(3), 3)), COMPLEX))
     assert multi.theorem == DISJOINT_COMPLEX
     assert multi.bound == (2 + 2) + (4 + 1)
@@ -186,15 +188,51 @@ def test_complex_theorem_labels():
 
 def test_complex_plane_needs_odd_prime():
     for bad in (2, 4, 9):
-        with pytest.raises(UnsupportedBundleError):
-            bound_complex_disjoint(
+        with pytest.raises(UnsupportedBundleError) as err:
+            bound_disjoint(
                 RegularQuery(((Euclid(3), bad),), COMPLEX))
-    with pytest.raises(ValueError):
-        bound_complex_disjoint(RegularQuery(((Sphere(3), 2),), REAL))
+        assert "odd prime" in str(err.value)
+    report = bound_disjoint(RegularQuery(((Euclid(3), 5),), COMPLEX))
+    assert report.bound == 2 * 4 + 1
+    assert report.theorem == BCLZ_2015
+    (piece,) = report.breakdown
+    assert piece.regime == COMPLEX and piece.is_lower_bound
+
+
+def test_complex_grid_against_piece_formulas():
+    # Per-piece contributions written out here: floor(m/2) + 2 for spheres,
+    # (2m - 2) + 2 for CP^m, floor((m+1)/2)(p-1) + 1 for planes.
+    rng = random.Random(23)
+    for _ in range(200):
+        pieces = []
+        expected = 0
+        for _ in range(rng.randint(1, 3)):
+            kind = rng.randrange(3)
+            if kind == 0:
+                m = rng.randint(2, 24)
+                pieces.append((Sphere(m), 2))
+                expected += m // 2 + 2
+            elif kind == 1:
+                m = rng.randint(4, 9)
+                pieces.append((ComplexProj(m), 2))
+                expected += 2 * m
+            else:
+                m, p = rng.randint(1, 12), rng.choice((3, 5, 7))
+                pieces.append((Euclid(m), p))
+                expected += (m + 1) // 2 * (p - 1) + 1
+        report = bound_disjoint(RegularQuery(tuple(pieces), COMPLEX))
+        assert report.bound == expected
+        if len(pieces) > 1:
+            assert report.theorem == DISJOINT_COMPLEX
+        elif isinstance(pieces[0][0], Euclid):
+            assert report.theorem == BCLZ_2015
+        else:
+            assert report.theorem == "complex two-point lower bound"
+        assert report.tightness is None
 
 
 def test_complex_cp_piece_is_marked_lower_bound():
-    report = bound_complex_disjoint(
+    report = bound_disjoint(
         RegularQuery(((ComplexProj(5), 2),), COMPLEX))
     (piece,) = report.breakdown
     assert piece.is_lower_bound

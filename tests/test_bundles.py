@@ -36,6 +36,16 @@ def test_complex_projective_lower_bound():
     assert "height" in profile.source
 
 
+def test_complex_plane_odd_prime_points():
+    profile = lambda_top(Euclid(3), 3, COMPLEX)
+    assert profile.top_degree == 4
+    assert profile.contribution == 5
+    assert profile.is_lower_bound
+    assert "Blagojevic-Cohen-Luck-Ziegler" in profile.source
+    with pytest.raises(UnsupportedBundleError):
+        lambda_top(Euclid(3), 4, COMPLEX)
+
+
 def test_unsupported_combinations_refuse():
     with pytest.raises(UnsupportedBundleError):
         lambda_top(Euclid(3), 2, REAL)

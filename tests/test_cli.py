@@ -1,12 +1,15 @@
 """CLI surface: pinned text output, JSON determinism, exit codes."""
 
+import ast
 import json
 import os
 import random
+import shlex
 import string
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import kregular
 from kregular import evaluate_rank, parse_map
@@ -81,6 +84,71 @@ def test_bound_accepts_glued_product_separator(capsys):
     assert spaced[0] == EXIT_OK
     for text in ("S^2xRP^3", "S^2 xRP^3"):
         assert run_cli(capsys, "bound", text) == spaced, text
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_blocks(language: str) -> list:
+    """Bodies of the README's fenced blocks opened with this language tag."""
+    blocks, body = [], None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if body is None:
+            if line == "```" + language:
+                body = []
+        elif line == "```":
+            blocks.append(body)
+            body = None
+        else:
+            body.append(line)
+    return blocks
+
+
+def _readme_cli_examples() -> list:
+    """(argv, expected stdout) for every '$ kregular ...' line."""
+    examples = []
+    for block in _readme_blocks(""):
+        output = None
+        for line in block:
+            if line.startswith("$ "):
+                assert line.startswith("$ kregular "), line
+                output = []
+                examples.append((shlex.split(line)[2:], output))
+            elif output is not None:
+                output.append(line)
+    return [(argv, "\n".join(lines).rstrip("\n") + "\n")
+            for argv, lines in examples]
+
+
+def test_readme_cli_examples(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 7
+    for argv, expected in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_OK, expected, ""), argv
+
+
+def test_readme_library_block():
+    # Statements run in order; an expression line ending in '# value'
+    # must evaluate to something whose repr is that value.
+    (block,) = _readme_blocks("python")
+    source = "\n".join(block)
+    namespace: dict = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        code = ast.get_source_segment(source, node)
+        if not isinstance(node, ast.Expr):
+            exec(code, namespace)
+            continue
+        line = block[node.end_lineno - 1]
+        _, _, comment = line.partition("#")
+        assert comment, f"README library line {line!r} has no value"
+        assert repr(eval(code, namespace)) == comment.strip(), line
+        checked += 1
+    assert checked == 4
 
 
 # ---------------------------------------------------------------------------
