@@ -229,10 +229,7 @@ def _cited_real_euclid(m: int, k: int) -> BoundReport:
 
 
 def _cited_complex_euclid(m: int, p: int) -> BoundReport:
-    if not (isinstance(m, int) and m >= 1):
-        raise ValueError("need m >= 1")
-    if not (is_prime(p) and p % 2 == 1):
-        raise ValueError(f"{p!r} is not an odd prime")
+    # Euclid checks m, and lambda_top checks that p is an odd prime.
     return bound_disjoint(RegularQuery(((Euclid(m), p),), COMPLEX))
 
 

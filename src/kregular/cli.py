@@ -3,14 +3,15 @@
 Subcommands: bound (lower bounds for expressions), dual-sw (dual class of a
 manifold), height (first-class height in a Grassmannian quotient), lucas
 (binomial mod p), verify (randomized regularity checks), table (3-regular
-projective constructions).  All output is ASCII; --json emits one
-deterministic JSON object per invocation.
+projective constructions).  All output is ASCII.
+
+Each subcommand's handler returns one payload dict, and `main` alone writes
+it: --json prints it as one deterministic JSON object, and otherwise the
+subcommand's text renderer turns the same payload into lines.  The text
+therefore shows nothing the JSON lacks.
 
 Exit codes: 0 success, 1 usage/parse/semantic errors, 3 a randomized check
-found a counterexample; 2 is unused.  `height` needs no truncation choice:
-the Grassmann ring is cut one generator degree past the top cohomological
-degree, which holds every relation, and the cohomology is zero above the top
-degree, so every height is exact.
+found a counterexample (the payload's verdict); 2 is unused.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (BoundReport, RegularQuery, bound_disjoint,
-                     bound_product_2regular, projective_table_matches)
+from .bounds import (RegularQuery, bound_disjoint, bound_product_2regular,
+                     projective_table_matches)
 from .bundles import REAL
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
-from .manifolds import (ManifoldSpec, RealProj, dual_sw, render,
+from .manifolds import (RealProj, dual_sw, render,
                         top_dual_degree, top_dual_degree_closed_form)
 from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
                       sample_check_regular)
@@ -47,11 +48,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> dict:
     parsed = parse_expression(args.expression, args.regime)
     if isinstance(parsed, RegularQuery):
         query = parsed
@@ -60,35 +57,6 @@ def _cmd_bound(args) -> int:
         query = RegularQuery(((parsed, 2),), args.regime)
         report = (bound_product_2regular(parsed) if args.regime == REAL
                   else bound_disjoint(query))
-    if args.json:
-        _emit_json(_bound_payload(query, report))
-        return EXIT_OK
-    print(f"N >= {report.bound} ({report.theorem})")
-    for piece in report.breakdown:
-        qualifier = ">=" if piece.is_lower_bound else "="
-        print(f"  {render(piece.spec)}, k={piece.points}: top degree "
-              f"{qualifier} {piece.top_degree}, contributes "
-              f"{piece.contribution} [{piece.source}]")
-    if report.tightness is not None:
-        upper = report.tightness.upper
-        if report.tightness.tight:
-            print(f"tight: construction in R^{upper.ambient_dim} "
-                  f"[{upper.source}]")
-        else:
-            print(f"best known construction: R^{upper.ambient_dim} "
-                  f"[{upper.source}]")
-    return EXIT_OK
-
-
-def _bound_payload(query: RegularQuery, report: BoundReport) -> dict:
-    breakdown = [{
-        "piece": render(piece.spec),
-        "points": piece.points,
-        "top_degree": piece.top_degree,
-        "contribution": piece.contribution,
-        "lower_bound_only": piece.is_lower_bound,
-        "source": piece.source,
-    } for piece in report.breakdown]
     tightness = None
     if report.tightness is not None:
         tightness = {
@@ -102,71 +70,78 @@ def _bound_payload(query: RegularQuery, report: BoundReport) -> dict:
         "regime": query.regime,
         "bound": report.bound,
         "theorem": report.theorem,
-        "breakdown": breakdown,
+        "breakdown": [{
+            "piece": render(piece.spec),
+            "points": piece.points,
+            "top_degree": piece.top_degree,
+            "contribution": piece.contribution,
+            "lower_bound_only": piece.is_lower_bound,
+            "source": piece.source,
+        } for piece in report.breakdown],
         "tightness": tightness,
     }
 
 
-def _cmd_dual_sw(args) -> int:
+def _text_bound(payload: dict) -> list:
+    lines = [f"N >= {payload['bound']} ({payload['theorem']})"]
+    for piece in payload["breakdown"]:
+        qualifier = ">=" if piece["lower_bound_only"] else "="
+        lines.append(f"  {piece['piece']}, k={piece['points']}: top degree "
+                     f"{qualifier} {piece['top_degree']}, contributes "
+                     f"{piece['contribution']} [{piece['source']}]")
+    tightness = payload["tightness"]
+    if tightness is not None:
+        lead = ("tight: construction in" if tightness["tight"]
+                else "best known construction:")
+        lines.append(f"{lead} R^{tightness['ambient_dim']} "
+                     f"[{tightness['source']}]")
+    return lines
+
+
+def _cmd_dual_sw(args) -> dict:
     spec = parse_manifold(args.expression)
-    dual = dual_sw(spec)
-    series_top = top_dual_degree(spec).top_degree
-    closed_top = top_dual_degree_closed_form(spec).top_degree
-    if args.json:
-        _emit_json({
-            "schema": "1",
-            "manifold": render(spec),
-            "dual_class": dual.render(),
-            "top_degree_series": series_top,
-            "top_degree_closed_form": closed_top,
-        })
-        return EXIT_OK
-    print(f"manifold: {render(spec)}")
-    print(f"dual class: {dual.render()}")
-    print(f"top degree (series inversion): {series_top}")
-    print(f"top degree (closed form): {closed_top}")
-    return EXIT_OK
+    return {
+        "schema": "1",
+        "manifold": render(spec),
+        "dual_class": dual_sw(spec).render(),
+        "top_degree_series": top_dual_degree(spec).top_degree,
+        "top_degree_closed_form":
+            top_dual_degree_closed_form(spec).top_degree,
+    }
 
 
-def _cmd_height(args) -> int:
+def _text_dual_sw(payload: dict) -> list:
+    return [f"manifold: {payload['manifold']}",
+            f"dual class: {payload['dual_class']}",
+            f"top degree (series inversion): {payload['top_degree_series']}",
+            f"top degree (closed form): {payload['top_degree_closed_form']}"]
+
+
+def _cmd_height(args) -> dict:
     classes = CHERN if args.regime == "complex" else STIEFEL_WHITNEY
     pres = cached_presentation(args.k, args.n, classes)
-    height = pres.height(pres.first_class())
-    if args.json:
-        _emit_json({
-            "schema": "1",
-            "k": args.k,
-            "n": args.n,
-            "regime": args.regime,
-            "element": pres.ring.names[0],
-            "height": height,
-            "truncation": pres.ring.truncation,
-        })
-        return EXIT_OK
-    print(height)
-    return EXIT_OK
+    return {
+        "schema": "1",
+        "k": args.k,
+        "n": args.n,
+        "regime": args.regime,
+        "element": pres.ring.names[0],
+        "height": pres.height(pres.first_class()),
+        "truncation": pres.ring.truncation,
+    }
 
 
-def _cmd_lucas(args) -> int:
-    value = lucas_binom_mod_p(args.n, args.k, args.p)
-    if args.json:
-        _emit_json({
-            "schema": "1",
-            "n": args.n,
-            "k": args.k,
-            "p": args.p,
-            "binomial_mod_p": value,
-        })
-        return EXIT_OK
-    print(value)
-    return EXIT_OK
+def _cmd_lucas(args) -> dict:
+    return {
+        "schema": "1",
+        "n": args.n,
+        "k": args.k,
+        "p": args.p,
+        "binomial_mod_p": lucas_binom_mod_p(args.n, args.k, args.p),
+    }
 
 
-def _point_payload(point) -> list:
-    return [str(c) for c in point]
-
-
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     example = parse_map(args.map)
     sizes: Optional[tuple[int, ...]] = None
     if args.tuple is not None:
@@ -177,50 +152,53 @@ def _cmd_verify(args) -> int:
                               "comma-separated list of integers") from None
     report = sample_check_regular(example, sizes, trials=args.trials,
                                   seed=args.seed)
-    if args.json:
-        _emit_json({
-            "schema": "2",
-            "map": render_map(example),
-            "tuple_sizes": list(report.tuple_sizes),
-            "trials": report.trials,
-            "seed": report.seed,
-            "violations": report.violations,
-            "verdict": report.verdict,
-            "expected_violation": report.expected_violation,
-            "witnesses": [{
-                "trial": witness.trial,
-                "points": [[_point_payload(point) for point in part_points]
-                           for part_points in witness.points],
-            } for witness in report.witnesses],
-        })
-    else:
-        print(f"map: {render_map(example)}")
-        print(f"tuple sizes: {','.join(str(s) for s in report.tuple_sizes)}")
-        print(f"trials: {report.trials} (seed {report.seed})")
-        print(f"violations: {report.violations}")
-        if report.expected_violation:
-            print("note: a tuple size exceeds its part's ambient "
-                  "dimension; violations are expected")
-        for witness in report.witnesses:
-            chunks = []
-            for part, part_points in zip(map_parts(example), witness.points):
-                rendered = ", ".join(_render_point(part, p)
-                                     for p in part_points)
-                chunks.append(f"[{rendered}]")
-            print(f"witness (trial {witness.trial}): {'; '.join(chunks)}")
-        print(f"verdict: {report.verdict}")
-    return EXIT_COUNTEREXAMPLE if report.violations else EXIT_OK
+    return {
+        "schema": "2",
+        "map": render_map(example),
+        "tuple_sizes": list(report.tuple_sizes),
+        "trials": report.trials,
+        "seed": report.seed,
+        "violations": report.violations,
+        "verdict": report.verdict,
+        "expected_violation": report.expected_violation,
+        "witnesses": [{
+            "trial": witness.trial,
+            "points": [[[str(c) for c in point] for point in part_points]
+                       for part_points in witness.points],
+        } for witness in report.witnesses],
+    }
 
 
-def _render_point(part, point) -> str:
-    if isinstance(part, VandermondeMap):
-        return f"({point[0]}) + ({point[1]})*i"
-    return "(" + ", ".join(str(c) for c in point) + ")"
+def _text_verify(payload: dict) -> list:
+    sizes = ",".join(str(s) for s in payload["tuple_sizes"])
+    lines = [f"map: {payload['map']}",
+             f"tuple sizes: {sizes}",
+             f"trials: {payload['trials']} (seed {payload['seed']})",
+             f"violations: {payload['violations']}"]
+    if payload["expected_violation"]:
+        lines.append("note: a tuple size exceeds its part's ambient "
+                     "dimension; violations are expected")
+    parts = map_parts(parse_map(payload["map"]))
+    for witness in payload["witnesses"]:
+        chunks = []
+        for part, part_points in zip(parts, witness["points"]):
+            # A plane point (re, im) prints as a complex number.
+            rendered = ", ".join(
+                f"({point[0]}) + ({point[1]})*i"
+                if isinstance(part, VandermondeMap)
+                else "(" + ", ".join(point) + ")"
+                for point in part_points)
+            chunks.append(f"[{rendered}]")
+        lines.append(f"witness (trial {witness['trial']}): "
+                     f"{'; '.join(chunks)}")
+    lines.append(f"verdict: {payload['verdict']}")
+    return lines
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> dict:
     text = args.manifold.strip()
-    if text.isdigit():
+    # ASCII only, as in expr: isdigit() also takes superscripts like '\xb2'.
+    if text.isascii() and text.isdigit():
         spec = RealProj(int(text))
     else:
         parsed = parse_manifold(text)
@@ -229,25 +207,25 @@ def _cmd_table(args) -> int:
         spec = parsed
     hits = projective_table_matches(spec.m)
     best = min(hits, key=lambda pair: pair[1], default=None)
-    if args.json:
-        _emit_json({
-            "schema": "1",
-            "manifold": render(spec),
-            "rows": [{"condition": row.label, "ambient_dim": ambient}
-                     for row, ambient in hits],
-            "best": None if best is None else {"condition": best[0].label,
-                                               "ambient_dim": best[1]},
-        })
-        return EXIT_OK
-    if not hits:
-        print(f"no tabulated 3-regular construction for {render(spec)}")
-        return EXIT_OK
-    print(f"3-regular constructions for {render(spec)}:")
-    for row, ambient in hits:
-        print(f"  {row.label}: R^{ambient}")
-    row, ambient = best
-    print(f"best: R^{ambient} [{row.label}]")
-    return EXIT_OK
+    return {
+        "schema": "1",
+        "manifold": render(spec),
+        "rows": [{"condition": row.label, "ambient_dim": ambient}
+                 for row, ambient in hits],
+        "best": None if best is None else {"condition": best[0].label,
+                                           "ambient_dim": best[1]},
+    }
+
+
+def _text_table(payload: dict) -> list:
+    if not payload["rows"]:
+        return [f"no tabulated 3-regular construction for "
+                f"{payload['manifold']}"]
+    return [f"3-regular constructions for {payload['manifold']}:",
+            *(f"  {row['condition']}: R^{row['ambient_dim']}"
+              for row in payload["rows"]),
+            f"best: R^{payload['best']['ambient_dim']} "
+            f"[{payload['best']['condition']}]"]
 
 
 @functools.cache
@@ -264,13 +242,11 @@ def build_parser() -> _ArgumentParser:
                               "'(S^3, 2) + (R^2, 4)'")
     p_bound.add_argument("--regime", choices=("real", "complex"),
                          default="real")
-    p_bound.add_argument("--json", action="store_true")
-    p_bound.set_defaults(handler=_cmd_bound)
+    p_bound.set_defaults(handler=_cmd_bound, text=_text_bound)
 
     p_dual = sub.add_parser("dual-sw", help="dual class of a manifold")
     p_dual.add_argument("expression")
-    p_dual.add_argument("--json", action="store_true")
-    p_dual.set_defaults(handler=_cmd_dual_sw)
+    p_dual.set_defaults(handler=_cmd_dual_sw, text=_text_dual_sw)
 
     p_height = sub.add_parser("height",
                               help="height of the first class in "
@@ -279,15 +255,15 @@ def build_parser() -> _ArgumentParser:
     p_height.add_argument("--n", type=int, required=True)
     p_height.add_argument("--regime", choices=("complex", "real"),
                           default="complex")
-    p_height.add_argument("--json", action="store_true")
-    p_height.set_defaults(handler=_cmd_height)
+    p_height.set_defaults(handler=_cmd_height,
+                          text=lambda payload: [payload["height"]])
 
     p_lucas = sub.add_parser("lucas", help="binomial coefficient mod p")
     p_lucas.add_argument("n", type=int)
     p_lucas.add_argument("k", type=int)
     p_lucas.add_argument("--p", type=int, required=True)
-    p_lucas.add_argument("--json", action="store_true")
-    p_lucas.set_defaults(handler=_cmd_lucas)
+    p_lucas.set_defaults(handler=_cmd_lucas,
+                         text=lambda payload: [payload["binomial_mod_p"]])
 
     p_verify = sub.add_parser("verify",
                               help="randomized regularity check of an "
@@ -300,15 +276,16 @@ def build_parser() -> _ArgumentParser:
                                "(default: the claimed regularity)")
     p_verify.add_argument("--trials", type=int, default=1000)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--json", action="store_true")
-    p_verify.set_defaults(handler=_cmd_verify)
+    p_verify.set_defaults(handler=_cmd_verify, text=_text_verify)
 
     p_table = sub.add_parser("table",
                              help="3-regular constructions for RP^m")
     p_table.add_argument("manifold", help="RP^m or the bare integer m")
-    p_table.add_argument("--json", action="store_true")
-    p_table.set_defaults(handler=_cmd_table)
+    p_table.set_defaults(handler=_cmd_table, text=_text_table)
 
+    # Added last so every -h lists it after the command's own options.
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -316,11 +293,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        payload = args.handler(args)
     except (_UsageError, ValueError) as exc:
         # ParseError and UnsupportedBundleError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.json:
+        print(json.dumps(payload))
+    else:
+        for line in args.text(payload):
+            print(line)
+    if payload.get("verdict") == "counterexample":
+        return EXIT_COUNTEREXAMPLE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import threading
 from functools import lru_cache
+from operator import add
 from typing import Optional, Sequence, Union
 
 from .fields import Coeff, Field, GF2, PrimeField, QQ
@@ -173,11 +174,12 @@ class GrassmannPresentation:
             rel_degree = relation.top_degree()
             if rel_degree is None or rel_degree > degree:
                 continue
+            # A monomial times a polynomial merges no terms: each term of
+            # the row is a relation term with its exponents shifted.
             for mono in self.ring.monomials_of_degree(degree - rel_degree):
-                shifted = GradedSeries(self.ring, {mono: field.one}) * relation
                 row = [field.zero] * len(monomials)
-                for exponents, coeff in shifted.terms.items():
-                    row[index[exponents]] = coeff
+                for exponents, coeff in relation.terms.items():
+                    row[index[tuple(map(add, mono, exponents))]] = coeff
                 _rref_insert(field, pivots, row)
         pivot_cols = {col for col, _ in pivots}
         basis_columns = tuple(i for i in range(len(monomials))

@@ -250,8 +250,19 @@ def test_cited_real_euclid():
 
 def test_cited_complex_euclid():
     assert bound_cited("complex-euclid-odd-prime", m=3, p=3).bound == 5
-    with pytest.raises(ValueError):
-        bound_cited("complex-euclid-odd-prime", m=3, p=2)
+
+
+def test_cited_plane_kinds_share_the_odd_prime_error():
+    # Every plane kind reaches lambda_top's rule, so all fail alike.
+    kinds = (("complex-euclid-odd-prime", {"m": 3}),
+             ("complex-stacked-planes", {"n": 2, "m": 3}),
+             ("complex-disjoint-planes", {"ms": (3,)}))
+    for kind, params in kinds:
+        for p in (2, 9):
+            with pytest.raises(UnsupportedBundleError) as err:
+                bound_cited(kind, p=p, **params)
+            assert str(err.value) == (f"(R^3, {p}): complex plane pieces "
+                                      "need an odd prime point count")
 
 
 def test_cited_prime_power():

@@ -343,6 +343,76 @@ def test_table_rejects_non_projective(capsys):
     assert code == EXIT_USAGE
 
 
+def test_table_bare_integer_is_ascii_only(capsys):
+    # Other Unicode digits go to the manifold parser, which rejects them.
+    for text in ("\u0663", "\u00b2"):
+        code, out, err = run_cli(capsys, "table", text)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "error: expected a name (at position 0)\n"
+
+
+# ---------------------------------------------------------------------------
+# Text and --json render one payload.
+
+PARITY_ARGVS = [
+    ("bound", "S^2 x RP^3"),
+    ("bound", "(S^3, 2) + (R^2, 4)"),
+    ("bound", "(CP^4, 2)", "--regime", "complex"),
+    ("dual-sw", "RP^5"),
+    ("height", "--k", "2", "--n", "5"),
+    ("height", "--k", "1", "--n", "4", "--regime", "real"),
+    ("lucas", "100", "50", "--p", "3"),
+    ("verify", "vandermonde:3", "--trials", "20"),
+    ("verify", "sphere:4", "--tuple", "7", "--trials", "4"),
+    ("verify", "vandermonde:2+sphere:3", "--trials", "20"),
+    ("table", "RP^9"),
+    ("table", "RP^2"),
+]
+
+
+def _payload_lines(command: str, payload: dict) -> list:
+    """Lines the text output must hold, each built from a payload value."""
+    if command == "bound":
+        return [f"N >= {payload['bound']} ({payload['theorem']})"]
+    if command == "dual-sw":
+        return [f"dual class: {payload['dual_class']}",
+                f"top degree (series inversion): "
+                f"{payload['top_degree_series']}",
+                f"top degree (closed form): "
+                f"{payload['top_degree_closed_form']}"]
+    if command == "height":
+        return [str(payload["height"])]
+    if command == "lucas":
+        return [str(payload["binomial_mod_p"])]
+    if command == "verify":
+        return [f"violations: {payload['violations']}",
+                f"verdict: {payload['verdict']}"]
+    best = payload["best"]
+    if best is None:
+        return [f"no tabulated 3-regular construction for "
+                f"{payload['manifold']}"]
+    return [f"best: R^{best['ambient_dim']} [{best['condition']}]"]
+
+
+def test_text_and_json_render_one_payload(capsys):
+    witnessed = 0
+    for argv in PARITY_ARGVS:
+        code, out, err = run_cli(capsys, *argv)
+        json_code, json_out, json_err = run_cli(capsys, *argv, "--json")
+        assert code == json_code and err == json_err == "", argv
+        payload = json.loads(json_out)
+        lines = out.splitlines()
+        for line in _payload_lines(argv[0], payload):
+            assert line in lines, (argv, line)
+        if argv[0] == "verify":
+            witness_lines = [line.partition(":")[0] for line in lines
+                             if line.startswith("witness ")]
+            assert witness_lines == [f"witness (trial {w['trial']})"
+                                     for w in payload["witnesses"]], argv
+            witnessed += len(witness_lines)
+    assert witnessed > 0
+
+
 # ---------------------------------------------------------------------------
 # Parser robustness and process-level behaviour.
 
@@ -359,8 +429,10 @@ def test_main_back_to_back_matches_separate_runs(capsys):
              ["lucas", "7", "3", "--p", "2"],
              ["no-such-command"],
              ["verify", "vandermonde:2", "--trials", "5", "--json"],
+             ["verify", "sphere:4", "--tuple", "7", "--trials", "3"],
              ["height", "--k", "1", "--n", "4", "--regime", "real"],
-             ["table", "RP^9"]]
+             ["table", "RP^9"],
+             ["table", "RP^2", "--json"]]
     alone = []
     for argv in argvs:
         build_parser.cache_clear()
