@@ -208,7 +208,10 @@ def bound_cited(kind: str, **params) -> BoundReport:
 
     Kinds: 'real-euclid' (m, k), 'complex-euclid-odd-prime' (m, p),
     'complex-prime-power' (m, k, p), 'complex-stacked-planes' (n, m, p),
-    'complex-disjoint-planes' (ms, p).
+    'complex-disjoint-planes' (ms, p).  The pieces of 'real-euclid',
+    'complex-prime-power' and 'complex-stacked-planes' quote only the
+    ambient dimension: their contribution is the bound and their top_degree
+    is None.
     """
     maker = _CITED.get(kind)
     if maker is None:
@@ -222,7 +225,7 @@ def _cited_real_euclid(m: int, k: int) -> BoundReport:
         raise ValueError("need m >= 1 and k >= 2")
     alpha = digit_sum_base_p(k, 2)
     bound = m * (k - alpha) + alpha
-    piece = BundleProfile(Euclid(m), k, REAL, bound - 1, bound, True,
+    piece = BundleProfile(Euclid(m), k, REAL, None, bound, True,
                           f"k-regular maps of R^m: N >= m(k - alpha(k)) + "
                           f"alpha(k) with alpha({k}) = {alpha}")
     return BoundReport(bound, "Blagojevic-Luck-Ziegler (2016)", (piece,))
@@ -242,7 +245,7 @@ def _cited_complex_prime_power(m: int, k: int, p: int) -> BoundReport:
         raise ValueError("need k >= 2")
     alpha = digit_sum_base_p(k, p)
     bound = m * (k - alpha) + alpha
-    piece = BundleProfile(Euclid(2 * m), k, COMPLEX, bound - 1, bound, True,
+    piece = BundleProfile(Euclid(2 * m), k, COMPLEX, None, bound, True,
                           f"complex k-regular maps of C^m (m a power of "
                           f"{p}): N >= m(k - alpha_p(k)) + alpha_p(k) with "
                           f"alpha_{p}({k}) = {alpha}")
@@ -254,7 +257,7 @@ def _cited_stacked_planes(n: int, m: int, p: int) -> BoundReport:
         raise ValueError("need n >= 1")
     base = _cited_complex_euclid(m, p)
     bound = n * base.bound
-    piece = BundleProfile(Euclid(m), n * p, COMPLEX, bound - 1, bound, True,
+    piece = BundleProfile(Euclid(m), n * p, COMPLEX, None, bound, True,
                           f"complex np-regular maps: n = {n} copies of the "
                           "p-regular plane bound")
     return BoundReport(bound, BCLZ_2015, (piece,))

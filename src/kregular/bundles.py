@@ -11,6 +11,7 @@ UnsupportedBundleError rather than guessing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .fields import is_prime
 from .grassmann import chern_height_of_first_class
@@ -30,14 +31,16 @@ class BundleProfile:
     """Top degree data for the k-point bundle over `spec`.
 
     `top_degree` is exact unless `is_lower_bound` is set, in which case the
-    true top degree is only known to be >= it.  `contribution` is the
-    ambient dimension the piece forces.  `source` names the rule.
+    true top degree is only known to be >= it.  It is None for a piece of a
+    cited closed-form bound, which quotes the ambient dimension but no class
+    degree.  `contribution` is the ambient dimension the piece forces.
+    `source` names the rule.
     """
 
     spec: ManifoldSpec
     points: int
     regime: str
-    top_degree: int
+    top_degree: Optional[int]
     contribution: int
     is_lower_bound: bool
     source: str

@@ -16,12 +16,15 @@ is a plain GradedSeries of the presentation's ring whose terms all lie on
 the quotient basis.  All reduction is exact (Fraction or GF(p)); nothing is
 floated.
 
-Pivot rows are kept fully reduced (back-substituted) and dense.  Fully
-reduced, a row's entries in the other pivot columns are zero, so a normal
-form needs one row operation per nonzero pivot coordinate of the element
-(c1^t is a single monomial) instead of a cascade across pivots.  Dense
-lists keep a degree's rows in one compact block; rows keyed by monomial
-are faster to reduce but cost markedly more memory.
+Pivot rows are kept fully reduced (back-substituted).  Fully reduced, a
+row's entries in the other pivot columns are zero, so a normal form needs
+one row operation per nonzero pivot coordinate of the element (c1^t is a
+single monomial) instead of a cascade across pivots.  Over GF(2) (every
+Stiefel-Whitney presentation and the mod-2 Chern ones) a row is one Python
+int with bit j for column j, so its lead is the lowest set bit and a row
+operation is one XOR.  Over QQ and odd primes a row is a dense list of
+coefficients, which keeps a degree's rows in one compact block; rows keyed
+by monomial are faster to reduce but cost markedly more memory.
 
 The cohomology vanishes above top = scale*k(n+1-k): in degree d its
 dimension is the number of partitions of d/scale that fit in a
@@ -127,14 +130,27 @@ class GrassmannPresentation:
             degree = degree_of(exponents)
             if degree <= top:
                 by_degree.setdefault(degree, {})[exponents] = coeff
+        bits = field == GF2
         reduced: dict[tuple[int, ...], Coeff] = {}
         for degree, terms in by_degree.items():
             data = self._data(degree)
-            vec = [terms.get(mono, field.zero) for mono in data.monomials]
+            monomials = data.monomials
+            if bits:
+                row = 0
+                for j, mono in enumerate(monomials):
+                    if mono in terms:
+                        row |= 1 << j
+                row = _xor_pivots(data.pivots, row)
+                while row:
+                    low = row & -row
+                    reduced[monomials[low.bit_length() - 1]] = 1
+                    row ^= low
+                continue
+            vec = [terms.get(mono, field.zero) for mono in monomials]
             _eliminate(field, data.pivots, vec)
             for j in data.basis_columns:
                 if vec[j] != field.zero:
-                    reduced[data.monomials[j]] = vec[j]
+                    reduced[monomials[j]] = vec[j]
         return GradedSeries(self.ring, reduced)
 
     def height(self, element: GradedSeries) -> Union[int, float]:
@@ -167,9 +183,10 @@ class GrassmannPresentation:
 
     def _reduce_degree(self, degree: int) -> "_DegreeData":
         field = self.ring.field
+        bits = field == GF2
         monomials = self.ring.monomials_of_degree(degree)
         index = {mono: i for i, mono in enumerate(monomials)}
-        pivots: list[tuple[int, list[Coeff]]] = []
+        pivots: Union[_BitPivots, _ListPivots] = {} if bits else []
         for relation in self.relations:
             rel_degree = relation.top_degree()
             if rel_degree is None or rel_degree > degree:
@@ -177,16 +194,24 @@ class GrassmannPresentation:
             # A monomial times a polynomial merges no terms: each term of
             # the row is a relation term with its exponents shifted.
             for mono in self.ring.monomials_of_degree(degree - rel_degree):
-                row = [field.zero] * len(monomials)
-                for exponents, coeff in relation.terms.items():
-                    row[index[tuple(map(add, mono, exponents))]] = coeff
+                if bits:
+                    row = 0
+                    for exponents in relation.terms:
+                        row |= 1 << index[tuple(map(add, mono, exponents))]
+                else:
+                    row = [field.zero] * len(monomials)
+                    for exponents, coeff in relation.terms.items():
+                        row[index[tuple(map(add, mono, exponents))]] = coeff
                 _rref_insert(field, pivots, row)
-        pivot_cols = {col for col, _ in pivots}
+        if bits:
+            pivot_cols = {lead.bit_length() - 1 for lead in pivots}
+        else:
+            pivot_cols = {col for col, _ in pivots}
+            pivots = tuple(pivots)
         basis_columns = tuple(i for i in range(len(monomials))
                               if i not in pivot_cols)
         basis = tuple(monomials[i] for i in basis_columns)
-        return _DegreeData(tuple(monomials), tuple(pivots), basis_columns,
-                           basis)
+        return _DegreeData(tuple(monomials), pivots, basis_columns, basis)
 
 
 class _DegreeData:
@@ -199,6 +224,29 @@ class _DegreeData:
         self.basis = basis
 
 
+# GF(2) pivots map each lead bit (1 << column) to its row of column bits;
+# QQ and odd-prime pivots are (lead column, dense row) pairs.
+_BitPivots = dict[int, int]
+_ListPivots = list[tuple[int, list[Coeff]]]
+
+
+def _xor_pivots(pivots: _BitPivots, row: int) -> int:
+    """`row` with every pivot column cleared (GF(2) bit rows).
+
+    Fully reduced pivots carry no other pivot's bit, so each pivot bit of
+    the original row is cleared by exactly its own pivot, and the bits the
+    XORs bring in all lie on non-pivot columns.
+    """
+    scan = row
+    while scan:
+        low = scan & -scan
+        prow = pivots.get(low)
+        if prow is not None:
+            row ^= prow
+        scan ^= low
+    return row
+
+
 def _eliminate(field: Field, pivots: Sequence[tuple[int, list[Coeff]]],
                row: list[Coeff]) -> None:
     """Clear every pivot column of `row` in place (pivots normalized to 1)."""
@@ -209,9 +257,23 @@ def _eliminate(field: Field, pivots: Sequence[tuple[int, list[Coeff]]],
                 row[j] = field.sub(row[j], field.mul(c, prow[j]))
 
 
-def _rref_insert(field: Field, pivots: list[tuple[int, list[Coeff]]],
-                 row: list[Coeff]) -> None:
-    """Fold one row into reduced echelon state (pivots normalized to 1)."""
+def _rref_insert(field: Field, pivots: Union[_BitPivots, _ListPivots],
+                 row: Union[int, list[Coeff]]) -> None:
+    """Fold one row into reduced echelon state (pivots normalized to 1).
+
+    Over GF(2) the row is an int of column bits: it is XORed with the
+    pivots whose lead bit it carries, and its own lead, the lowest bit
+    left, is then cleared from the earlier pivots.
+    """
+    if field == GF2:
+        row = _xor_pivots(pivots, row)
+        if row:
+            lead = row & -row
+            for bit, prow in pivots.items():
+                if prow & lead:
+                    pivots[bit] = prow ^ row
+            pivots[lead] = row
+        return
     _eliminate(field, pivots, row)
     lead = next((j for j, v in enumerate(row) if v != field.zero), None)
     if lead is None:

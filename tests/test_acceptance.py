@@ -11,7 +11,8 @@ import io
 import random
 import time
 
-from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
+from kregular import (STIEFEL_WHITNEY, ComplexProj, Euclid,
+                      GrassmannPresentation, Product, QuatProj, RealProj,
                       RegularQuery, Sphere, SphereOneI, VandermondeMap,
                       bound_disjoint, bound_product_2regular,
                       chern_height_of_first_class, floor_log2,
@@ -20,6 +21,7 @@ from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
                       real_dimension, sample_check_regular, top_dual_degree,
                       top_dual_degree_closed_form)
 from kregular.cli import main
+from test_grassmann import pieri_sw_height
 
 
 def timed(budget_seconds):
@@ -171,3 +173,12 @@ def test_criterion_10_large_products_factor_by_factor():
         assert main(["bound", "RP^64 x CP^32 x HP^16"]) == 0
     assert out.getvalue().splitlines()[0] == \
         f"N >= {main_theorem_1_closed_form(spec)} (Main Theorem I)"
+
+
+@timed(5.0)
+def test_criterion_11_sw_height_bit_rows():
+    # A fresh G_5(R^19): every degree up to w1^32 is row-reduced over GF(2).
+    pres = GrassmannPresentation(5, 18, STIEFEL_WHITNEY)
+    height = pres.height(pres.first_class())
+    assert height == 31
+    assert height == pieri_sw_height(5, 18)

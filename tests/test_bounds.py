@@ -286,6 +286,19 @@ def test_cited_disjoint_planes():
         bound_cited("complex-disjoint-planes", ms=(), p=3)
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("real-euclid", {"m": 2, "k": 4}),
+    ("complex-prime-power", {"m": 9, "k": 4, "p": 3}),
+    ("complex-stacked-planes", {"n": 2, "m": 3, "p": 3}),
+])
+def test_cited_piece_carries_no_top_degree(kind, params):
+    # A cited formula quotes the ambient dimension, not a class degree.
+    report = bound_cited(kind, **params)
+    (piece,) = report.breakdown
+    assert piece.top_degree is None
+    assert piece.contribution == report.bound
+
+
 def test_cited_unknown_kind():
     with pytest.raises(ValueError) as err:
         bound_cited("real-sphere")

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from kregular import (CHERN, GF2, QQ, STIEFEL_WHITNEY, GradedSeries,
-                      GrassmannPresentation, YasuiIntegralModule,
+                      GrassmannPresentation, PrimeField, YasuiIntegralModule,
                       YasuiMod2Module, cached_presentation,
                       chern_height_of_first_class, kappa_case, rational_rank)
 
@@ -74,14 +74,16 @@ def test_quotient_basis_g2c3():
     assert pres.quotient_basis(6) == ()
 
 
-def _box_partitions(size: int, rows: int, width: int) -> int:
+def _box_shapes(size, rows, width):
     # Partitions of `size` into at most `rows` parts, each at most `width`.
     if size == 0:
-        return 1
+        yield ()
+        return
     if rows == 0:
-        return 0
-    return sum(_box_partitions(size - first, rows - 1, first)
-               for first in range(1, min(width, size) + 1))
+        return
+    for first in range(min(width, size), 0, -1):
+        for rest in _box_shapes(size - first, rows - 1, first):
+            yield (first,) + rest
 
 
 def test_degree_dimensions_match_box_partitions():
@@ -89,17 +91,52 @@ def test_degree_dimensions_match_box_partitions():
     # dim H^d(G_k(F^(n+1))) = #partitions of d/scale in a k x (n+1-k) box,
     # and 0 when scale does not divide d.  Degrees above the top, which
     # heights never reduce, are row-reduced here up to the ring truncation.
+    # The integral Chern presentation is free, so every field gives these
+    # dimensions: GF(2) runs on bit rows, QQ and GF(3) on dense list rows.
+    families = ((CHERN, QQ), (STIEFEL_WHITNEY, GF2), (CHERN, GF2),
+                (CHERN, PrimeField(3)))
     for n in range(1, 7):
         for k in range(1, n + 1):
-            for classes in (CHERN, STIEFEL_WHITNEY):
-                pres = cached_presentation(k, n, classes)
+            for classes, field in families:
+                pres = GrassmannPresentation(k, n, classes, field)
                 scale = pres.scale
                 assert pres.ring.truncation == pres.top_degree + scale
                 for d in range(pres.top_degree + scale + 1):
-                    expect = (_box_partitions(d // scale, k, n + 1 - k)
+                    expect = (len(list(_box_shapes(d // scale, k,
+                                                   n + 1 - k)))
                               if d % scale == 0 else 0)
                     got = len(pres._reduce_degree(d).basis)
-                    assert got == expect, (k, n, classes, d)
+                    assert got == expect, (k, n, classes, field, d)
+
+
+def _count_field_calls(monkeypatch):
+    # Every PrimeField.mul/sub call from here on appends its name.
+    calls = []
+    for name in ("mul", "sub"):
+        original = getattr(PrimeField, name)
+
+        def counted(self, a, b, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, a, b)
+        monkeypatch.setattr(PrimeField, name, counted)
+    return calls
+
+
+def test_gf2_reduction_makes_no_field_calls(monkeypatch):
+    # GF(2) rows are XORed as ints; a fall-back to the generic list path
+    # would call PrimeField.mul/sub for every entry.  The presentation (its
+    # relations come from series inversion) is built before counting.
+    pres = GrassmannPresentation(3, 8, STIEFEL_WHITNEY)
+    w1_power = pres.first_class() * pres.first_class()
+    calls = _count_field_calls(monkeypatch)
+    for d in range(pres.top_degree + 1):
+        assert pres.quotient_basis(d)
+    assert not pres.normal_form(w1_power).is_zero()
+    assert calls == []
+    # The counter does see the list rows of an odd prime.
+    odd = GrassmannPresentation(2, 3, CHERN, PrimeField(3))
+    odd.quotient_basis(odd.top_degree)
+    assert calls
 
 
 def test_total_dimension_is_binomial():
@@ -232,6 +269,49 @@ def test_height_examples():
     c1 = pres.first_class()
     assert not pres.normal_form(c1 * c1).is_zero()
     assert pres.normal_form(c1 * c1 * c1).is_zero()
+
+
+def _standard_tableaux(shape):
+    # f^shape by the hook-length formula.
+    hooks = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            below = sum(1 for r in shape[i + 1:] if r > j)
+            hooks *= row - j + below
+    return math.factorial(sum(shape)) // hooks
+
+
+def pieri_sw_height(k, n):
+    """Height of w1 in H*(G_k(R^(n+1)); GF(2)) without any row reduction.
+
+    Pieri's rule gives w1^t = sum f^lambda sigma_lambda over the partitions
+    lambda of t in the k x (n+1-k) box, f^lambda counting standard Young
+    tableaux, and the Schubert classes sigma_lambda are a basis.  Powers of
+    w1 vanish from some t on, so the height is the largest t with an odd
+    f^lambda.
+    """
+    width = n + 1 - k
+    for t in range(k * width, -1, -1):
+        if any(_standard_tableaux(shape) % 2
+               for shape in _box_shapes(t, k, width)):
+            return t
+
+
+def test_pieri_oracle_small_cases():
+    # RP^n: w1^n is the top class.  G_2(R^4): w1^3 = 0, w1^2 != 0.
+    assert pieri_sw_height(1, 6) == 6
+    assert pieri_sw_height(2, 3) == 2
+    assert _standard_tableaux((2, 1)) == 2
+    assert _standard_tableaux((3, 2)) == 5
+
+
+def test_sw_heights_match_pieri_counting():
+    # Second method for SW heights: row reduction against Pieri parity.
+    for n in range(1, 13):
+        for k in range(1, n + 1):
+            pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
+            assert pres.height(pres.first_class()) == \
+                pieri_sw_height(k, n), (k, n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
