@@ -29,7 +29,7 @@ from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
 from .manifolds import (RealProj, dual_sw, render,
-                        top_dual_degree, top_dual_degree_closed_form)
+                        top_dual_degree_closed_form)
 from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
                       sample_check_regular)
 
@@ -100,11 +100,12 @@ def _text_bound(payload: dict) -> list:
 
 def _cmd_dual_sw(args) -> dict:
     spec = parse_manifold(args.expression)
+    dual = dual_sw(spec)
     return {
         "schema": "1",
         "manifold": render(spec),
-        "dual_class": dual_sw(spec).render(),
-        "top_degree_series": top_dual_degree(spec).top_degree,
+        "dual_class": dual.render(),
+        "top_degree_series": dual.top_degree(),
         "top_degree_closed_form":
             top_dual_degree_closed_form(spec).top_degree,
     }

@@ -155,24 +155,11 @@ def lucas_binom_mod_p(n: int, k: int, p: int) -> int:
         raise ValueError(f"modulus {p!r} is not prime")
     if n < 0 or k < 0:
         raise ValueError("binomial arguments must be nonnegative")
-    table = _digit_binom_table(p)
     out = 1
     while k or n:
         n, nd = divmod(n, p)
         k, kd = divmod(k, p)
         if kd > nd:
             return 0
-        out = out * table[nd][kd] % p
+        out = out * (math.comb(nd, kd) % p) % p
     return out
-
-
-_DIGIT_TABLES: dict[int, list[list[int]]] = {}
-
-
-def _digit_binom_table(p: int) -> list[list[int]]:
-    # Pascal triangle of C(i, j) mod p for digits i, j < p.
-    tab = _DIGIT_TABLES.get(p)
-    if tab is None:
-        tab = [[math.comb(i, j) % p for j in range(i + 1)] for i in range(p)]
-        _DIGIT_TABLES[p] = tab
-    return tab

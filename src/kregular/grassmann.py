@@ -4,27 +4,28 @@ H*(G_k(F^(n+1))) is presented as a polynomial ring on the universal classes
 of the tautological k-plane bundle, modulo the ideal generated by the
 homogeneous parts of the inverted total class in degrees n-k+2 .. n+1.  Two
 flavors: Stiefel-Whitney generators over GF(2) (|w_i| = i) and Chern
-generators (|c_i| = 2i), the latter over the rationals by default (the
-integral cohomology is torsion-free, so rational row reduction certifies
-integral (non)vanishing) or over GF(2) for mod-2 questions.
+generators (|c_i| = 2i) over the rationals (the integral cohomology is
+torsion-free, so rational row reduction certifies integral (non)vanishing).
+Mod 2, c_i reduces to w_i: H*(G_k(C^(n+1)); GF(2)) is the Stiefel-Whitney
+presentation of G_k(R^(n+1)) on the same exponent vectors, degrees doubled.
 
 Normal forms come from per-degree reduced row echelon data: the ideal's
 degree-d slice is spanned by monomial multiples of the homogeneous
 generators, columns are monomials in descending lexicographic order within
 the degree, and the quotient basis is the non-pivot columns.  A normal form
 is a plain GradedSeries of the presentation's ring whose terms all lie on
-the quotient basis.  All reduction is exact (Fraction or GF(p)); nothing is
+the quotient basis.  All reduction is exact (Fraction or GF(2)); nothing is
 floated.
 
 Pivot rows are kept fully reduced (back-substituted).  Fully reduced, a
 row's entries in the other pivot columns are zero, so a normal form needs
 one row operation per nonzero pivot coordinate of the element (c1^t is a
-single monomial) instead of a cascade across pivots.  Over GF(2) (every
-Stiefel-Whitney presentation and the mod-2 Chern ones) a row is one Python
-int with bit j for column j, so its lead is the lowest set bit and a row
-operation is one XOR.  Over QQ and odd primes a row is a dense list of
-coefficients, which keeps a degree's rows in one compact block; rows keyed
-by monomial are faster to reduce but cost markedly more memory.
+single monomial) instead of a cascade across pivots.  Over GF(2) (the
+Stiefel-Whitney presentations) a row is one Python int with bit j for column
+j, so its lead is the lowest set bit and a row operation is one XOR.  Over
+QQ (the Chern presentations) a row is a dense list of Fractions, which keeps
+a degree's rows in one compact block; rows keyed by monomial are faster to
+reduce but cost markedly more memory.
 
 The cohomology vanishes above top = scale*k(n+1-k): in degree d its
 dimension is the number of partitions of d/scale that fit in a
@@ -38,11 +39,12 @@ from __future__ import annotations
 
 import math
 import threading
+from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
-from .fields import Coeff, Field, GF2, PrimeField, QQ
+from .fields import GF2, QQ
 from .series import GradedSeries, SeriesRing
 
 CHERN = "chern"
@@ -52,29 +54,20 @@ STIEFEL_WHITNEY = "sw"
 class GrassmannPresentation:
     """Truncated presentation of H*(G_k(F^(n+1))) with normal-form data.
 
-    k and n fix the Grassmannian (1 <= k <= n); `classes` picks Chern or
-    Stiefel-Whitney generators; `field` defaults to QQ for Chern and GF(2)
-    for Stiefel-Whitney.  The ring is truncated one generator degree past
-    the top cohomological degree, enough to extract the relations; every
-    degree above the top is zero in the quotient.
+    k and n fix the Grassmannian (1 <= k <= n); `classes` picks Chern
+    generators over QQ or Stiefel-Whitney generators over GF(2).  The ring
+    is truncated one generator degree past the top cohomological degree,
+    which holds every relation; every degree above the top is zero in the
+    quotient.
     """
 
-    def __init__(self, k: int, n: int, classes: str = CHERN,
-                 field: Optional[Field] = None):
+    def __init__(self, k: int, n: int, classes: str = CHERN):
         if not (isinstance(k, int) and isinstance(n, int) and 1 <= k <= n):
             raise ValueError(f"need integers 1 <= k <= n, got k={k}, n={n}")
         if classes == CHERN:
-            scale = 2
-            prefix = "c"
-            if field is None:
-                field = QQ
+            scale, prefix, field = 2, "c", QQ
         elif classes == STIEFEL_WHITNEY:
-            scale = 1
-            prefix = "w"
-            if field is None:
-                field = GF2
-            if field != GF2:
-                raise ValueError("Stiefel-Whitney classes live over GF(2)")
+            scale, prefix, field = 1, "w", GF2
         else:
             raise ValueError(f"unknown class family {classes!r}")
         top = scale * k * (n + 1 - k)
@@ -91,13 +84,17 @@ class GrassmannPresentation:
         self._lock = threading.Lock()
 
     def _extract_relations(self) -> tuple[GradedSeries, ...]:
-        # Homogeneous parts of the inverted total class, degrees n-k+2..n+1.
-        total = self.ring.one()
-        for gen in self.ring.gens():
-            total = total + gen
-        dual = total.inverse()
-        return tuple(dual.homogeneous_part(self.scale * j)
-                     for j in range(self.n - self.k + 2, self.n + 2))
+        # dual_j, the degree-scale*j part of 1/(1 + x_1 + ... + x_k), from
+        # dual_0 = 1 by dual_j = -(x_1 dual_(j-1) + ... + x_k dual_(j-k));
+        # the relations are dual_j for j = n-k+2 .. n+1.
+        gens = self.ring.gens()
+        duals = [self.ring.one()]
+        for j in range(1, self.n + 2):
+            acc = self.ring.zero()
+            for i, gen in enumerate(gens[:j], 1):
+                acc = acc + gen * duals[j - i]
+            duals.append(-acc)
+        return tuple(duals[self.n - self.k + 2:])
 
     def first_class(self) -> GradedSeries:
         """The degree-`scale` generator (c1 or w1)."""
@@ -122,16 +119,15 @@ class GrassmannPresentation:
         are dropped unreduced.
         """
         self.ring.require_same(element.ring)
-        field = self.ring.field
         degree_of = self.ring.degree_of
         top = self.top_degree
-        by_degree: dict[int, dict[tuple[int, ...], Coeff]] = {}
+        by_degree: dict[int, dict[tuple[int, ...], object]] = {}
         for exponents, coeff in element.terms.items():
             degree = degree_of(exponents)
             if degree <= top:
                 by_degree.setdefault(degree, {})[exponents] = coeff
-        bits = field == GF2
-        reduced: dict[tuple[int, ...], Coeff] = {}
+        bits = self.classes == STIEFEL_WHITNEY
+        reduced: dict[tuple[int, ...], object] = {}
         for degree, terms in by_degree.items():
             data = self._data(degree)
             monomials = data.monomials
@@ -146,10 +142,10 @@ class GrassmannPresentation:
                     reduced[monomials[low.bit_length() - 1]] = 1
                     row ^= low
                 continue
-            vec = [terms.get(mono, field.zero) for mono in monomials]
-            _eliminate(field, data.pivots, vec)
+            vec = [terms.get(mono, _ZERO) for mono in monomials]
+            _eliminate(data.pivots, vec)
             for j in data.basis_columns:
-                if vec[j] != field.zero:
+                if vec[j]:
                     reduced[monomials[j]] = vec[j]
         return GradedSeries(self.ring, reduced)
 
@@ -182,8 +178,7 @@ class GrassmannPresentation:
             return got
 
     def _reduce_degree(self, degree: int) -> "_DegreeData":
-        field = self.ring.field
-        bits = field == GF2
+        bits = self.classes == STIEFEL_WHITNEY
         monomials = self.ring.monomials_of_degree(degree)
         index = {mono: i for i, mono in enumerate(monomials)}
         pivots: Union[_BitPivots, _ListPivots] = {} if bits else []
@@ -199,10 +194,10 @@ class GrassmannPresentation:
                     for exponents in relation.terms:
                         row |= 1 << index[tuple(map(add, mono, exponents))]
                 else:
-                    row = [field.zero] * len(monomials)
+                    row = [_ZERO] * len(monomials)
                     for exponents, coeff in relation.terms.items():
                         row[index[tuple(map(add, mono, exponents))]] = coeff
-                _rref_insert(field, pivots, row)
+                _rref_insert(pivots, row)
         if bits:
             pivot_cols = {lead.bit_length() - 1 for lead in pivots}
         else:
@@ -225,9 +220,10 @@ class _DegreeData:
 
 
 # GF(2) pivots map each lead bit (1 << column) to its row of column bits;
-# QQ and odd-prime pivots are (lead column, dense row) pairs.
+# QQ pivots are (lead column, dense row of Fractions) pairs.
 _BitPivots = dict[int, int]
-_ListPivots = list[tuple[int, list[Coeff]]]
+_ListPivots = list[tuple[int, list[Fraction]]]
+_ZERO = Fraction(0)
 
 
 def _xor_pivots(pivots: _BitPivots, row: int) -> int:
@@ -247,25 +243,25 @@ def _xor_pivots(pivots: _BitPivots, row: int) -> int:
     return row
 
 
-def _eliminate(field: Field, pivots: Sequence[tuple[int, list[Coeff]]],
-               row: list[Coeff]) -> None:
-    """Clear every pivot column of `row` in place (pivots normalized to 1)."""
+def _eliminate(pivots: Sequence[tuple[int, list[Fraction]]],
+               row: list[Fraction]) -> None:
+    """Clear every pivot column of a QQ `row` in place (pivots normalized)."""
     for col, prow in pivots:
         c = row[col]
-        if c != field.zero:
+        if c:
             for j in range(col, len(row)):
-                row[j] = field.sub(row[j], field.mul(c, prow[j]))
+                row[j] = row[j] - c * prow[j]
 
 
-def _rref_insert(field: Field, pivots: Union[_BitPivots, _ListPivots],
-                 row: Union[int, list[Coeff]]) -> None:
+def _rref_insert(pivots: Union[_BitPivots, _ListPivots],
+                 row: Union[int, list[Fraction]]) -> None:
     """Fold one row into reduced echelon state (pivots normalized to 1).
 
-    Over GF(2) the row is an int of column bits: it is XORed with the
-    pivots whose lead bit it carries, and its own lead, the lowest bit
-    left, is then cleared from the earlier pivots.
+    An int row is a GF(2) row of column bits: it is XORed with the pivots
+    whose lead bit it carries, and its own lead, the lowest bit left, is
+    then cleared from the earlier pivots.  A list row is a QQ row.
     """
-    if field == GF2:
+    if isinstance(row, int):
         row = _xor_pivots(pivots, row)
         if row:
             lead = row & -row
@@ -274,28 +270,30 @@ def _rref_insert(field: Field, pivots: Union[_BitPivots, _ListPivots],
                     pivots[bit] = prow ^ row
             pivots[lead] = row
         return
-    _eliminate(field, pivots, row)
-    lead = next((j for j, v in enumerate(row) if v != field.zero), None)
+    _eliminate(pivots, row)
+    lead = next((j for j, v in enumerate(row) if v), None)
     if lead is None:
         return
-    inv = field.inv(row[lead])
-    if inv != field.one:
+    inv = 1 / row[lead]
+    if inv != 1:
         for j in range(lead, len(row)):
-            row[j] = field.mul(inv, row[j])
+            row[j] = inv * row[j]
     for col, prow in pivots:
         c = prow[lead]
-        if c != field.zero:
+        if c:
             for j in range(lead, len(row)):
-                prow[j] = field.sub(prow[j], field.mul(c, row[j]))
+                prow[j] = prow[j] - c * row[j]
     pivots.append((lead, row))
 
 
 @lru_cache(maxsize=None)
-def cached_presentation(k: int, n: int, classes: str = CHERN,
-                        field: Optional[Field] = None
-                        ) -> GrassmannPresentation:
-    """Shared presentations; safe because instances are internally locked."""
-    return GrassmannPresentation(k, n, classes, field)
+def cached_presentation(k: int, n: int,
+                        classes: str = CHERN) -> GrassmannPresentation:
+    """One shared presentation per (k, n, class family).
+
+    Sharing is safe because instances are internally locked.
+    """
+    return GrassmannPresentation(k, n, classes)
 
 
 def chern_height_of_first_class(k: int, n: int) -> int:
@@ -330,13 +328,15 @@ class YasuiIntegralModule:
     """Two-point configuration module over CP^m with basis {1, u}.
 
     The free summand lives in the rational Chern presentation of
-    G_2(C^(m+1)); the u-summand is 2-torsion (coefficients in GF(2) over
-    the same presentation reduced mod 2) with u^2 = c1*u.  Multiplication:
+    G_2(C^(m+1)); the u-summand is 2-torsion, with coefficients in
+    H*(G_2(C^(m+1)); GF(2)), which is the Stiefel-Whitney presentation of
+    G_2(R^(m+1)) on the same exponent vectors (c_i mod 2 is w_i, degrees
+    halved), and u^2 = c1*u.  Multiplication:
 
         (x1 + y1 u)(x2 + y2 u) = x1 x2 + (x1' y2 + x2' y1 + y1 y2 c1') u
 
     where ' is mod-2 reduction of the free part, which therefore must have
-    integer coefficients.
+    integer coefficients; c1' is w1.
     """
 
     def __init__(self, m: int):
@@ -344,8 +344,8 @@ class YasuiIntegralModule:
             raise ValueError(f"need an integer m >= 2, got {m!r}")
         self.m = m
         self.free_presentation = cached_presentation(2, m, CHERN)
-        self.torsion_presentation = cached_presentation(2, m, CHERN,
-                                                        field=GF2)
+        self.torsion_presentation = cached_presentation(2, m,
+                                                        STIEFEL_WHITNEY)
 
     def element(self, free: GradedSeries,
                 upart: GradedSeries) -> "YasuiElement":
@@ -366,7 +366,10 @@ class YasuiIntegralModule:
                             self.torsion_presentation.ring.zero())
 
     def reduce_mod_2(self, free: GradedSeries) -> GradedSeries:
-        """Mod-2 image of an integer-coefficient free-part representative."""
+        """Mod-2 image of an integer-coefficient free-part representative.
+
+        The exponent vectors carry over unchanged: c_i reduces to w_i.
+        """
         terms: dict[tuple[int, ...], int] = {}
         for exponents, coeff in free.terms.items():
             if coeff.denominator != 1:
@@ -441,13 +444,17 @@ class YasuiElement:
 
 
 class YasuiMod2Module:
-    """Mod-2 sibling with basis {1, v, v^2} and v^3 = c1*v over G_2(C^(m+1))."""
+    """Mod-2 sibling with basis {1, v, v^2} and v^3 = c1*v over G_2(C^(m+1)).
+
+    Coefficients lie in H*(G_2(C^(m+1)); GF(2)), the Stiefel-Whitney
+    presentation of G_2(R^(m+1)), where c1 mod 2 is w1.
+    """
 
     def __init__(self, m: int):
         if not (isinstance(m, int) and m >= 2):
             raise ValueError(f"need an integer m >= 2, got {m!r}")
         self.m = m
-        self.presentation = cached_presentation(2, m, CHERN, field=GF2)
+        self.presentation = cached_presentation(2, m, STIEFEL_WHITNEY)
 
     def element(self, comp0: GradedSeries, comp1: GradedSeries,
                 comp2: GradedSeries) -> "YasuiMod2Element":

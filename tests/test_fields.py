@@ -1,6 +1,7 @@
 """Field arithmetic, digit sums, and the binomial-mod-p kernel."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -112,3 +113,14 @@ def test_lucas_matches_math_comb(p):
     for n in range(0, 60):
         for k in range(0, 60):
             assert lucas_binom_mod_p(n, k, p) == math.comb(n, k) % p
+
+
+@pytest.mark.parametrize("p", [1009, 2003])
+def test_lucas_large_prime_is_fast(p):
+    # One binomial per base-p digit pair: no work grows with p^2.
+    n, k = 10 ** 6 + 7, 3 * p + 5
+    expect = math.comb(n, k) % p
+    start = time.perf_counter()
+    assert lucas_binom_mod_p(5, 3, p) == 10
+    assert lucas_binom_mod_p(n, k, p) == expect
+    assert time.perf_counter() - start < 1.0

@@ -21,8 +21,9 @@ def test_constructor_validation():
         GrassmannPresentation(4, 3)
     with pytest.raises(ValueError):
         GrassmannPresentation(2, 3, "unknown")
-    with pytest.raises(ValueError):
-        GrassmannPresentation(2, 3, STIEFEL_WHITNEY, field=QQ)
+    # The class family fixes the coefficient field.
+    assert GrassmannPresentation(2, 3, CHERN).ring.field == QQ
+    assert GrassmannPresentation(2, 3, STIEFEL_WHITNEY).ring.field == GF2
 
 
 # ---------------------------------------------------------------------------
@@ -91,14 +92,12 @@ def test_degree_dimensions_match_box_partitions():
     # dim H^d(G_k(F^(n+1))) = #partitions of d/scale in a k x (n+1-k) box,
     # and 0 when scale does not divide d.  Degrees above the top, which
     # heights never reduce, are row-reduced here up to the ring truncation.
-    # The integral Chern presentation is free, so every field gives these
-    # dimensions: GF(2) runs on bit rows, QQ and GF(3) on dense list rows.
-    families = ((CHERN, QQ), (STIEFEL_WHITNEY, GF2), (CHERN, GF2),
-                (CHERN, PrimeField(3)))
+    # Stiefel-Whitney presentations run on GF(2) bit rows, Chern ones on
+    # dense QQ list rows.
     for n in range(1, 7):
         for k in range(1, n + 1):
-            for classes, field in families:
-                pres = GrassmannPresentation(k, n, classes, field)
+            for classes in (CHERN, STIEFEL_WHITNEY):
+                pres = GrassmannPresentation(k, n, classes)
                 scale = pres.scale
                 assert pres.ring.truncation == pres.top_degree + scale
                 for d in range(pres.top_degree + scale + 1):
@@ -106,7 +105,7 @@ def test_degree_dimensions_match_box_partitions():
                                                    n + 1 - k)))
                               if d % scale == 0 else 0)
                     got = len(pres._reduce_degree(d).basis)
-                    assert got == expect, (k, n, classes, field, d)
+                    assert got == expect, (k, n, classes, d)
 
 
 def _count_field_calls(monkeypatch):
@@ -133,9 +132,8 @@ def test_gf2_reduction_makes_no_field_calls(monkeypatch):
         assert pres.quotient_basis(d)
     assert not pres.normal_form(w1_power).is_zero()
     assert calls == []
-    # The counter does see the list rows of an odd prime.
-    odd = GrassmannPresentation(2, 3, CHERN, PrimeField(3))
-    odd.quotient_basis(odd.top_degree)
+    # The counter does see the GF(2) arithmetic of a series product.
+    w1_power * pres.first_class()
     assert calls
 
 
@@ -452,6 +450,22 @@ def test_yasui_powers_of_u():
     u = mod.u()
     assert not (u ** (h + 1)).is_zero()
     assert (u ** (h + 2)).is_zero()
+
+
+def test_yasui_u_height_is_sw_height_plus_one():
+    # u^t = w1^(t-1) u in the 2-torsion summand, whose coefficients are the
+    # Stiefel-Whitney presentation of G_2(R^(m+1)); so u survives exactly
+    # one step past the height of w1 there, counted by Pieri parity.
+    for m, expect in zip(range(4, 10), (7, 7, 7, 7, 15, 15)):
+        mod = YasuiIntegralModule(m)
+        assert mod.torsion_presentation is \
+            cached_presentation(2, m, STIEFEL_WHITNEY)
+        assert mod.torsion_presentation is YasuiMod2Module(m).presentation
+        u = mod.u()
+        power, t = u, 0
+        while not power.is_zero():
+            power, t = power * u, t + 1
+        assert t == pieri_sw_height(2, m) + 1 == expect, m
 
 
 def test_yasui_mod2_v_cubed():
