@@ -127,7 +127,7 @@ def _cmd_height(args) -> dict:
         "n": args.n,
         "regime": args.regime,
         "element": pres.ring.names[0],
-        "height": pres.height(pres.first_class()),
+        "height": pres.first_class_height(),
         "truncation": pres.ring.truncation,
     }
 

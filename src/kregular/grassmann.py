@@ -33,6 +33,17 @@ k x (n+1-k) box (the Schubert basis), so degrees above the top are zero and
 are never row-reduced.  The ring is cut at top + scale, which holds every
 relation: the last one sits in degree scale*(n+1), and
 scale*(n+1) <= top + scale is (k-1)(n-k) >= 0.
+
+The height of the first class is answered without row reduction, by
+Pieri's rule in the Schubert basis: x1^t = sum of f^lambda sigma_lambda over
+the partitions lambda of t in the k x (n+1-k) box, where f^lambda, the
+number of standard Young tableaux of shape lambda, counts the paths from the
+empty shape to lambda that add one box at a time (Fulton, Young Tableaux,
+1997).  Over QQ every f^lambda is positive, so c1 survives to the full box,
+k(n+1-k).  Mod 2 the walk keeps, layer by layer, the shapes reached by an
+odd number of paths; w1^t is nonzero exactly while that layer is not empty.
+`height(element)` row-reduces powers of any element and stays the second
+method for the first class.
 """
 
 from __future__ import annotations
@@ -42,7 +53,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from operator import add
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .fields import GF2, QQ
 from .series import GradedSeries, SeriesRing
@@ -81,6 +92,7 @@ class GrassmannPresentation:
             top + scale)
         self.relations = self._extract_relations()
         self._degree_data: dict[int, _DegreeData] = {}
+        self._first_class_height: Optional[int] = None
         self._lock = threading.Lock()
 
     def _extract_relations(self) -> tuple[GradedSeries, ...]:
@@ -99,6 +111,21 @@ class GrassmannPresentation:
     def first_class(self) -> GradedSeries:
         """The degree-`scale` generator (c1 or w1)."""
         return self.ring.gen(self.ring.names[0])
+
+    def first_class_height(self) -> int:
+        """Largest t with (c1 or w1)^t nonzero, by Pieri counting.
+
+        Chern: k(n+1-k), the box size.  Stiefel-Whitney: the last layer of
+        the mod-2 Young lattice walk that is not empty.  The answer is
+        stored on the instance; threads that race here compute the same
+        value.
+        """
+        if self._first_class_height is None:
+            width = self.n + 1 - self.k
+            self._first_class_height = (
+                self.k * width if self.classes == CHERN
+                else _odd_path_height(self.k, width))
+        return self._first_class_height
 
     def quotient_basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece of the quotient."""
@@ -286,22 +313,50 @@ def _rref_insert(pivots: Union[_BitPivots, _ListPivots],
     pivots.append((lead, row))
 
 
+def _odd_path_height(rows: int, width: int) -> int:
+    """Last layer t of the rows x width box with an odd f^lambda, lambda |- t.
+
+    A shape is the int whose `rows` set bits mark the vertical steps of its
+    boundary among rows + width steps: the empty shape is the low bits, and
+    adding a box moves a set bit up one place into a clear one.  Each layer
+    keeps only the shapes reached by an odd number of paths; f^mu mod 2 is
+    the sum of f^lambda mod 2 over the shapes lambda one box below mu.
+    """
+    inside = (1 << (rows + width - 1)) - 1
+    layer = {(1 << rows) - 1}
+    t = 0
+    while True:
+        odd: set[int] = set()
+        for shape in layer:
+            moves = shape & ~(shape >> 1) & inside
+            while moves:
+                low = moves & -moves
+                odd ^= {shape ^ (low * 3)}
+                moves ^= low
+        if not odd:
+            return t
+        layer = odd
+        t += 1
+
+
 @lru_cache(maxsize=None)
-def cached_presentation(k: int, n: int,
-                        classes: str = CHERN) -> GrassmannPresentation:
+def cached_presentation(k: int, n: int, classes: str,
+                        /) -> GrassmannPresentation:
     """One shared presentation per (k, n, class family).
 
-    Sharing is safe because instances are internally locked.
+    The arguments are positional only, so each key has one spelling in the
+    cache.  Sharing is safe because instances are internally locked.
     """
     return GrassmannPresentation(k, n, classes)
 
 
 def chern_height_of_first_class(k: int, n: int) -> int:
-    """Exact height of c1 in H*(G_k(C^(n+1)); QQ) by row reduction."""
-    pres = cached_presentation(k, n, CHERN)
-    h = pres.height(pres.first_class())
-    assert isinstance(h, int)
-    return h
+    """Exact height of c1 in H*(G_k(C^(n+1)); QQ): the box size k(n+1-k).
+
+    Pieri counting (`first_class_height`); every f^lambda is positive, so
+    nothing cancels.
+    """
+    return cached_presentation(k, n, CHERN).first_class_height()
 
 
 def kappa_case(m: int, a: int, b: int) -> int:

@@ -11,12 +11,12 @@ import io
 import random
 import time
 
-from kregular import (STIEFEL_WHITNEY, ComplexProj, Euclid,
+from kregular import (CHERN, STIEFEL_WHITNEY, ComplexProj, Euclid,
                       GrassmannPresentation, Product, QuatProj, RealProj,
                       RegularQuery, Sphere, SphereOneI, VandermondeMap,
                       bound_disjoint, bound_product_2regular,
-                      chern_height_of_first_class, floor_log2,
-                      lucas_binom_mod_p, kappa_case,
+                      cached_presentation, chern_height_of_first_class,
+                      floor_log2, lucas_binom_mod_p, kappa_case,
                       main_theorem_1_closed_form, main_theorem_2_closed_form,
                       real_dimension, sample_check_regular, top_dual_degree,
                       top_dual_degree_closed_form)
@@ -39,6 +39,13 @@ def timed(budget_seconds):
     return wrap
 
 
+def _cli_lines(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue().splitlines()
+
+
 @timed(1.0)
 def test_criterion_1_real_projective_top_dual_degree():
     for m in range(2, 65):
@@ -57,14 +64,22 @@ def test_criterion_2_complex_and_quaternionic_top_dual_degree():
             2 ** (j + 3) - 4 * m - 4, m
 
 
+def _rows_height(k, n):
+    # Row reduction of c1's powers, the method independent of Pieri.
+    pres = cached_presentation(k, n, CHERN)
+    return pres.height(pres.first_class())
+
+
 @timed(30.0)
 def test_criterion_3_grassmannian_heights():
     for n in range(1, 7):
         for k in range(1, n + 1):
             assert chern_height_of_first_class(k, n) == k * (n + 1 - k), \
                 (k, n)
+            assert _rows_height(k, n) == k * (n + 1 - k), (k, n)
     for n in range(2, 9):
         assert chern_height_of_first_class(2, n) == 2 * n - 2, n
+        assert _rows_height(2, n) == 2 * n - 2, n
 
 
 @timed(60.0)
@@ -168,10 +183,7 @@ def test_criterion_10_large_products_factor_by_factor():
     assert top_dual_degree_closed_form(spec).top_degree == 761
     assert top_dual_degree(spec).top_degree == 761
     spec = Product((RealProj(64), ComplexProj(32), QuatProj(16)))
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(["bound", "RP^64 x CP^32 x HP^16"]) == 0
-    assert out.getvalue().splitlines()[0] == \
+    assert _cli_lines("bound", "RP^64 x CP^32 x HP^16")[0] == \
         f"N >= {main_theorem_1_closed_form(spec)} (Main Theorem I)"
 
 
@@ -182,3 +194,18 @@ def test_criterion_11_sw_height_bit_rows():
     height = pres.height(pres.first_class())
     assert height == 31
     assert height == pieri_sw_height(5, 18)
+
+
+@timed(2.0)
+def test_criterion_12_complex_cp_bound_without_row_reduction():
+    # Row reduction of c1's powers in G_2(C^161) over QQ takes minutes;
+    # the bound needs only their height, the box size.
+    lines = _cli_lines("bound", "(CP^160, 2)", "--regime", "complex")
+    assert lines[0].startswith("N >= 320 ")
+
+
+@timed(2.0)
+def test_criterion_13_sw_height_by_odd_path_walk():
+    # Row reduction of w1's powers in G_10(R^31) takes hours.
+    assert _cli_lines("height", "--k", "10", "--n", "30",
+                      "--regime", "real") == ["31"]

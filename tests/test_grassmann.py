@@ -304,12 +304,33 @@ def test_pieri_oracle_small_cases():
 
 
 def test_sw_heights_match_pieri_counting():
-    # Second method for SW heights: row reduction against Pieri parity.
+    # Three methods for SW heights: the odd-path walk of
+    # first_class_height, row reduction of w1's powers, and the
+    # hook-length parity count above.
     for n in range(1, 13):
         for k in range(1, n + 1):
             pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
-            assert pres.height(pres.first_class()) == \
+            walk = pres.first_class_height()
+            assert pres._degree_data == {}, (k, n)
+            assert walk == pres.height(pres.first_class()) == \
                 pieri_sw_height(k, n), (k, n)
+
+
+def test_chern_first_class_heights_match_row_reduction():
+    # The Pieri answer (the box size) against row reduction over QQ.
+    for n in range(1, 8):
+        for k in range(1, n + 1):
+            pres = cached_presentation(k, n, CHERN)
+            assert pres.first_class_height() == \
+                pres.height(pres.first_class()) == k * (n + 1 - k), (k, n)
+
+
+def test_first_class_height_reduces_nothing_and_is_stored():
+    for classes, expect in ((CHERN, 30), (STIEFEL_WHITNEY, 15)):
+        pres = GrassmannPresentation(3, 12, classes)
+        assert pres.first_class_height() == expect
+        assert pres._degree_data == {}
+        assert pres._first_class_height == expect
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
@@ -352,6 +373,21 @@ def test_cached_presentation_is_shared():
     a = cached_presentation(2, 3, CHERN)
     b = cached_presentation(2, 3, CHERN)
     assert a is b
+
+
+def test_cached_presentation_has_one_spelling():
+    # The cache keys on how a call is spelled, so only the positional
+    # three-argument spelling is accepted.
+    with pytest.raises(TypeError):
+        cached_presentation(2, 3, classes=CHERN)
+    with pytest.raises(TypeError):
+        cached_presentation(2, 3)
+    first = cached_presentation(2, 4, STIEFEL_WHITNEY)
+    before = cached_presentation.cache_info()
+    assert cached_presentation(2, 4, STIEFEL_WHITNEY) is first
+    after = cached_presentation.cache_info()
+    assert after.hits == before.hits + 1
+    assert after.misses == before.misses
 
 
 def test_benchmark_probe_names_resolve(monkeypatch):
