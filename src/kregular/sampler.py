@@ -7,18 +7,29 @@ map value times a positive integer, which leaves the rank unchanged; columns
 are ranked by fraction-free Bareiss elimination, and a direct sum's rank is
 the sum of its block ranks.
 
-- Plane points are Gaussian rationals z = w/D, with D the lcm of the two
-  denominators and w a Gaussian integer.  Scaled by D^(k-1), the column
-  (1, z, ..., z^(k-1)) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)).
+- Plane points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64]
+  and b, e in [1, 8].  With D the lcm of the two denominators in lowest terms
+  and z = w/D, the column (1, z, ..., z^(k-1)) scaled by D^(k-1) becomes
+  (D^(k-1), D^(k-2) w, ..., w^(k-1)).
 - Sphere points are rational points of S^m: the inverse stereographic images
-  of t = a/d, with a in Z^m and d >= 1, projected from the north pole, which
-  is therefore never drawn.  The column (1, x) times the lcm of the
-  denominators of x (a divisor of |a|^2 + d^2) is an integer column
-  proportional to (|a|^2 + d^2, 2ad, |a|^2 - d^2).
+  of t = a/d, with a in [-8, 8]^m and d in [1, 8], projected from the north
+  pole, which is therefore never drawn.  A drawn point's column is
+  (|a|^2 + d^2, 2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2.  A
+  point given as Fractions, as `evaluate_rank` takes them, gets (1, x) times
+  the lcm of its denominators instead.
 
 Sampling is reproducible: trial i draws from random.Random(seed * 1000003
 + i), so verdicts and witnesses are independent of trial order and identical
-across runs.  The points of a part are pairwise distinct, compared exactly.
+across runs.  Numerators and denominators are drawn as ints, off exactly the
+bits that random.randint would consume, and columns are built from those
+ints; only the points of a kept witness become Fractions.  The points of a
+part are pairwise distinct, compared on an exact integer key.  Every
+denominator divides 840, so the key (a * 840 // b, c * 840 // e) of a plane
+point, and a * 840 // d of a sphere point (stereographic projection is
+injective), are equal exactly when the points are.  The draws of a part
+range over a finite grid: 663^2 = 439,569 plane points, 1929 points of S^2,
+36,111 of S^3, and so on.  A tuple size above its part's grid raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -26,11 +37,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence, Union
 
 _SEED_STRIDE = 1_000_003
 _MAX_WITNESSES = 3
+# Drawn numerators lie in [-bound, bound] and denominators in [1, _MAX_DEN].
+_PLANE_BOUND = 64
+_SPHERE_BOUND = 8
+_MAX_DEN = 8
+# lcm(1, ..., _MAX_DEN), so a * _KEY_SCALE // b is exact for every drawn b.
+_KEY_SCALE = 840
+# The Moebius function mu(e) for 0 < e <= _MAX_DEN.
+_MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 
 Gaussian = tuple[Fraction, Fraction]
 
@@ -209,12 +228,17 @@ def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
     return rows
 
 
-def vandermonde_integer_column(z: Gaussian, k: int) -> list[int]:
-    """(1, z, ..., z^(k-1)) realified, times D^(k-1) for z = w/D."""
-    re, im = z
-    d = lcm(re.denominator, im.denominator)
-    wr = re.numerator * (d // re.denominator)
-    wi = im.numerator * (d // im.denominator)
+def _plane_column(a: int, b: int, c: int, e: int, k: int) -> list[int]:
+    """(1, z, ..., z^(k-1)) realified for z = a/b + i c/e, times D^(k-1).
+
+    D is the lcm of the two denominators in lowest terms.
+    """
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    g = gcd(c, e)
+    c, e = c // g, e // g
+    d = lcm(b, e)
+    wr, wi = a * (d // b), c * (d // e)
     column = [d ** (k - 1)]
     power_re, power_im = 1, 0
     for j in range(k - 2, -1, -1):
@@ -225,22 +249,23 @@ def vandermonde_integer_column(z: Gaussian, k: int) -> list[int]:
     return column
 
 
+def vandermonde_integer_column(z: Gaussian, k: int) -> list[int]:
+    """The plane column of z = (re, im), two Fractions."""
+    re, im = z
+    return _plane_column(re.numerator, re.denominator,
+                         im.numerator, im.denominator, k)
+
+
+def _sphere_column(a: Sequence[int], d: int) -> list[int]:
+    """(1, x) times |a|^2 + d^2, x the inverse stereographic image of a/d."""
+    norm = sum(v * v for v in a)
+    return [norm + d * d, *(2 * v * d for v in a), norm - d * d]
+
+
 def sphere_integer_column(x: Sequence[Fraction]) -> list[int]:
     """(1, x) times the lcm of the denominators of x."""
     d = lcm(*(c.denominator for c in x))
     return [d] + [c.numerator * (d // c.denominator) for c in x]
-
-
-def _direct_sum_rank(parts, points_per_part) -> int:
-    """Rank of the block-diagonal evaluation matrix: sum of block ranks."""
-    total = 0
-    for part, pts in zip(parts, points_per_part):
-        if isinstance(part, VandermondeMap):
-            columns = [vandermonde_integer_column(z, part.k) for z in pts]
-        else:
-            columns = [sphere_integer_column(x) for x in pts]
-        total += integer_rank_bareiss(columns)
-    return total
 
 
 def vandermonde_rank_exact(points: Sequence, k: int) -> int:
@@ -274,30 +299,102 @@ def vandermonde_determinant(points: Sequence) -> Gaussian:
 # ---------------------------------------------------------------------------
 # Sampling.
 
-def _sample_plane_points(rng: random.Random, count: int) -> list[Gaussian]:
-    points: list[Gaussian] = []
-    while len(points) < count:
-        z = (Fraction(rng.randint(-64, 64), rng.randint(1, 8)),
-             Fraction(rng.randint(-64, 64), rng.randint(1, 8)))
-        if z not in points:
-            points.append(z)
-    return points
+def _uniform(bits, low: int, high: int) -> int:
+    """rng.randint(low, high) off the same bits: getrandbits with rejection."""
+    n = high - low + 1
+    width = n.bit_length()
+    r = bits(width)
+    while r >= n:
+        r = bits(width)
+    return low + r
 
 
-def _sample_sphere_points(rng: random.Random, m: int,
-                          count: int) -> list[tuple[Fraction, ...]]:
-    # Inverse stereographic images of t = a/d (see the module docstring).
-    points: list[tuple[Fraction, ...]] = []
-    while len(points) < count:
-        d = rng.randint(1, 8)
-        a = [rng.randint(-8, 8) for _ in range(m)]
+def _grid_size(bound: int, m: int) -> int:
+    """Number of distinct points a/d of Q^m, |a_i| <= bound, d <= _MAX_DEN.
+
+    Each point is counted once, at its least common denominator d: Moebius
+    inversion over the common divisors e of a and d keeps the a with
+    gcd(a, d) = 1.
+    """
+    return sum(_MOBIUS[e] * (2 * (bound // e) + 1) ** m
+               for d in range(1, _MAX_DEN + 1)
+               for e in range(1, d + 1) if d % e == 0)
+
+
+def _part_grid(part: Union[VandermondeMap, SphereOneI]) -> int:
+    if isinstance(part, VandermondeMap):
+        return _grid_size(_PLANE_BOUND, 1) ** 2
+    return _grid_size(_SPHERE_BOUND, part.m)
+
+
+def _plane_key(a: int, b: int, c: int, e: int) -> tuple[int, int]:
+    """Equal for two draws exactly when a/b + i c/e is the same point."""
+    return (a * _KEY_SCALE // b, c * _KEY_SCALE // e)
+
+
+def _sphere_key(a: Sequence[int], d: int) -> tuple[int, ...]:
+    """Equal for two draws exactly when a/d, and so the point, is the same."""
+    return tuple([v * _KEY_SCALE // d for v in a])
+
+
+def _draw_plane(bits, count: int) -> list[tuple[int, int, int, int]]:
+    """count distinct plane points (a, b, c, e), z = a/b + i c/e."""
+    draws: list[tuple[int, int, int, int]] = []
+    seen = set()
+    while len(draws) < count:
+        a = _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND)
+        b = _uniform(bits, 1, _MAX_DEN)
+        c = _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND)
+        e = _uniform(bits, 1, _MAX_DEN)
+        key = _plane_key(a, b, c, e)
+        if key not in seen:
+            seen.add(key)
+            draws.append((a, b, c, e))
+    return draws
+
+
+def _draw_sphere(bits, m: int,
+                 count: int) -> list[tuple[tuple[int, ...], int]]:
+    """count distinct points of S^m, each as (a, d) with t = a/d."""
+    draws: list[tuple[tuple[int, ...], int]] = []
+    seen = set()
+    while len(draws) < count:
+        d = _uniform(bits, 1, _MAX_DEN)
+        a = tuple([_uniform(bits, -_SPHERE_BOUND, _SPHERE_BOUND)
+                   for _ in range(m)])
+        key = _sphere_key(a, d)
+        if key not in seen:
+            seen.add(key)
+            draws.append((a, d))
+    return draws
+
+
+def _draw(bits, part: Union[VandermondeMap, SphereOneI], count: int) -> list:
+    if isinstance(part, VandermondeMap):
+        return _draw_plane(bits, count)
+    return _draw_sphere(bits, part.m, count)
+
+
+def _draw_columns(part: Union[VandermondeMap, SphereOneI],
+                  draws: list) -> list[list[int]]:
+    if isinstance(part, VandermondeMap):
+        return [_plane_column(a, b, c, e, part.k) for a, b, c, e in draws]
+    return [_sphere_column(a, d) for a, d in draws]
+
+
+def _draw_points(part: Union[VandermondeMap, SphereOneI],
+                 draws: list) -> tuple:
+    """The drawn points as Fractions: (re, im) pairs, or points of S^m."""
+    if isinstance(part, VandermondeMap):
+        return tuple((Fraction(a, b), Fraction(c, e))
+                     for a, b, c, e in draws)
+    points = []
+    for a, d in draws:
         norm = sum(v * v for v in a)
         scale = norm + d * d
-        x = tuple(Fraction(2 * v * d, scale) for v in a) \
-            + (Fraction(norm - d * d, scale),)
-        if x not in points:
-            points.append(x)
-    return points
+        points.append(tuple(Fraction(2 * v * d, scale) for v in a)
+                      + (Fraction(norm - d * d, scale),))
+    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -331,10 +428,16 @@ def evaluate_rank(example: ExampleMap, points_per_part: Sequence
     parts = map_parts(example)
     if len(points_per_part) != len(parts):
         raise ValueError(f"need point tuples for {len(parts)} parts")
-    exact = [[as_gaussian(p) if isinstance(part, VandermondeMap)
-              else as_sphere_point(p, part.m) for p in pts]
-             for part, pts in zip(parts, points_per_part)]
-    return _direct_sum_rank(parts, exact), sum(len(pts) for pts in exact)
+    rank = 0
+    for part, pts in zip(parts, points_per_part):
+        if isinstance(part, VandermondeMap):
+            columns = [vandermonde_integer_column(as_gaussian(p), part.k)
+                       for p in pts]
+        else:
+            columns = [sphere_integer_column(as_sphere_point(p, part.m))
+                       for p in pts]
+        rank += integer_rank_bareiss(columns)
+    return rank, sum(len(pts) for pts in points_per_part)
 
 
 def sample_check_regular(example: ExampleMap,
@@ -350,7 +453,8 @@ def sample_check_regular(example: ExampleMap,
     some part's tuple size exceeds that part's ambient dimension (2k-1 for
     vandermonde:k, m+2 for sphere:m): its columns are then dependent, so
     every trial must violate.  Between the claim and the dimension a
-    violation is possible but not certain.
+    violation is possible but not certain.  A size above the number of
+    distinct points its part can draw raises ValueError.
     """
     parts = map_parts(example)
     if tuple_sizes is None:
@@ -363,9 +467,13 @@ def sample_check_regular(example: ExampleMap,
         sizes = tuple(tuple_sizes)
     if len(sizes) != len(parts):
         raise ValueError(f"need {len(parts)} tuple sizes, got {len(sizes)}")
-    for size in sizes:
+    for part, size in zip(parts, sizes):
         if not isinstance(size, int) or size < 1:
             raise ValueError(f"tuple sizes must be positive, got {size!r}")
+        grid = _part_grid(part)
+        if size > grid:
+            raise ValueError(f"tuple size {size} exceeds the {grid} distinct "
+                             f"sample points of {render_map(part)}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
 
@@ -373,16 +481,16 @@ def sample_check_regular(example: ExampleMap,
     violations = 0
     witnesses: list[Witness] = []
     for trial in range(trials):
-        rng = random.Random(seed * _SEED_STRIDE + trial)
-        points_per_part = tuple(
-            tuple(_sample_plane_points(rng, size))
-            if isinstance(part, VandermondeMap)
-            else tuple(_sample_sphere_points(rng, part.m, size))
-            for part, size in zip(parts, sizes))
-        if _direct_sum_rank(parts, points_per_part) < wanted:
+        bits = random.Random(seed * _SEED_STRIDE + trial).getrandbits
+        draws = [_draw(bits, part, size) for part, size in zip(parts, sizes)]
+        rank = sum(integer_rank_bareiss(_draw_columns(part, part_draws))
+                   for part, part_draws in zip(parts, draws))
+        if rank < wanted:
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
-                witnesses.append(Witness(trial, points_per_part))
+                witnesses.append(Witness(trial, tuple(
+                    _draw_points(part, part_draws)
+                    for part, part_draws in zip(parts, draws))))
     return RegularityReport(
         example=example,
         tuple_sizes=sizes,

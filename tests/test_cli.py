@@ -8,6 +8,7 @@ import shlex
 import string
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -305,6 +306,16 @@ def test_verify_bad_tuple_list(capsys):
                            "--tuple", "2,x")
     assert code == EXIT_USAGE
     assert "tuple" in err
+
+
+def test_verify_tuple_beyond_the_grid_exits_at_once(capsys):
+    # sphere:2 draws from 1929 distinct points; a larger tuple once retried
+    # forever.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "sphere:2", "--tuple", "1930")
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_USAGE and out == ""
+    assert "1929" in err
 
 
 def test_verify_unknown_family(capsys):

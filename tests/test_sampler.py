@@ -1,5 +1,6 @@
 """Exact and randomized rank checks for the explicit example maps."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,10 @@ from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
                       integer_rank_bareiss, parse_map, rational_rank,
                       render_map, sample_check_regular,
                       vandermonde_determinant, vandermonde_rank_exact)
-from kregular.sampler import (_sample_sphere_points, sphere_integer_column,
-                              vandermonde_columns, vandermonde_integer_column)
+from kregular import sampler
+from kregular.sampler import (_draw, _draw_columns, _draw_points,
+                              sphere_integer_column, vandermonde_columns,
+                              vandermonde_integer_column)
 
 
 def test_map_validation():
@@ -167,17 +170,136 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
 def test_integer_sphere_columns_lie_on_the_sphere():
     rng = random.Random(29)
     for m in range(2, 7):
-        pts = _sample_sphere_points(rng, m, 40)
+        part = SphereOneI(m)
+        draws = _draw(rng.getrandbits, part, 40)
+        pts = _draw_points(part, draws)
         assert len(set(pts)) == len(pts)
-        for x in pts:
-            column = sphere_integer_column(x)
+        # A drawn point's column and a Fraction point's column are positive
+        # multiples of the same (1, x).
+        for column in (_draw_columns(part, draws)
+                       + [sphere_integer_column(x) for x in pts]):
             assert len(column) == m + 2 and column[0] > 0
             assert column[0] ** 2 == sum(c * c for c in column[1:])
+        for column, x in zip(_draw_columns(part, draws), pts):
             assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
         triple = pts[:3]
-        assert (integer_rank_bareiss([sphere_integer_column(x)
-                                      for x in triple])
+        assert (integer_rank_bareiss(_draw_columns(part, draws[:3]))
+                == integer_rank_bareiss([sphere_integer_column(x)
+                                         for x in triple])
                 == gauss_rank_oracle([[1, *x] for x in triple]) == 3)
+
+
+# ---------------------------------------------------------------------------
+# Integer draws against the Fraction drawer they replace.
+
+def fraction_plane_points(rng, count):
+    # The earlier drawer: randint, Fraction points, list membership.
+    points = []
+    while len(points) < count:
+        z = (Fraction(rng.randint(-64, 64), rng.randint(1, 8)),
+             Fraction(rng.randint(-64, 64), rng.randint(1, 8)))
+        if z not in points:
+            points.append(z)
+    return points
+
+
+def fraction_sphere_points(rng, m, count):
+    points = []
+    while len(points) < count:
+        d = rng.randint(1, 8)
+        a = [rng.randint(-8, 8) for _ in range(m)]
+        norm = sum(v * v for v in a)
+        scale = norm + d * d
+        x = tuple(Fraction(2 * v * d, scale) for v in a) \
+            + (Fraction(norm - d * d, scale),)
+        if x not in points:
+            points.append(x)
+    return points
+
+
+def fraction_points(rng, part, count):
+    if isinstance(part, VandermondeMap):
+        return fraction_plane_points(rng, count)
+    return fraction_sphere_points(rng, part.m, count)
+
+
+def test_integer_draws_match_the_fraction_drawer():
+    # Same points in the same order, and the same bits consumed: the two
+    # generators end in the same state.
+    parts = ([(VandermondeMap(k), 2 * k - 1) for k in range(2, 9)]
+             + [(SphereOneI(m), m + 3) for m in range(2, 7)])
+    for part, top in parts:
+        for size in range(1, top + 1):
+            for seed in range(12):
+                oracle = random.Random(seed)
+                rng = random.Random(seed)
+                draws = _draw(rng.getrandbits, part, size)
+                assert (_draw_points(part, draws)
+                        == tuple(fraction_points(oracle, part, size)))
+                assert rng.getstate() == oracle.getstate()
+
+
+def test_witnesses_match_the_fraction_drawer():
+    # Parts of a direct sum draw one after another from one generator.
+    example = parse_map("vandermonde:4+sphere:2")
+    seed = 4
+    report = sample_check_regular(example, (9, 5), trials=10, seed=seed)
+    assert len(report.witnesses) == 3
+    for witness in report.witnesses:
+        rng = random.Random(seed * 1_000_003 + witness.trial)
+        assert witness.points == tuple(
+            tuple(fraction_points(rng, part, size))
+            for part, size in zip(example.parts, (9, 5)))
+
+
+def test_draw_keys_match_fraction_equality():
+    # Exhaustive over the grids: a draw's integer key is a bijection onto
+    # the exact point, so key equality is Fraction equality.
+    coordinates = [(a, b) for a in range(-64, 65) for b in range(1, 9)]
+    for key_of in (lambda a, b: sampler._plane_key(a, b, 0, 1)[0],
+                   lambda a, b: sampler._plane_key(0, 1, a, b)[1]):
+        pairs = {(key_of(a, b), Fraction(a, b)) for a, b in coordinates}
+        assert (len({key for key, _ in pairs}) == len({z for _, z in pairs})
+                == len(pairs) == 663)
+    assert sampler._part_grid(VandermondeMap(2)) == 663 ** 2
+    for m, size in ((2, 1929), (3, 36_111)):
+        draws = [(a, d) for d in range(1, 9)
+                 for a in itertools.product(range(-8, 9), repeat=m)]
+        points = _draw_points(SphereOneI(m), draws)
+        pairs = {(sampler._sphere_key(a, d), x)
+                 for (a, d), x in zip(draws, points)}
+        assert (len({key for key, _ in pairs}) == len({x for _, x in pairs})
+                == len(pairs) == size)
+        assert sampler._part_grid(SphereOneI(m)) == size
+
+
+def test_tuple_larger_than_the_grid_is_refused():
+    with pytest.raises(ValueError, match="1929"):
+        sample_check_regular(SphereOneI(2), tuple_sizes=1930, trials=1)
+    with pytest.raises(ValueError, match="439569"):
+        sample_check_regular(parse_map("sphere:3+vandermonde:2"),
+                             (3, 663 ** 2 + 1), trials=1)
+    # The whole grid is reachable.
+    report = sample_check_regular(SphereOneI(2), tuple_sizes=1929, trials=1)
+    assert report.violations == 1
+
+
+def test_clean_run_builds_no_fraction(monkeypatch):
+    made = []
+
+    class CountingFraction(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(sampler, "Fraction", CountingFraction)
+    for text in ("vandermonde:5", "sphere:4", "vandermonde:3+sphere:2"):
+        report = sample_check_regular(parse_map(text), trials=50, seed=6)
+        assert report.violations == 0
+    assert made == []
+    # Only kept witnesses become Fractions.
+    sample_check_regular(SphereOneI(2), tuple_sizes=5, trials=1, seed=3)
+    assert len(made) == 5 * 3
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +390,9 @@ def test_reports_are_reproducible():
     b = sample_check_regular(SphereOneI(2), tuple_sizes=5, trials=30, seed=9)
     assert a == b
     c = sample_check_regular(SphereOneI(2), tuple_sizes=5, trials=30, seed=10)
-    assert c.seed != a.seed
+    assert a.witnesses and c.witnesses
+    assert ([w.points for w in c.witnesses]
+            != [w.points for w in a.witnesses])
 
 
 def test_sampling_validation():
