@@ -168,19 +168,22 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
 
 
 def test_integer_sphere_columns_lie_on_the_sphere():
-    rng = random.Random(29)
     for m in range(2, 7):
         part = SphereOneI(m)
-        draws = _draw(rng.getrandbits, part, 40)
+        draws = _draw(random.Random(29 + m).getrandbits, part, 40)
         pts = _draw_points(part, draws)
+        # The points come from the Fraction drawer below, seeded alike, so
+        # the drawn columns are checked against points built independently.
+        oracle = fraction_sphere_points(random.Random(29 + m), m, 40)
+        assert list(pts) == oracle
         assert len(set(pts)) == len(pts)
         # A drawn point's column and a Fraction point's column are positive
         # multiples of the same (1, x).
-        for column in (_draw_columns(part, draws)
-                       + [sphere_integer_column(x) for x in pts]):
+        for column, x in zip(_draw_columns(part, draws)
+                             + [sphere_integer_column(x) for x in pts],
+                             pts + pts):
             assert len(column) == m + 2 and column[0] > 0
             assert column[0] ** 2 == sum(c * c for c in column[1:])
-        for column, x in zip(_draw_columns(part, draws), pts):
             assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
         triple = pts[:3]
         assert (integer_rank_bareiss(_draw_columns(part, draws[:3]))
