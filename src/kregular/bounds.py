@@ -221,13 +221,17 @@ def bound_cited(kind: str, **params) -> BoundReport:
 
 
 def _cited_real_euclid(m: int, k: int) -> BoundReport:
-    if not (isinstance(m, int) and m >= 1 and isinstance(k, int) and k >= 2):
-        raise ValueError("need m >= 1 and k >= 2")
+    # Chisholm proved the bound for m a power of two only.
+    if not (isinstance(m, int) and _power_of(m, 2)):
+        raise ValueError(f"m = {m!r} must be a power of 2")
+    if not (isinstance(k, int) and k >= 2):
+        raise ValueError("need k >= 2")
     alpha = digit_sum_base_p(k, 2)
     bound = m * (k - alpha) + alpha
     piece = BundleProfile(Euclid(m), k, REAL, None, bound, True,
-                          f"k-regular maps of R^m: N >= m(k - alpha(k)) + "
-                          f"alpha(k) with alpha({k}) = {alpha}")
+                          f"k-regular maps of R^m (m a power of 2): N >= "
+                          f"m(k - alpha(k)) + alpha(k) with alpha({k}) = "
+                          f"{alpha}")
     return BoundReport(bound, "Blagojevic-Luck-Ziegler (2016)", (piece,))
 
 

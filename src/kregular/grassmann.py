@@ -34,16 +34,19 @@ are never row-reduced.  The ring is cut at top + scale, which holds every
 relation: the last one sits in degree scale*(n+1), and
 scale*(n+1) <= top + scale is (k-1)(n-k) >= 0.
 
-The height of the first class is answered without row reduction, by
-Pieri's rule in the Schubert basis: x1^t = sum of f^lambda sigma_lambda over
-the partitions lambda of t in the k x (n+1-k) box, where f^lambda, the
-number of standard Young tableaux of shape lambda, counts the paths from the
-empty shape to lambda that add one box at a time (Fulton, Young Tableaux,
-1997).  Over QQ every f^lambda is positive, so c1 survives to the full box,
-k(n+1-k).  Mod 2 the walk keeps, layer by layer, the shapes reached by an
-odd number of paths; w1^t is nonzero exactly while that layer is not empty.
-`height(element)` row-reduces powers of any element and stays the second
-method for the first class.
+The height of the first class is answered in closed form, with no ring
+arithmetic.  Over QQ it is the box size k(n+1-k): by Pieri's rule c1^t is
+the sum of f^lambda sigma_lambda over the partitions lambda of t in the
+k x (n+1-k) box, f^lambda (the number of standard Young tableaux of shape
+lambda) is positive, and the Schubert classes are a basis (Fulton, Young
+Tableaux, 1997).  Mod 2 it is Stong's theorem (R. E. Stong, "Cup products
+in Grassmannians", Topology Appl. 13, 1982): with N = n+1,
+k' = min(k, N-k) and 2^s < N <= 2^(s+1), the height of w1 is N-1 if
+k' = 1, 2^(s+1)-2 if k' = 2 or if k' = 3 and N = 2^s+1, and 2^(s+1)-1
+otherwise.  The relations are built on the first row reduction, so a
+presentation that only answers the first-class height does no series
+arithmetic.  `height(element)` row-reduces powers of any element and stays
+the second method for the first class.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import add
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .fields import GF2, QQ
 from .series import GradedSeries, SeriesRing
@@ -90,12 +93,12 @@ class GrassmannPresentation:
         self.ring = SeriesRing(
             field, [(f"{prefix}{i}", scale * i) for i in range(1, k + 1)],
             top + scale)
-        self.relations = self._extract_relations()
         self._degree_data: dict[int, _DegreeData] = {}
-        self._first_class_height: Optional[int] = None
         self._lock = threading.Lock()
 
-    def _extract_relations(self) -> tuple[GradedSeries, ...]:
+    @cached_property
+    def relations(self) -> tuple[GradedSeries, ...]:
+        """The homogeneous generators of the ideal, built on first use."""
         # dual_j, the degree-scale*j part of 1/(1 + x_1 + ... + x_k), from
         # dual_0 = 1 by dual_j = -(x_1 dual_(j-1) + ... + x_k dual_(j-k));
         # the relations are dual_j for j = n-k+2 .. n+1.
@@ -113,19 +116,21 @@ class GrassmannPresentation:
         return self.ring.gen(self.ring.names[0])
 
     def first_class_height(self) -> int:
-        """Largest t with (c1 or w1)^t nonzero, by Pieri counting.
+        """Largest t with (c1 or w1)^t nonzero, in closed form.
 
-        Chern: k(n+1-k), the box size.  Stiefel-Whitney: the last layer of
-        the mod-2 Young lattice walk that is not empty.  The answer is
-        stored on the instance; threads that race here compute the same
-        value.
+        Chern: k(n+1-k), the box size.  Stiefel-Whitney: Stong's theorem
+        (see the module docstring).  Nothing is built or row-reduced.
         """
-        if self._first_class_height is None:
-            width = self.n + 1 - self.k
-            self._first_class_height = (
-                self.k * width if self.classes == CHERN
-                else _odd_path_height(self.k, width))
-        return self._first_class_height
+        if self.classes == CHERN:
+            return self.k * (self.n + 1 - self.k)
+        size = self.n + 1
+        k = min(self.k, size - self.k)
+        if k == 1:
+            return size - 1
+        power = 1 << (size - 1).bit_length()
+        if k == 2 or (k == 3 and size == power // 2 + 1):
+            return power - 2
+        return power - 1
 
     def quotient_basis(self, degree: int) -> tuple[tuple[int, ...], ...]:
         """Monomial basis of the degree-d piece of the quotient."""
@@ -313,32 +318,6 @@ def _rref_insert(pivots: Union[_BitPivots, _ListPivots],
     pivots.append((lead, row))
 
 
-def _odd_path_height(rows: int, width: int) -> int:
-    """Last layer t of the rows x width box with an odd f^lambda, lambda |- t.
-
-    A shape is the int whose `rows` set bits mark the vertical steps of its
-    boundary among rows + width steps: the empty shape is the low bits, and
-    adding a box moves a set bit up one place into a clear one.  Each layer
-    keeps only the shapes reached by an odd number of paths; f^mu mod 2 is
-    the sum of f^lambda mod 2 over the shapes lambda one box below mu.
-    """
-    inside = (1 << (rows + width - 1)) - 1
-    layer = {(1 << rows) - 1}
-    t = 0
-    while True:
-        odd: set[int] = set()
-        for shape in layer:
-            moves = shape & ~(shape >> 1) & inside
-            while moves:
-                low = moves & -moves
-                odd ^= {shape ^ (low * 3)}
-                moves ^= low
-        if not odd:
-            return t
-        layer = odd
-        t += 1
-
-
 @lru_cache(maxsize=None)
 def cached_presentation(k: int, n: int, classes: str,
                         /) -> GrassmannPresentation:
@@ -353,7 +332,7 @@ def cached_presentation(k: int, n: int, classes: str,
 def chern_height_of_first_class(k: int, n: int) -> int:
     """Exact height of c1 in H*(G_k(C^(n+1)); QQ): the box size k(n+1-k).
 
-    Pieri counting (`first_class_height`); every f^lambda is positive, so
+    `first_class_height`: by Pieri's rule every f^lambda is positive, so
     nothing cancels.
     """
     return cached_presentation(k, n, CHERN).first_class_height()

@@ -9,6 +9,8 @@ sorts first in the suite, so no other test has warmed the caches.
 import contextlib
 import io
 import random
+import subprocess
+import sys
 import time
 
 from kregular import (CHERN, STIEFEL_WHITNEY, ComplexProj, Euclid,
@@ -21,6 +23,7 @@ from kregular import (CHERN, STIEFEL_WHITNEY, ComplexProj, Euclid,
                       real_dimension, sample_check_regular, top_dual_degree,
                       top_dual_degree_closed_form)
 from kregular.cli import main
+from test_cli import _fresh_process_env
 from test_grassmann import pieri_sw_height
 
 
@@ -205,7 +208,31 @@ def test_criterion_12_complex_cp_bound_without_row_reduction():
 
 
 @timed(2.0)
-def test_criterion_13_sw_height_by_odd_path_walk():
+def test_criterion_13_sw_height_without_row_reduction():
     # Row reduction of w1's powers in G_10(R^31) takes hours.
     assert _cli_lines("height", "--k", "10", "--n", "30",
                       "--regime", "real") == ["31"]
+
+
+def _cli_subprocess_lines(*argv):
+    proc = subprocess.run([sys.executable, "-m", "kregular.cli", *argv],
+                          capture_output=True, text=True,
+                          env=_fresh_process_env())
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@timed(2.0)
+def test_criterion_14_large_chern_height_builds_no_relations():
+    # Building the relations of G_30(C^91) alone takes seconds; the height
+    # is the box size.
+    assert _cli_subprocess_lines("height", "--k", "30", "--n", "90",
+                                 "--regime", "complex") == ["1830"]
+
+
+@timed(2.0)
+def test_criterion_14_large_sw_height_builds_no_relations():
+    # The relations of G_30(R^91) take seconds and the mod-2 Young lattice
+    # walk half a minute; Stong's closed form takes neither.
+    assert _cli_subprocess_lines("height", "--k", "30", "--n", "90",
+                                 "--regime", "real") == ["127"]

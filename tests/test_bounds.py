@@ -246,6 +246,15 @@ def test_cited_real_euclid():
     report = bound_cited("real-euclid", m=2, k=4)
     assert report.bound == 7
     assert "Blagojevic-Luck-Ziegler" in report.theorem
+    # alpha(3) = 2, so 4(3-2) + 2.
+    assert bound_cited("real-euclid", m=4, k=3).bound == 6
+
+
+@pytest.mark.parametrize("m", [0, 3, 6, 12])
+def test_cited_real_euclid_needs_a_power_of_two(m):
+    # Chisholm's proof covers R^m for m a power of two only.
+    with pytest.raises(ValueError):
+        bound_cited("real-euclid", m=m, k=4)
 
 
 def test_cited_complex_euclid():

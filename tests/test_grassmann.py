@@ -123,9 +123,10 @@ def _count_field_calls(monkeypatch):
 
 def test_gf2_reduction_makes_no_field_calls(monkeypatch):
     # GF(2) rows are XORed as ints; a fall-back to the generic list path
-    # would call PrimeField.mul/sub for every entry.  The presentation (its
-    # relations come from series inversion) is built before counting.
+    # would call PrimeField.mul/sub for every entry.  The relations, which
+    # come from series arithmetic on first use, are built before counting.
     pres = GrassmannPresentation(3, 8, STIEFEL_WHITNEY)
+    assert pres.relations
     w1_power = pres.first_class() * pres.first_class()
     calls = _count_field_calls(monkeypatch)
     for d in range(pres.top_degree + 1):
@@ -303,17 +304,56 @@ def test_pieri_oracle_small_cases():
     assert _standard_tableaux((3, 2)) == 5
 
 
+def odd_path_height(k, n):
+    """Height of w1 in H*(G_k(R^(n+1)); GF(2)) by a mod-2 Young lattice walk.
+
+    f^mu mod 2 is the sum of f^lambda mod 2 over the shapes lambda one box
+    below mu, so layer t of the walk keeps the shapes of t boxes in the
+    k x (n+1-k) box reached by an odd number of paths, and w1^t is nonzero
+    exactly while that layer is not empty.  A shape is the int whose k set
+    bits mark the vertical steps of its boundary among n+1 steps: the empty
+    shape is the low bits, and adding a box moves a set bit up one place
+    into a clear one.
+    """
+    inside = (1 << n) - 1
+    layer = {(1 << k) - 1}
+    t = 0
+    while True:
+        odd = set()
+        for shape in layer:
+            moves = shape & ~(shape >> 1) & inside
+            while moves:
+                low = moves & -moves
+                odd ^= {shape ^ (low * 3)}
+                moves ^= low
+        if not odd:
+            return t
+        layer = odd
+        t += 1
+
+
 def test_sw_heights_match_pieri_counting():
-    # Three methods for SW heights: the odd-path walk of
-    # first_class_height, row reduction of w1's powers, and the
-    # hook-length parity count above.
+    # Four methods for SW heights: the closed form of first_class_height,
+    # row reduction of w1's powers, the hook-length parity count above and
+    # the odd-path walk.
     for n in range(1, 13):
         for k in range(1, n + 1):
             pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
-            walk = pres.first_class_height()
+            closed = pres.first_class_height()
             assert pres._degree_data == {}, (k, n)
-            assert walk == pres.height(pres.first_class()) == \
-                pieri_sw_height(k, n), (k, n)
+            assert closed == pres.height(pres.first_class()) == \
+                pieri_sw_height(k, n) == odd_path_height(k, n), (k, n)
+
+
+def test_sw_closed_form_matches_odd_path_walk():
+    # Every pair with N = n+1 <= 33, and k <= 4 up to N = 65: together they
+    # cross the N = 2^s + 1 boundary of the k' = 3 case at s = 5 and 6.
+    pairs = {(k, size - 1) for size in range(2, 34) for k in range(1, size)}
+    pairs |= {(k, size - 1) for size in range(2, 66)
+              for k in range(1, min(4, size - 1) + 1)}
+    for k, n in sorted(pairs):
+        pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
+        assert pres.first_class_height() == odd_path_height(k, n), (k, n)
 
 
 def test_chern_first_class_heights_match_row_reduction():
@@ -325,12 +365,12 @@ def test_chern_first_class_heights_match_row_reduction():
                 pres.height(pres.first_class()) == k * (n + 1 - k), (k, n)
 
 
-def test_first_class_height_reduces_nothing_and_is_stored():
+def test_first_class_height_builds_nothing():
     for classes, expect in ((CHERN, 30), (STIEFEL_WHITNEY, 15)):
         pres = GrassmannPresentation(3, 12, classes)
         assert pres.first_class_height() == expect
         assert pres._degree_data == {}
-        assert pres._first_class_height == expect
+        assert "relations" not in vars(pres)
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
