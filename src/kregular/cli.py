@@ -30,8 +30,7 @@ from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
 from .manifolds import (RealProj, dual_sw, render,
                         top_dual_degree_closed_form)
-from .sampler import (VandermondeMap, map_parts, parse_map, render_map,
-                      sample_check_regular)
+from .sampler import map_parts, parse_map, render_map, sample_check_regular
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -183,12 +182,7 @@ def _text_verify(payload: dict) -> list:
     for witness in payload["witnesses"]:
         chunks = []
         for part, part_points in zip(parts, witness["points"]):
-            # A plane point (re, im) prints as a complex number.
-            rendered = ", ".join(
-                f"({point[0]}) + ({point[1]})*i"
-                if isinstance(part, VandermondeMap)
-                else "(" + ", ".join(point) + ")"
-                for point in part_points)
+            rendered = ", ".join(map(part.render_point, part_points))
             chunks.append(f"[{rendered}]")
         lines.append(f"witness (trial {witness['trial']}): "
                      f"{'; '.join(chunks)}")

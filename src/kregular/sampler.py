@@ -1,35 +1,25 @@
 """Randomized full-rank checks for explicit regular maps.
 
-Two example maps and their direct sums: the monomial curve z -> (1, z, ...,
-z^(k-1)) on the plane, realified to 2k-1 coordinates, and the sphere embedding
-x -> (1, x).  Every rank is exact.  Each point gives one integer column, its
-map value times a positive integer, which leaves the rank unchanged; columns
-are ranked by fraction-free Bareiss elimination, and a direct sum's rank is
-the sum of its block ranks.
-
-- Plane points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64]
-  and b, e in [1, 8].  With D the lcm of the two denominators in lowest terms
-  and z = w/D, the column (1, z, ..., z^(k-1)) scaled by D^(k-1) becomes
-  (D^(k-1), D^(k-2) w, ..., w^(k-1)).
-- Sphere points are rational points of S^m: the inverse stereographic images
-  of t = a/d, with a in [-8, 8]^m and d in [1, 8], projected from the north
-  pole, which is therefore never drawn.  A drawn point's column is
-  (|a|^2 + d^2, 2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2.  A
-  point given as Fractions, as `evaluate_rank` takes them, gets (1, x) times
-  the lcm of its denominators instead.
+Two map families and their direct sums: `VandermondeMap`, the monomial curve
+on the plane, and `SphereOneI`, the sphere embedding x -> (1, x).  A family
+class holds all that differs by family: its ambient dimension, claimed point
+count, name and grid of sample points; how one point is drawn and keyed; the
+integer column of a drawn or a given point; and how a witness point reads as
+text.  The rest of this module reads those, and `parse_map` finds a family by
+name in `_FAMILIES`.  Every rank is exact.  Each point gives one integer
+column, its map value times a positive integer, which leaves the rank
+unchanged; columns are ranked by fraction-free Bareiss elimination, and a
+direct sum's rank is the sum of its block ranks.
 
 Sampling is reproducible: trial i draws from random.Random(seed * 1000003
 + i), so verdicts and witnesses are independent of trial order and identical
 across runs.  Numerators and denominators are drawn as ints, off exactly the
 bits that random.randint would consume, and columns are built from those
 ints; only the points of a kept witness become Fractions.  The points of a
-part are pairwise distinct, compared on an exact integer key.  Every
-denominator divides 840, so the key (a * 840 // b, c * 840 // e) of a plane
-point, and a * 840 // d of a sphere point (stereographic projection is
-injective), are equal exactly when the points are.  The draws of a part
-range over a finite grid: 663^2 = 439,569 plane points, 1929 points of S^2,
-36,111 of S^3, and so on.  A tuple size above its part's grid raises
-ValueError.
+part are pairwise distinct, compared on an exact integer key: every
+denominator divides 840, so a * 840 // b is equal for two draws exactly when
+a/b is.  The draws of a part range over a finite grid, and a tuple size above
+its part's grid raises ValueError.
 """
 
 from __future__ import annotations
@@ -56,24 +46,154 @@ Gaussian = tuple[Fraction, Fraction]
 
 @dataclass(frozen=True)
 class VandermondeMap:
-    """z -> (1, z, ..., z^(k-1)) on the plane, realified; k-regular."""
+    """z -> (1, z, ..., z^(k-1)) on the plane, realified; k-regular.
+
+    Points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64] and
+    b, e in [1, 8], drawn as (a, b, c, e): 663^2 = 439,569 distinct points,
+    keyed by (a * 840 // b, c * 840 // e).  With D the lcm of the two
+    denominators in lowest terms and z = w/D, the column (1, z, ...,
+    z^(k-1)) scaled by D^(k-1) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)).
+    """
 
     k: int
+    name = "vandermonde"
 
     def __post_init__(self):
         if not isinstance(self.k, int) or self.k < 2:
             raise ValueError(f"need an integer k >= 2, got {self.k!r}")
 
+    def __str__(self) -> str:
+        return f"{self.name}:{self.k}"
+
+    @property
+    def dim(self) -> int:
+        return 2 * self.k - 1
+
+    @property
+    def claimed(self) -> int:
+        return self.k
+
+    @property
+    def grid_size(self) -> int:
+        return _grid_size(_PLANE_BOUND, 1) ** 2
+
+    @staticmethod
+    def draw(bits) -> tuple[int, int, int, int]:
+        return (_uniform(bits, -_PLANE_BOUND, _PLANE_BOUND),
+                _uniform(bits, 1, _MAX_DEN),
+                _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND),
+                _uniform(bits, 1, _MAX_DEN))
+
+    @staticmethod
+    def key(draw: tuple[int, int, int, int]) -> tuple[int, int]:
+        a, b, c, e = draw
+        return (a * _KEY_SCALE // b, c * _KEY_SCALE // e)
+
+    def column(self, draw: tuple[int, int, int, int]) -> list[int]:
+        a, b, c, e = draw
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        g = gcd(c, e)
+        c, e = c // g, e // g
+        d = lcm(b, e)
+        wr, wi = a * (d // b), c * (d // e)
+        column = [d ** (self.k - 1)]
+        power_re, power_im = 1, 0
+        for j in range(self.k - 2, -1, -1):
+            power_re, power_im = (power_re * wr - power_im * wi,
+                                  power_re * wi + power_im * wr)
+            scale = d ** j
+            column += (power_re * scale, power_im * scale)
+        return column
+
+    @staticmethod
+    def point(draw: tuple[int, int, int, int]) -> Gaussian:
+        a, b, c, e = draw
+        return (Fraction(a, b), Fraction(c, e))
+
+    def point_column(self, value) -> list[int]:
+        """The column of an int, Fraction or (re, im) pair of them."""
+        re, im = as_gaussian(value)
+        return self.column((re.numerator, re.denominator,
+                            im.numerator, im.denominator))
+
+    @staticmethod
+    def render_point(point: Sequence[str]) -> str:
+        return f"({point[0]}) + ({point[1]})*i"
+
 
 @dataclass(frozen=True)
 class SphereOneI:
-    """x -> (1, x) on S^m; 3-regular (a line meets a sphere twice)."""
+    """x -> (1, x) on S^m; 3-regular (a line meets a sphere twice).
+
+    Points are rational points of S^m: the inverse stereographic images of
+    t = a/d, with a in [-8, 8]^m and d in [1, 8], projected from the north
+    pole, which is therefore never drawn.  A draw (a, d) is keyed by
+    a * 840 // d (stereographic projection is injective): 1929 distinct
+    points of S^2, 36,111 of S^3, and so on.  Its column is (|a|^2 + d^2,
+    2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2.  A point given as
+    Fractions, as `evaluate_rank` takes them, gets (1, x) times the lcm of
+    its denominators instead.
+    """
 
     m: int
+    name = "sphere"
+    claimed = 3
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 2:
             raise ValueError(f"need an integer m >= 2, got {self.m!r}")
+
+    def __str__(self) -> str:
+        return f"{self.name}:{self.m}"
+
+    @property
+    def dim(self) -> int:
+        return self.m + 2
+
+    @property
+    def grid_size(self) -> int:
+        return _grid_size(_SPHERE_BOUND, self.m)
+
+    def draw(self, bits) -> tuple[tuple[int, ...], int]:
+        d = _uniform(bits, 1, _MAX_DEN)
+        return (tuple([_uniform(bits, -_SPHERE_BOUND, _SPHERE_BOUND)
+                       for _ in range(self.m)]), d)
+
+    @staticmethod
+    def key(draw: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
+        a, d = draw
+        return tuple([v * _KEY_SCALE // d for v in a])
+
+    @staticmethod
+    def column(draw: tuple[tuple[int, ...], int]) -> list[int]:
+        a, d = draw
+        norm = sum(v * v for v in a)
+        return [norm + d * d, *(2 * v * d for v in a), norm - d * d]
+
+    def point(self, draw: tuple[tuple[int, ...], int]
+              ) -> tuple[Fraction, ...]:
+        scale, *coordinates = self.column(draw)
+        return tuple(Fraction(c, scale) for c in coordinates)
+
+    def point_column(self, value) -> list[int]:
+        """The column of m+1 ints or Fractions of squared norm exactly 1."""
+        m = self.m
+        if not (isinstance(value, (tuple, list)) and len(value) == m + 1
+                and all(_is_exact(c) for c in value)):
+            raise ValueError(f"not an exact point of S^{m}: {value!r}")
+        x = tuple(Fraction(c) for c in value)
+        if sum(c * c for c in x) != 1:
+            raise ValueError(f"{value!r} is not on S^{m}")
+        d = lcm(*(c.denominator for c in x))
+        return [d] + [c.numerator * (d // c.denominator) for c in x]
+
+    @staticmethod
+    def render_point(point: Sequence[str]) -> str:
+        return "(" + ", ".join(point) + ")"
+
+
+_FAMILIES = {family.name: family for family in (VandermondeMap, SphereOneI)}
 
 
 @dataclass(frozen=True)
@@ -87,7 +207,7 @@ class DirectSum:
         if not parts:
             raise ValueError("empty direct sum")
         for part in parts:
-            if not isinstance(part, (VandermondeMap, SphereOneI)):
+            if not isinstance(part, tuple(_FAMILIES.values())):
                 raise ValueError(f"not a summable map: {part!r}")
         object.__setattr__(self, "parts", parts)
 
@@ -99,46 +219,37 @@ def map_parts(example: ExampleMap) -> tuple:
     return example.parts if isinstance(example, DirectSum) else (example,)
 
 
-def _part_dim(part: Union[VandermondeMap, SphereOneI]) -> int:
-    return 2 * part.k - 1 if isinstance(part, VandermondeMap) else part.m + 2
-
-
 def ambient_dim(example: ExampleMap) -> int:
-    return sum(_part_dim(part) for part in map_parts(example))
+    return sum(part.dim for part in map_parts(example))
 
 
 def claimed_regularity(example: ExampleMap) -> tuple[int, ...]:
     """Per-part point counts the map is asserted to handle."""
-    return tuple(part.k if isinstance(part, VandermondeMap) else 3
-                 for part in map_parts(example))
+    return tuple(part.claimed for part in map_parts(example))
 
 
 def render_map(example: ExampleMap) -> str:
-    return "+".join(
-        f"vandermonde:{part.k}" if isinstance(part, VandermondeMap)
-        else f"sphere:{part.m}" for part in map_parts(example))
+    return "+".join(map(str, map_parts(example)))
 
 
 def parse_map(text: str) -> ExampleMap:
     """Inverse of render_map: 'vandermonde:3+sphere:4' and the like."""
-    parts: list[Union[VandermondeMap, SphereOneI]] = []
+    parts = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
         family, sep, number = chunk.partition(":")
-        if not sep or not number.isdigit():
+        # ASCII only: isdigit() also takes superscripts and other scripts.
+        if not sep or not (number.isascii() and number.isdigit()):
             raise ValueError(f"bad map piece {chunk!r}; want vandermonde:K "
                              "or sphere:M")
-        if family == "vandermonde":
-            parts.append(VandermondeMap(int(number)))
-        elif family == "sphere":
-            parts.append(SphereOneI(int(number)))
-        else:
+        if family not in _FAMILIES:
             raise ValueError(f"unknown map family {family!r}")
+        parts.append(_FAMILIES[family](int(number)))
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
 
 
 # ---------------------------------------------------------------------------
-# Exact points, integer columns and rank.
+# Exact points and rank.
 
 def _gm_mul(a: Gaussian, b: Gaussian) -> Gaussian:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
@@ -160,17 +271,6 @@ def as_gaussian(value) -> Gaussian:
     if _is_exact(value):
         return (Fraction(value), Fraction(0))
     raise ValueError(f"not an exact plane point: {value!r}")
-
-
-def as_sphere_point(value, m: int) -> tuple[Fraction, ...]:
-    """Coerce m+1 ints or Fractions of squared norm exactly 1 to a point."""
-    if not (isinstance(value, (tuple, list)) and len(value) == m + 1
-            and all(_is_exact(c) for c in value)):
-        raise ValueError(f"not an exact point of S^{m}: {value!r}")
-    point = tuple(Fraction(c) for c in value)
-    if sum(c * c for c in point) != 1:
-        raise ValueError(f"{value!r} is not on S^{m}")
-    return point
 
 
 def integer_rank_bareiss(rows: list[list[int]]) -> int:
@@ -228,46 +328,6 @@ def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
     return rows
 
 
-def _plane_column(a: int, b: int, c: int, e: int, k: int) -> list[int]:
-    """(1, z, ..., z^(k-1)) realified for z = a/b + i c/e, times D^(k-1).
-
-    D is the lcm of the two denominators in lowest terms.
-    """
-    g = gcd(a, b)
-    a, b = a // g, b // g
-    g = gcd(c, e)
-    c, e = c // g, e // g
-    d = lcm(b, e)
-    wr, wi = a * (d // b), c * (d // e)
-    column = [d ** (k - 1)]
-    power_re, power_im = 1, 0
-    for j in range(k - 2, -1, -1):
-        power_re, power_im = (power_re * wr - power_im * wi,
-                              power_re * wi + power_im * wr)
-        scale = d ** j
-        column += (power_re * scale, power_im * scale)
-    return column
-
-
-def vandermonde_integer_column(z: Gaussian, k: int) -> list[int]:
-    """The plane column of z = (re, im), two Fractions."""
-    re, im = z
-    return _plane_column(re.numerator, re.denominator,
-                         im.numerator, im.denominator, k)
-
-
-def _sphere_column(a: Sequence[int], d: int) -> list[int]:
-    """(1, x) times |a|^2 + d^2, x the inverse stereographic image of a/d."""
-    norm = sum(v * v for v in a)
-    return [norm + d * d, *(2 * v * d for v in a), norm - d * d]
-
-
-def sphere_integer_column(x: Sequence[Fraction]) -> list[int]:
-    """(1, x) times the lcm of the denominators of x."""
-    d = lcm(*(c.denominator for c in x))
-    return [d] + [c.numerator * (d // c.denominator) for c in x]
-
-
 def vandermonde_rank_exact(points: Sequence, k: int) -> int:
     """Exact rank of the realified monomial matrix at the given points.
 
@@ -275,15 +335,13 @@ def vandermonde_rank_exact(points: Sequence, k: int) -> int:
     distinct points gives a square complex Vandermonde matrix with nonzero
     determinant, and complex independence implies real independence.
     """
-    if not isinstance(k, int) or k < 2:
-        raise ValueError(f"need an integer k >= 2, got {k!r}")
+    part = VandermondeMap(k)
     pts = [as_gaussian(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise ValueError(f"points {i} and {j} coincide")
-    return integer_rank_bareiss([vandermonde_integer_column(z, k)
-                                 for z in pts])
+    return integer_rank_bareiss([part.point_column(z) for z in pts])
 
 
 def vandermonde_determinant(points: Sequence) -> Gaussian:
@@ -321,80 +379,17 @@ def _grid_size(bound: int, m: int) -> int:
                for e in range(1, d + 1) if d % e == 0)
 
 
-def _part_grid(part: Union[VandermondeMap, SphereOneI]) -> int:
-    if isinstance(part, VandermondeMap):
-        return _grid_size(_PLANE_BOUND, 1) ** 2
-    return _grid_size(_SPHERE_BOUND, part.m)
-
-
-def _plane_key(a: int, b: int, c: int, e: int) -> tuple[int, int]:
-    """Equal for two draws exactly when a/b + i c/e is the same point."""
-    return (a * _KEY_SCALE // b, c * _KEY_SCALE // e)
-
-
-def _sphere_key(a: Sequence[int], d: int) -> tuple[int, ...]:
-    """Equal for two draws exactly when a/d, and so the point, is the same."""
-    return tuple([v * _KEY_SCALE // d for v in a])
-
-
-def _draw_plane(bits, count: int) -> list[tuple[int, int, int, int]]:
-    """count distinct plane points (a, b, c, e), z = a/b + i c/e."""
-    draws: list[tuple[int, int, int, int]] = []
+def _draw(bits, part, count: int) -> list:
+    """count draws of part whose points are pairwise distinct."""
+    draws = []
     seen = set()
     while len(draws) < count:
-        a = _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND)
-        b = _uniform(bits, 1, _MAX_DEN)
-        c = _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND)
-        e = _uniform(bits, 1, _MAX_DEN)
-        key = _plane_key(a, b, c, e)
+        drawn = part.draw(bits)
+        key = part.key(drawn)
         if key not in seen:
             seen.add(key)
-            draws.append((a, b, c, e))
+            draws.append(drawn)
     return draws
-
-
-def _draw_sphere(bits, m: int,
-                 count: int) -> list[tuple[tuple[int, ...], int]]:
-    """count distinct points of S^m, each as (a, d) with t = a/d."""
-    draws: list[tuple[tuple[int, ...], int]] = []
-    seen = set()
-    while len(draws) < count:
-        d = _uniform(bits, 1, _MAX_DEN)
-        a = tuple([_uniform(bits, -_SPHERE_BOUND, _SPHERE_BOUND)
-                   for _ in range(m)])
-        key = _sphere_key(a, d)
-        if key not in seen:
-            seen.add(key)
-            draws.append((a, d))
-    return draws
-
-
-def _draw(bits, part: Union[VandermondeMap, SphereOneI], count: int) -> list:
-    if isinstance(part, VandermondeMap):
-        return _draw_plane(bits, count)
-    return _draw_sphere(bits, part.m, count)
-
-
-def _draw_columns(part: Union[VandermondeMap, SphereOneI],
-                  draws: list) -> list[list[int]]:
-    if isinstance(part, VandermondeMap):
-        return [_plane_column(a, b, c, e, part.k) for a, b, c, e in draws]
-    return [_sphere_column(a, d) for a, d in draws]
-
-
-def _draw_points(part: Union[VandermondeMap, SphereOneI],
-                 draws: list) -> tuple:
-    """The drawn points as Fractions: (re, im) pairs, or points of S^m."""
-    if isinstance(part, VandermondeMap):
-        return tuple((Fraction(a, b), Fraction(c, e))
-                     for a, b, c, e in draws)
-    points = []
-    for a, d in draws:
-        norm = sum(v * v for v in a)
-        scale = norm + d * d
-        points.append(tuple(Fraction(2 * v * d, scale) for v in a)
-                      + (Fraction(norm - d * d, scale),))
-    return tuple(points)
 
 
 @dataclass(frozen=True)
@@ -428,15 +423,8 @@ def evaluate_rank(example: ExampleMap, points_per_part: Sequence
     parts = map_parts(example)
     if len(points_per_part) != len(parts):
         raise ValueError(f"need point tuples for {len(parts)} parts")
-    rank = 0
-    for part, pts in zip(parts, points_per_part):
-        if isinstance(part, VandermondeMap):
-            columns = [vandermonde_integer_column(as_gaussian(p), part.k)
-                       for p in pts]
-        else:
-            columns = [sphere_integer_column(as_sphere_point(p, part.m))
-                       for p in pts]
-        rank += integer_rank_bareiss(columns)
+    rank = sum(integer_rank_bareiss([part.point_column(p) for p in pts])
+               for part, pts in zip(parts, points_per_part))
     return rank, sum(len(pts) for pts in points_per_part)
 
 
@@ -450,11 +438,11 @@ def sample_check_regular(example: ExampleMap,
     A rank below the requested total is counted as a violation and up to
     three witnesses are kept, re-checkable with evaluate_rank.  Sizes above
     the claimed regularity are allowed.  expected_violation is set only when
-    some part's tuple size exceeds that part's ambient dimension (2k-1 for
-    vandermonde:k, m+2 for sphere:m): its columns are then dependent, so
-    every trial must violate.  Between the claim and the dimension a
-    violation is possible but not certain.  A size above the number of
-    distinct points its part can draw raises ValueError.
+    some part's tuple size exceeds that part's ambient dimension, its `dim`:
+    its columns are then dependent, so every trial must violate.  Between
+    the claim and the dimension a violation is possible but not certain.  A
+    size above the number of distinct points its part can draw raises
+    ValueError.
     """
     parts = map_parts(example)
     if tuple_sizes is None:
@@ -470,10 +458,10 @@ def sample_check_regular(example: ExampleMap,
     for part, size in zip(parts, sizes):
         if not isinstance(size, int) or size < 1:
             raise ValueError(f"tuple sizes must be positive, got {size!r}")
-        grid = _part_grid(part)
-        if size > grid:
-            raise ValueError(f"tuple size {size} exceeds the {grid} distinct "
-                             f"sample points of {render_map(part)}")
+        if size > part.grid_size:
+            raise ValueError(f"tuple size {size} exceeds the "
+                             f"{part.grid_size} distinct sample points of "
+                             f"{part}")
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
 
@@ -483,13 +471,13 @@ def sample_check_regular(example: ExampleMap,
     for trial in range(trials):
         bits = random.Random(seed * _SEED_STRIDE + trial).getrandbits
         draws = [_draw(bits, part, size) for part, size in zip(parts, sizes)]
-        rank = sum(integer_rank_bareiss(_draw_columns(part, part_draws))
+        rank = sum(integer_rank_bareiss([part.column(d) for d in part_draws])
                    for part, part_draws in zip(parts, draws))
         if rank < wanted:
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(Witness(trial, tuple(
-                    _draw_points(part, part_draws)
+                    tuple(part.point(d) for d in part_draws)
                     for part, part_draws in zip(parts, draws))))
     return RegularityReport(
         example=example,
@@ -499,6 +487,6 @@ def sample_check_regular(example: ExampleMap,
         violations=violations,
         witnesses=tuple(witnesses),
         verdict="counterexample" if violations else "no-violation-found",
-        expected_violation=any(size > _part_dim(part)
+        expected_violation=any(size > part.dim
                                for part, size in zip(parts, sizes)),
     )

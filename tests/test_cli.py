@@ -301,6 +301,26 @@ def test_verify_mixed_witnesses_recheck_exactly(capsys):
     assert sphere_chunk.startswith("[(") and "." not in sphere_chunk
 
 
+def test_verify_witness_text_pins_both_families(capsys):
+    code, out, _ = run_cli(capsys, "verify", "vandermonde:4+sphere:2",
+                           "--tuple", "9,3", "--trials", "1")
+    assert code == EXIT_COUNTEREXAMPLE
+    plane = ("(34/7) + (-54/5)*i, (60/7) + (13/8)*i, (27/4) + (-29/5)*i, "
+             "(-29/2) + (0)*i, (15/2) + (-23/3)*i, (28) + (26/7)*i, "
+             "(4) + (29/4)*i, (2) + (-61/2)*i, (38) + (31/3)*i")
+    sphere = "(2/7, -6/7, 3/7), (-4/9, -4/9, -7/9), (4/9, -4/9, 7/9)"
+    assert out.splitlines() == [
+        "map: vandermonde:4+sphere:2",
+        "tuple sizes: 9,3",
+        "trials: 1 (seed 0)",
+        "violations: 1",
+        "note: a tuple size exceeds its part's ambient dimension; "
+        "violations are expected",
+        f"witness (trial 0): [{plane}]; [{sphere}]",
+        "verdict: counterexample",
+    ]
+
+
 def test_verify_bad_tuple_list(capsys):
     code, _, err = run_cli(capsys, "verify", "vandermonde:2",
                            "--tuple", "2,x")
@@ -321,6 +341,14 @@ def test_verify_tuple_beyond_the_grid_exits_at_once(capsys):
 def test_verify_unknown_family(capsys):
     code, _, _ = run_cli(capsys, "verify", "torus:3")
     assert code == EXIT_USAGE
+
+
+def test_verify_non_ascii_digits_are_bad_pieces(capsys):
+    # str.isdigit() also takes superscripts and other scripts' digits.
+    for text in ("sphere:\xb2", "sphere:٣", "vandermonde:１２"):
+        code, out, err = run_cli(capsys, "verify", text, "--trials", "1")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: bad map piece")
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,7 @@ from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
                       render_map, sample_check_regular,
                       vandermonde_determinant, vandermonde_rank_exact)
 from kregular import sampler
-from kregular.sampler import (_draw, _draw_columns, _draw_points,
-                              sphere_integer_column, vandermonde_columns,
-                              vandermonde_integer_column)
+from kregular.sampler import _draw, vandermonde_columns
 
 
 def test_map_validation():
@@ -47,6 +45,11 @@ def test_render_parse_roundtrip():
         parse_map("vandermonde")
     with pytest.raises(ValueError):
         parse_map("sphere:x")
+    # ASCII digits only: not a superscript, an Arabic-Indic three or a
+    # fullwidth twelve.
+    for text in ("sphere:\xb2", "sphere:٣", "vandermonde:１２"):
+        with pytest.raises(ValueError, match="bad map piece"):
+            parse_map(text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +163,7 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
         pts = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                for _ in range(rng.randint(1, 2 * k + 1))]
-        columns = [vandermonde_integer_column(z, k) for z in pts]
+        columns = [VandermondeMap(k).point_column(z) for z in pts]
         assert all(isinstance(c, int) for col in columns for c in col)
         expect = gauss_rank_oracle(vandermonde_columns(pts, k))
         assert integer_rank_bareiss(columns) == expect
@@ -171,7 +174,7 @@ def test_integer_sphere_columns_lie_on_the_sphere():
     for m in range(2, 7):
         part = SphereOneI(m)
         draws = _draw(random.Random(29 + m).getrandbits, part, 40)
-        pts = _draw_points(part, draws)
+        pts = tuple(part.point(d) for d in draws)
         # The points come from the Fraction drawer below, seeded alike, so
         # the drawn columns are checked against points built independently.
         oracle = fraction_sphere_points(random.Random(29 + m), m, 40)
@@ -179,15 +182,15 @@ def test_integer_sphere_columns_lie_on_the_sphere():
         assert len(set(pts)) == len(pts)
         # A drawn point's column and a Fraction point's column are positive
         # multiples of the same (1, x).
-        for column, x in zip(_draw_columns(part, draws)
-                             + [sphere_integer_column(x) for x in pts],
+        for column, x in zip([part.column(d) for d in draws]
+                             + [part.point_column(x) for x in pts],
                              pts + pts):
             assert len(column) == m + 2 and column[0] > 0
             assert column[0] ** 2 == sum(c * c for c in column[1:])
             assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
         triple = pts[:3]
-        assert (integer_rank_bareiss(_draw_columns(part, draws[:3]))
-                == integer_rank_bareiss([sphere_integer_column(x)
+        assert (integer_rank_bareiss([part.column(d) for d in draws[:3]])
+                == integer_rank_bareiss([part.point_column(x)
                                          for x in triple])
                 == gauss_rank_oracle([[1, *x] for x in triple]) == 3)
 
@@ -237,7 +240,7 @@ def test_integer_draws_match_the_fraction_drawer():
                 oracle = random.Random(seed)
                 rng = random.Random(seed)
                 draws = _draw(rng.getrandbits, part, size)
-                assert (_draw_points(part, draws)
+                assert (tuple(part.point(d) for d in draws)
                         == tuple(fraction_points(oracle, part, size)))
                 assert rng.getstate() == oracle.getstate()
 
@@ -259,21 +262,20 @@ def test_draw_keys_match_fraction_equality():
     # Exhaustive over the grids: a draw's integer key is a bijection onto
     # the exact point, so key equality is Fraction equality.
     coordinates = [(a, b) for a in range(-64, 65) for b in range(1, 9)]
-    for key_of in (lambda a, b: sampler._plane_key(a, b, 0, 1)[0],
-                   lambda a, b: sampler._plane_key(0, 1, a, b)[1]):
+    for key_of in (lambda a, b: VandermondeMap.key((a, b, 0, 1))[0],
+                   lambda a, b: VandermondeMap.key((0, 1, a, b))[1]):
         pairs = {(key_of(a, b), Fraction(a, b)) for a, b in coordinates}
         assert (len({key for key, _ in pairs}) == len({z for _, z in pairs})
                 == len(pairs) == 663)
-    assert sampler._part_grid(VandermondeMap(2)) == 663 ** 2
+    assert VandermondeMap(2).grid_size == 663 ** 2
     for m, size in ((2, 1929), (3, 36_111)):
         draws = [(a, d) for d in range(1, 9)
                  for a in itertools.product(range(-8, 9), repeat=m)]
-        points = _draw_points(SphereOneI(m), draws)
-        pairs = {(sampler._sphere_key(a, d), x)
-                 for (a, d), x in zip(draws, points)}
+        sphere = SphereOneI(m)
+        pairs = {(sphere.key(draw), sphere.point(draw)) for draw in draws}
         assert (len({key for key, _ in pairs}) == len({x for _, x in pairs})
                 == len(pairs) == size)
-        assert sampler._part_grid(SphereOneI(m)) == size
+        assert sphere.grid_size == size
 
 
 def test_tuple_larger_than_the_grid_is_refused():
