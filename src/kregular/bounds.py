@@ -22,9 +22,9 @@ from typing import Callable, Optional, Sequence
 
 from .bundles import COMPLEX, REAL, BundleProfile, lambda_top
 from .fields import digit_sum_base_p, is_prime
-from .manifolds import (ComplexProj, Euclid, ManifoldSpec, QuatProj,
-                        RealProj, Sphere, atoms, floor_log2, is_closed,
-                        real_dimension, render, top_dual_degree_closed_form)
+from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, RealProj,
+                        Sphere, atoms, floor_log2, is_closed, real_dimension,
+                        render, top_dual_degree_closed_form)
 
 MAIN_THEOREM_1 = "Main Theorem I"
 MAIN_THEOREM_2 = "Main Theorem II"
@@ -117,13 +117,10 @@ def main_theorem_1_closed_form(spec: ManifoldSpec) -> int:
     return total
 
 
-_MT2_SINGLE = (Sphere, RealProj, ComplexProj, QuatProj)
-
-
 def _is_mt2_piece(spec: ManifoldSpec, points: int) -> bool:
     if isinstance(spec, Euclid):
         return spec.m == 2 and points >= 2 and points & (points - 1) == 0
-    return isinstance(spec, _MT2_SINGLE) and points == 2
+    return isinstance(spec, Atom) and spec.closed and points == 2
 
 
 def _theorem(query: RegularQuery) -> str:
@@ -287,14 +284,6 @@ _CITED: dict[str, Callable[..., BoundReport]] = {
 # ---------------------------------------------------------------------------
 # Existence table and upper bounds.
 
-def _alpha2(q: int) -> int:
-    return digit_sum_base_p(q, 2)
-
-
-def _is_pow2(x: int) -> bool:
-    return x >= 1 and x & (x - 1) == 0
-
-
 @dataclass(frozen=True)
 class TableRow:
     label: str
@@ -305,10 +294,10 @@ class TableRow:
 PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (
     TableRow("m = 8q+3 or 8q+5 (q > 0)",
              lambda m: m % 8 in (3, 5) and m // 8 > 0,
-             lambda m: 2 * m - min(5, _alpha2(m // 8))),
+             lambda m: 2 * m - min(5, digit_sum_base_p(m // 8, 2))),
     TableRow("m = 8q+1 (q > 0)",
              lambda m: m % 8 == 1 and m // 8 > 0,
-             lambda m: 2 * m - min(7, _alpha2(m // 8)) + 2),
+             lambda m: 2 * m - min(7, digit_sum_base_p(m // 8, 2)) + 2),
     TableRow("m = 32q+7 (q > 0)",
              lambda m: m % 32 == 7 and m // 32 > 0,
              lambda m: 2 * m - 6),
@@ -319,17 +308,17 @@ PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (
              lambda m: m % 8 == 3 and m >= 19,
              lambda m: 2 * m - 4),
     TableRow("m = 1 mod 4, m != 2^i + 1",
-             lambda m: m % 4 == 1 and not _is_pow2(m - 1),
+             lambda m: m % 4 == 1 and not _power_of(m - 1, 2),
              lambda m: 2 * m - 2),
     TableRow("m = 4q or 4q+2, q > 0 and not a power of two",
              lambda m: m % 4 in (0, 2) and m // 4 > 0
-             and not _is_pow2(m // 4),
+             and not _power_of(m // 4, 2),
              lambda m: 2 * m - 1),
     TableRow("m = 2^j + 1 (j >= 2)",
-             lambda m: m - 1 >= 4 and _is_pow2(m - 1),
+             lambda m: m - 1 >= 4 and _power_of(m - 1, 2),
              lambda m: 2 * m - 1),
     TableRow("m = 2^j + 2 (j >= 3)",
-             lambda m: m - 2 >= 8 and _is_pow2(m - 2),
+             lambda m: m - 2 >= 8 and _power_of(m - 2, 2),
              lambda m: 2 * m),
 )
 

@@ -22,9 +22,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bounds import (RegularQuery, bound_disjoint, bound_product_2regular,
-                     projective_table_matches)
-from .bundles import REAL
+from .bounds import RegularQuery, bound_disjoint, projective_table_matches
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
@@ -49,13 +47,10 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 def _cmd_bound(args) -> dict:
     parsed = parse_expression(args.expression, args.regime)
-    if isinstance(parsed, RegularQuery):
-        query = parsed
-        report = bound_disjoint(query)
-    else:
-        query = RegularQuery(((parsed, 2),), args.regime)
-        report = (bound_product_2regular(parsed) if args.regime == REAL
-                  else bound_disjoint(query))
+    # A bare product X is the query (X, 2) in either regime.
+    query = (parsed if isinstance(parsed, RegularQuery)
+             else RegularQuery(((parsed, 2),), args.regime))
+    report = bound_disjoint(query)
     tightness = None
     if report.tightness is not None:
         tightness = {

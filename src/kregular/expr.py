@@ -23,8 +23,8 @@ from .bounds import RegularQuery
 from .manifolds import (ComplexProj, Euclid, ManifoldSpec, Product, QuatProj,
                         RealProj, Sphere, render)
 
-_FAMILIES = {"S": Sphere, "RP": RealProj, "CP": ComplexProj, "HP": QuatProj,
-             "R": Euclid}
+_FAMILIES = {family.prefix: family
+             for family in (Sphere, RealProj, ComplexProj, QuatProj, Euclid)}
 
 
 class ParseError(ValueError):

@@ -1,15 +1,22 @@
 """Manifold specifications and their mod-2 dual class data.
 
 Specs cover spheres, the three projective families, Euclidean space, and
-finite products of those.  The total Stiefel-Whitney class of a projective
-space is (1 + g)^(m+1) in the truncated one-generator ring GF(2)[g]/(g^(m+1))
-with |g| = 1, 2, 4 for RP, CP, HP; spheres and Euclidean space have total
-class 1.  Total classes are multiplicative (Whitney product formula), so the
-dual class of a product is the product of the factors' dual classes, each
-inverted in its factor's own one-generator ring.  The joint ring, with one
-generator per projective factor (factors with trivial class contribute none)
-truncated at the total real dimension, is built only to hold that product
-when the whole dual class is asked for; nothing is inverted there.
+finite products of those.  Each family is one subclass of Atom, and the
+facts that differ by family (prefix, closedness, dimension scale, generator
+letter) live there as class data and nowhere else; every other module reads
+them from the atom.  Only rules that depend on family, point count and
+regime together (bundles.lambda_top, bounds.upper_existence_piece and the
+closed-form references in bounds) test the family explicitly.
+
+The total Stiefel-Whitney class of a projective space is (1 + g)^(m+1) in
+the truncated one-generator ring GF(2)[g]/(g^(m+1)) with |g| = 1, 2, 4 for
+RP, CP, HP; spheres and Euclidean space have total class 1.  Total classes
+are multiplicative (Whitney product formula), so the dual class of a product
+is the product of the factors' dual classes, each inverted in its factor's
+own one-generator ring.  The joint ring, with one generator per projective
+factor (factors with trivial class contribute none) truncated at the total
+real dimension, is built only to hold that product when the whole dual class
+is asked for; nothing is inverted there.
 
 The headline quantity is the top degree of the dual class.  Over GF(2) the
 product of the factors' nonzero top terms is nonzero, so it is the sum of the
@@ -21,56 +28,60 @@ taken with int.bit_length, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Optional, Union
 
 from .fields import GF2
 from .series import GradedSeries, SeriesRing
 
 
-def _require_dim(m: int, least: int, family: str) -> None:
-    if not isinstance(m, int) or m < least:
-        raise ValueError(f"{family} needs an integer dimension >= {least}, "
-                         f"got {m!r}")
-
-
 @dataclass(frozen=True)
-class Sphere:
+class Atom:
+    """One factor: a family's m-dimensional member.
+
+    Subclasses are the families and set only class data: the expression
+    prefix, whether members are closed (closed families start at m = 2,
+    Euclidean space at m = 1), the real dimension per unit of m, and the
+    Stiefel-Whitney generator letter, None when the total class is 1.
+    """
+
     m: int
 
-    def __post_init__(self):
-        _require_dim(self.m, 2, "S^m")
-
-
-@dataclass(frozen=True)
-class RealProj:
-    m: int
+    prefix: ClassVar[str]
+    closed: ClassVar[bool] = True
+    dim_per_m: ClassVar[int] = 1
+    letter: ClassVar[Optional[str]] = None
 
     def __post_init__(self):
-        _require_dim(self.m, 2, "RP^m")
+        least = 2 if self.closed else 1
+        if not isinstance(self.m, int) or self.m < least:
+            raise ValueError(f"{self.prefix}^m needs an integer dimension "
+                             f">= {least}, got {self.m!r}")
 
 
-@dataclass(frozen=True)
-class ComplexProj:
-    m: int
-
-    def __post_init__(self):
-        _require_dim(self.m, 2, "CP^m")
+class Sphere(Atom):
+    prefix = "S"
 
 
-@dataclass(frozen=True)
-class QuatProj:
-    m: int
-
-    def __post_init__(self):
-        _require_dim(self.m, 2, "HP^m")
+class RealProj(Atom):
+    prefix = "RP"
+    letter = "a"
 
 
-@dataclass(frozen=True)
-class Euclid:
-    m: int
+class ComplexProj(Atom):
+    prefix = "CP"
+    dim_per_m = 2
+    letter = "b"
 
-    def __post_init__(self):
-        _require_dim(self.m, 1, "R^m")
+
+class QuatProj(Atom):
+    prefix = "HP"
+    dim_per_m = 4
+    letter = "d"
+
+
+class Euclid(Atom):
+    prefix = "R"
+    closed = False
 
 
 @dataclass(frozen=True)
@@ -78,12 +89,11 @@ class Product:
     factors: tuple
 
     def __post_init__(self):
-        flat: list[ManifoldSpec] = []
+        flat: list[Atom] = []
         for factor in self.factors:
             if isinstance(factor, Product):
                 flat.extend(factor.factors)
-            elif isinstance(factor, (Sphere, RealProj, ComplexProj, QuatProj,
-                                     Euclid)):
+            elif isinstance(factor, Atom):
                 flat.append(factor)
             else:
                 raise ValueError(f"not a manifold spec: {factor!r}")
@@ -92,12 +102,7 @@ class Product:
         object.__setattr__(self, "factors", tuple(flat))
 
 
-ManifoldSpec = Union[Sphere, RealProj, ComplexProj, QuatProj, Euclid, Product]
-
-_ATOM_PREFIX = {Sphere: "S", RealProj: "RP", ComplexProj: "CP",
-                QuatProj: "HP", Euclid: "R"}
-_GENERATOR_LETTER = {RealProj: "a", ComplexProj: "b", QuatProj: "d"}
-_GENERATOR_DEGREE = {RealProj: 1, ComplexProj: 2, QuatProj: 4}
+ManifoldSpec = Union[Atom, Product]
 
 
 def atoms(spec: ManifoldSpec) -> tuple:
@@ -105,22 +110,22 @@ def atoms(spec: ManifoldSpec) -> tuple:
     return spec.factors if isinstance(spec, Product) else (spec,)
 
 
+def _projective(spec: ManifoldSpec) -> list:
+    """Factors with a Stiefel-Whitney generator, in order."""
+    return [atom for atom in atoms(spec) if atom.letter]
+
+
 def real_dimension(spec: ManifoldSpec) -> int:
-    total = 0
-    for atom in atoms(spec):
-        scale = _GENERATOR_DEGREE.get(type(atom), 1)
-        total += scale * atom.m
-    return total
+    return sum(atom.dim_per_m * atom.m for atom in atoms(spec))
 
 
 def is_closed(spec: ManifoldSpec) -> bool:
-    return all(not isinstance(atom, Euclid) for atom in atoms(spec))
+    return all(atom.closed for atom in atoms(spec))
 
 
 def render(spec: ManifoldSpec) -> str:
     """ASCII form like 'S^3 x RP^5'; inverse of the expression parser."""
-    return " x ".join(f"{_ATOM_PREFIX[type(atom)]}^{atom.m}"
-                      for atom in atoms(spec))
+    return " x ".join(f"{atom.prefix}^{atom.m}" for atom in atoms(spec))
 
 
 def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
@@ -130,15 +135,11 @@ def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
     sphere and Euclidean factors carry total class 1 and contribute no
     generator.  Truncation is the total real dimension.
     """
-    factors = atoms(spec)
-    generators: list[tuple[str, int]] = []
-    caps: list[int] = []
-    projective = [a for a in factors if type(a) in _GENERATOR_LETTER]
-    for i, atom in enumerate(projective):
-        letter = _GENERATOR_LETTER[type(atom)]
-        name = letter if len(factors) == 1 else f"{letter}{i + 1}"
-        generators.append((name, _GENERATOR_DEGREE[type(atom)]))
-        caps.append(atom.m)
+    single = len(atoms(spec)) == 1
+    projective = _projective(spec)
+    generators = [(atom.letter if single else f"{atom.letter}{i + 1}",
+                   atom.dim_per_m) for i, atom in enumerate(projective)]
+    caps = [atom.m for atom in projective]
     return SeriesRing(GF2, generators, real_dimension(spec), caps or None)
 
 
@@ -146,13 +147,8 @@ def total_sw(spec: ManifoldSpec) -> GradedSeries:
     """Total Stiefel-Whitney class of the tangent bundle, mod 2."""
     ring = cohomology_ring(spec)
     total = ring.one()
-    gen_index = 0
-    for atom in atoms(spec):
-        if type(atom) not in _GENERATOR_LETTER:
-            continue
-        g = ring.gen(ring.names[gen_index])
-        gen_index += 1
-        total = total * (ring.one() + g) ** (atom.m + 1)
+    for name, atom in zip(ring.names, _projective(spec)):
+        total = total * (ring.one() + ring.gen(name)) ** (atom.m + 1)
     return total
 
 
@@ -164,7 +160,7 @@ def dual_sw(spec: ManifoldSpec) -> GradedSeries:
     of the joint ring; nothing is inverted in the joint ring.
     """
     ring = cohomology_ring(spec)
-    projective = [a for a in atoms(spec) if type(a) in _GENERATOR_LETTER]
+    projective = _projective(spec)
     dual = ring.one()
     for i, atom in enumerate(projective):
         after = (0,) * (len(projective) - i - 1)
@@ -199,12 +195,11 @@ def floor_log2(m: int) -> int:
     return m.bit_length() - 1
 
 
-def _atom_top_dual_degree(atom) -> int:
-    if isinstance(atom, (Sphere, Euclid)):
+def _atom_top_dual_degree(atom: Atom) -> int:
+    if atom.letter is None:
         return 0
     j = floor_log2(atom.m)
-    scale = _GENERATOR_DEGREE[type(atom)]
-    return scale * (2 ** (j + 1) - atom.m - 1)
+    return atom.dim_per_m * (2 ** (j + 1) - atom.m - 1)
 
 
 def top_dual_degree_closed_form(spec: ManifoldSpec) -> DualClassProfile:

@@ -80,6 +80,26 @@ def test_bound_rejects_bad_expressions(capsys):
     assert code == EXIT_USAGE
 
 
+def test_bound_bare_product_is_the_two_point_query(capsys):
+    # A bare product X is the query (X, 2) in both regimes, open X too.
+    for regime in ("real", "complex"):
+        for text in ("R^2", "S^3", "S^2 x RP^3"):
+            for extra in ((), ("--json",)):
+                bare = run_cli(capsys, "bound", text, "--regime", regime,
+                               *extra)
+                query = run_cli(capsys, "bound", f"({text}, 2)",
+                                "--regime", regime, *extra)
+                assert bare == query, (regime, text, extra)
+    code, out, _ = run_cli(capsys, "bound", "R^2")
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == "N >= 3 (Main Theorem II)"
+    for text in ("R^3", "R^2 x S^3"):
+        code, out, err = run_cli(capsys, "bound", text)
+        assert code == EXIT_USAGE and out == ""
+        assert err == (f"error: ({text}, 2) has no real-regime rule "
+                       "(closed specs need exactly two points)\n")
+
+
 def test_bound_accepts_glued_product_separator(capsys):
     spaced = run_cli(capsys, "bound", "S^2 x RP^3")
     assert spaced[0] == EXIT_OK
@@ -126,7 +146,7 @@ def _readme_cli_examples() -> list:
 
 def test_readme_cli_examples(capsys):
     examples = _readme_cli_examples()
-    assert len(examples) == 7
+    assert len(examples) == 8
     for argv, expected in examples:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (EXIT_OK, expected, ""), argv

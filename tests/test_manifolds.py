@@ -19,6 +19,20 @@ def test_dimension_validation():
     with pytest.raises(ValueError):
         Euclid(0)
     assert Euclid(1).m == 1
+    for family, bad, message in (
+            (Sphere, 1, "S^m needs an integer dimension >= 2, got 1"),
+            (RealProj, 1, "RP^m needs an integer dimension >= 2, got 1"),
+            (ComplexProj, 0, "CP^m needs an integer dimension >= 2, got 0"),
+            (QuatProj, -2, "HP^m needs an integer dimension >= 2, got -2"),
+            (Euclid, 0, "R^m needs an integer dimension >= 1, got 0"),
+            (Sphere, "3", "S^m needs an integer dimension >= 2, got '3'"),
+            (Euclid, 2.0, "R^m needs an integer dimension >= 1, got 2.0")):
+        with pytest.raises(ValueError) as info:
+            family(bad)
+        assert str(info.value) == message
+    assert repr(RealProj(5)) == "RealProj(m=5)"
+    assert Sphere(3) != RealProj(3)
+    assert Sphere(3) == Sphere(3) and hash(Sphere(3)) == hash(Sphere(3))
 
 
 def test_product_flattening_and_validation():
@@ -96,6 +110,16 @@ def test_product_ring_generator_names():
     assert ring.degrees == (1, 2)
     single = cohomology_ring(RealProj(5))
     assert single.names == ("a",)
+    # Spheres carry no generator, so numbering counts projective factors.
+    mixed = cohomology_ring(Product((RealProj(3), Sphere(2), QuatProj(2),
+                                     ComplexProj(2))))
+    assert mixed.names == ("a1", "d2", "b3")
+    assert mixed.degrees == (1, 4, 2)
+    assert mixed.truncation == 3 + 2 + 8 + 4
+    quaternionic = cohomology_ring(QuatProj(3))
+    assert quaternionic.names == ("d",)
+    assert quaternionic.degrees == (4,)
+    assert cohomology_ring(Sphere(4)).names == ()
 
 
 def test_total_times_dual_is_one():
