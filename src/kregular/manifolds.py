@@ -10,17 +10,21 @@ closed-form references in bounds) test the family explicitly.
 
 The total Stiefel-Whitney class of a projective space is (1 + g)^(m+1) in
 the truncated one-generator ring GF(2)[g]/(g^(m+1)) with |g| = 1, 2, 4 for
-RP, CP, HP; spheres and Euclidean space have total class 1.  Total classes
-are multiplicative (Whitney product formula), so the dual class of a product
-is the product of the factors' dual classes, each inverted in its factor's
-own one-generator ring.  The joint ring, with one generator per projective
-factor (factors with trivial class contribute none) truncated at the total
-real dimension, is built only to hold that product when the whole dual class
-is asked for; nothing is inverted there.
+RP, CP, HP; spheres and Euclidean space have total class 1.  A class in
+that ring is held as one Python int whose bit i is the coefficient of g^i,
+and the factor's dual class is inverted on those bits, degree by degree.
+Total classes are multiplicative (Whitney product formula), so the dual
+class of a product is the product of the factors' dual classes.  The joint
+ring, with one generator per projective factor (factors with trivial class
+contribute none) truncated at the total real dimension, holds that product
+when the whole dual class is asked for.  Its generators are distinct, so
+the product's terms are the combinations of the factors' exponents and no
+series arithmetic is needed.  `total_sw` builds total classes as series,
+and the tests invert those in the joint ring to check the bit inversion.
 
 The headline quantity is the top degree of the dual class.  Over GF(2) the
 product of the factors' nonzero top terms is nonzero, so it is the sum of the
-factor top degrees, computed two ways that must agree: per-factor series
+factor top degrees, computed two ways that must agree: per-factor bit
 inversion, and the closed-form power-of-two expressions.  Floor of log2 is
 taken with int.bit_length, never floating point.
 """
@@ -28,6 +32,7 @@ taken with int.bit_length, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import ClassVar, Optional, Union
 
 from .fields import GF2
@@ -42,6 +47,7 @@ class Atom:
     prefix, whether members are closed (closed families start at m = 2,
     Euclidean space at m = 1), the real dimension per unit of m, and the
     Stiefel-Whitney generator letter, None when the total class is 1.
+    A class that sets no prefix, such as Atom itself, cannot be built.
     """
 
     m: int
@@ -52,8 +58,12 @@ class Atom:
     letter: ClassVar[Optional[str]] = None
 
     def __post_init__(self):
+        if not hasattr(self, "prefix"):
+            raise TypeError(f"{type(self).__name__} sets no prefix; build a "
+                            "family such as Sphere or RealProj")
         least = 2 if self.closed else 1
-        if not isinstance(self.m, int) or self.m < least:
+        if (not isinstance(self.m, int) or isinstance(self.m, bool)
+                or self.m < least):
             raise ValueError(f"{self.prefix}^m needs an integer dimension "
                              f">= {least}, got {self.m!r}")
 
@@ -152,22 +162,39 @@ def total_sw(spec: ManifoldSpec) -> GradedSeries:
     return total
 
 
+def _dual_bits(atom: Atom) -> int:
+    """Dual class of one factor in GF(2)[g]/(g^(m+1)); bit i is g^i.
+
+    Builds the total class (1 + g)^(m+1) by m+1 multiplications by 1 + g,
+    then inverts it degree by degree: `check` is total * dual so far, and
+    its lowest set bit above degree 0 is the next term the dual needs.
+    """
+    if atom.letter is None:
+        return 1
+    mask = (1 << (atom.m + 1)) - 1
+    total = 1
+    for _ in range(atom.m + 1):
+        total = (total ^ (total << 1)) & mask
+    dual, check = 1, total
+    for d in range(1, atom.m + 1):
+        if check >> d & 1:
+            dual |= 1 << d
+            check ^= total << d
+    return dual
+
+
 def dual_sw(spec: ManifoldSpec) -> GradedSeries:
     """Inverse of the total class, as the product of the factor duals.
 
-    Each projective factor's total class is inverted in its own
-    one-generator ring, and the result moves onto that factor's generator
-    of the joint ring; nothing is inverted in the joint ring.
+    Each projective factor's dual class is inverted on bits in its own
+    one-generator ring.  The joint ring's generators are distinct, so the
+    product's terms are the combinations of one exponent per factor, each
+    with coefficient 1.
     """
-    ring = cohomology_ring(spec)
-    projective = _projective(spec)
-    dual = ring.one()
-    for i, atom in enumerate(projective):
-        after = (0,) * (len(projective) - i - 1)
-        dual = dual * ring.from_terms(
-            {(0,) * i + e + after: c
-             for e, c in total_sw(atom).inverse().terms.items()})
-    return dual
+    exponents = [[i for i in range(bits.bit_length()) if bits >> i & 1]
+                 for bits in map(_dual_bits, _projective(spec))]
+    return GradedSeries(cohomology_ring(spec),
+                        dict.fromkeys(product(*exponents), 1))
 
 
 @dataclass(frozen=True)
@@ -182,10 +209,11 @@ class DualClassProfile:
 def top_dual_degree(spec: ManifoldSpec) -> DualClassProfile:
     """Brute force: sum the top degrees of the factors' dual classes.
 
-    Each factor's total class is inverted in its own one-generator ring;
-    every factor dual contains 1, so each has a top degree.
+    Each factor's total class is inverted on bits in its own one-generator
+    ring; every factor dual contains 1, so each has a top degree.
     """
-    top = sum(total_sw(atom).inverse().top_degree() for atom in atoms(spec))
+    top = sum(atom.dim_per_m * (_dual_bits(atom).bit_length() - 1)
+              for atom in atoms(spec))
     return DualClassProfile(spec, top, "series-inversion")
 
 

@@ -236,3 +236,14 @@ def test_criterion_14_large_sw_height_builds_no_relations():
     # walk half a minute; Stong's closed form takes neither.
     assert _cli_subprocess_lines("height", "--k", "30", "--n", "90",
                                  "--regime", "real") == ["127"]
+
+
+@timed(0.5)
+def test_criterion_15_dual_degree_by_bit_inversion():
+    # Series inversion of these total classes takes seconds in all; the
+    # bit inversion is O(m) int operations per factor.
+    for family in (RealProj, ComplexProj, QuatProj):
+        for m in range(2, 257):
+            assert top_dual_degree(family(m)).top_degree == \
+                top_dual_degree_closed_form(family(m)).top_degree, \
+                (family.__name__, m)

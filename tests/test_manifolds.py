@@ -8,6 +8,8 @@ from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
                       Sphere, atoms, cohomology_ring, dual_sw, floor_log2,
                       is_closed, real_dimension, render, top_dual_degree,
                       top_dual_degree_closed_form, total_sw)
+from kregular.manifolds import Atom
+from kregular.series import GradedSeries
 
 
 def test_dimension_validation():
@@ -26,13 +28,21 @@ def test_dimension_validation():
             (QuatProj, -2, "HP^m needs an integer dimension >= 2, got -2"),
             (Euclid, 0, "R^m needs an integer dimension >= 1, got 0"),
             (Sphere, "3", "S^m needs an integer dimension >= 2, got '3'"),
-            (Euclid, 2.0, "R^m needs an integer dimension >= 1, got 2.0")):
+            (Euclid, 2.0, "R^m needs an integer dimension >= 1, got 2.0"),
+            # bool is an int subclass, but True is not a dimension.
+            (Euclid, True, "R^m needs an integer dimension >= 1, got True")):
         with pytest.raises(ValueError) as info:
             family(bad)
         assert str(info.value) == message
     assert repr(RealProj(5)) == "RealProj(m=5)"
     assert Sphere(3) != RealProj(3)
     assert Sphere(3) == Sphere(3) and hash(Sphere(3)) == hash(Sphere(3))
+
+
+def test_bare_atom_is_rejected():
+    # The base sets no prefix, so it could not be rendered or parsed back.
+    with pytest.raises(TypeError, match="Atom sets no prefix"):
+        Atom(2)
 
 
 def test_product_flattening_and_validation():
@@ -156,6 +166,35 @@ def test_brute_force_matches_closed_form_small(family):
         brute = top_dual_degree(family(m)).top_degree
         closed = top_dual_degree_closed_form(family(m)).top_degree
         assert brute == closed, (family.__name__, m)
+
+
+@pytest.mark.parametrize("family", [RealProj, ComplexProj, QuatProj])
+def test_dual_sw_matches_series_inverse(family):
+    # The bit inversion against the generic series inversion of the total
+    # class, in the factor's own ring.
+    for m in range(2, 65):
+        assert dual_sw(family(m)) == total_sw(family(m)).inverse(), m
+
+
+def test_dual_class_makes_no_series_arithmetic(monkeypatch):
+    # Factor duals are inverted on bits and the joint class is assembled
+    # from exponent combinations; a fall-back to series arithmetic would
+    # call GradedSeries.__mul__ or inverse.
+    calls = []
+    for name in ("__mul__", "inverse"):
+        original = getattr(GradedSeries, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, *args)
+        monkeypatch.setattr(GradedSeries, name, counted)
+    spec = Product((RealProj(6), ComplexProj(5), QuatProj(2)))
+    assert top_dual_degree(spec).top_degree == 1 + 4 + 4
+    assert dual_sw(spec).top_degree() == 1 + 4 + 4
+    assert calls == []
+    # The counter does see a series inversion.
+    total_sw(RealProj(6)).inverse()
+    assert calls
 
 
 def test_top_coefficient_is_one():
