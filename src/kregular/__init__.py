@@ -23,9 +23,8 @@ from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,
 from .sampler import (DirectSum, ExampleMap, RegularityReport, SphereOneI,
                       VandermondeMap, Witness, ambient_dim,
                       claimed_regularity, evaluate_rank,
-                      integer_rank_bareiss, parse_map, rational_rank,
-                      render_map, sample_check_regular,
-                      vandermonde_determinant, vandermonde_rank_exact)
+                      integer_rank_bareiss, parse_map, render_map,
+                      sample_check_regular)
 from .series import (GradedSeries, NonInvertibleError, RingMismatchError,
                      SeriesRing)
 

@@ -52,7 +52,6 @@ the second method for the first class.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import add
@@ -94,7 +93,6 @@ class GrassmannPresentation:
             field, [(f"{prefix}{i}", scale * i) for i in range(1, k + 1)],
             top + scale)
         self._degree_data: dict[int, _DegreeData] = {}
-        self._lock = threading.Lock()
 
     @cached_property
     def relations(self) -> tuple[GradedSeries, ...]:
@@ -200,14 +198,9 @@ class GrassmannPresentation:
 
     def _data(self, degree: int) -> "_DegreeData":
         got = self._degree_data.get(degree)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._degree_data.get(degree)
-            if got is None:
-                got = self._reduce_degree(degree)
-                self._degree_data[degree] = got
-            return got
+        if got is None:
+            got = self._degree_data[degree] = self._reduce_degree(degree)
+        return got
 
     def _reduce_degree(self, degree: int) -> "_DegreeData":
         bits = self.classes == STIEFEL_WHITNEY
@@ -324,7 +317,7 @@ def cached_presentation(k: int, n: int, classes: str,
     """One shared presentation per (k, n, class family).
 
     The arguments are positional only, so each key has one spelling in the
-    cache.  Sharing is safe because instances are internally locked.
+    cache.
     """
     return GrassmannPresentation(k, n, classes)
 

@@ -8,8 +8,12 @@ integer column of a drawn or a given point; and how a witness point reads as
 text.  The rest of this module reads those, and `parse_map` finds a family by
 name in `_FAMILIES`.  Every rank is exact.  Each point gives one integer
 column, its map value times a positive integer, which leaves the rank
-unchanged; columns are ranked by fraction-free Bareiss elimination, and a
-direct sum's rank is the sum of its block ranks.
+unchanged, and a direct sum's rank is the sum of its block ranks.  A block's
+t columns are ranked as a t-row integer matrix, one row per point, by
+fraction-free Bareiss elimination taken one coordinate at a time; it stops
+as soon as every point's row holds a pivot, so a full-rank trial never
+touches the coordinates past its last pivot (t = k points against 2k-1
+coordinates for `vandermonde:k`, 3 against m+2 for `sphere:m`).
 
 Sampling is reproducible: trial i draws from random.Random(seed * 1000003
 + i), so verdicts and witnesses are independent of trial order and identical
@@ -251,14 +255,6 @@ def parse_map(text: str) -> ExampleMap:
 # ---------------------------------------------------------------------------
 # Exact points and rank.
 
-def _gm_mul(a: Gaussian, b: Gaussian) -> Gaussian:
-    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
-
-
-def _gm_sub(a: Gaussian, b: Gaussian) -> Gaussian:
-    return (a[0] - b[0], a[1] - b[1])
-
-
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
@@ -273,85 +269,43 @@ def as_gaussian(value) -> Gaussian:
     raise ValueError(f"not an exact plane point: {value!r}")
 
 
-def integer_rank_bareiss(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination.
+def integer_rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix by fraction-free elimination, by columns.
 
-    Every row below the pivot gets the full Sylvester update (including the
-    multiply-through when its pivot-column entry is zero); the exact
-    divisions by the previous pivot rely on that.
+    Left-looking Bareiss: each column in turn is brought up to date by
+    replaying the recorded pivot steps (the row swap, then x -> (x * lead -
+    entry * top) // prev on every row below the pivot, with entry the pivot
+    column's value in that row and top this column's value in the pivot
+    row), and then searched for a pivot.  Every row below gets the full
+    Sylvester update, also when its pivot-column entry is zero, so each
+    division by the previous pivot is exact and every entry equals the one
+    right-looking elimination computes.  Elimination stops once every row
+    holds a pivot: later columns are never read.  The rows are not changed.
     """
-    mat = [row[:] for row in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
+    height = len(rows)
+    # Per pivot: the row swapped into its place, its lead, and its column.
+    steps: list[tuple[int, int, list[int]]] = []
+    for column in zip(*rows):
+        col = list(column)
+        prev = 1
+        rank = 0
+        for swap, lead, entries in steps:
+            col[rank], col[swap] = col[swap], col[rank]
+            top = col[rank]
+            rank += 1
+            for i in range(rank, height):
+                col[i] = (col[i] * lead - entries[i] * top) // prev
+            prev = lead
+        for pivot in range(rank, height):
+            if col[pivot]:
+                break
+        else:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        row_r = mat[rank]
-        lead = row_r[col]
-        for i in range(rank + 1, len(mat)):
-            row_i = mat[i]
-            entry = row_i[col]
-            for j in range(col + 1, ncols):
-                row_i[j] = (row_i[j] * lead - entry * row_r[j]) // prev
-            row_i[col] = 0
-        prev = lead
-        rank += 1
-    return rank
-
-
-def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank over QQ: clear denominators row by row, then Bareiss."""
-    cleared = []
-    for row in rows:
-        denom = lcm(*(f.denominator for f in row)) if row else 1
-        cleared.append([int(f * denom) for f in row])
-    return integer_rank_bareiss(cleared)
-
-
-def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
-    """Unscaled realified evaluation matrix, (2k-1) rows by len(points).
-
-    The tests rank it independently as a reference for the integer columns.
-    """
-    pts = [as_gaussian(p) for p in points]
-    rows: list[list[Fraction]] = [[Fraction(1)] * len(pts)]
-    powers = [(Fraction(1), Fraction(0))] * len(pts)
-    for _ in range(1, k):
-        powers = [_gm_mul(p, z) for p, z in zip(powers, pts)]
-        rows.append([p[0] for p in powers])
-        rows.append([p[1] for p in powers])
-    return rows
-
-
-def vandermonde_rank_exact(points: Sequence, k: int) -> int:
-    """Exact rank of the realified monomial matrix at the given points.
-
-    For t <= k pairwise distinct points the rank is t: extending to k
-    distinct points gives a square complex Vandermonde matrix with nonzero
-    determinant, and complex independence implies real independence.
-    """
-    part = VandermondeMap(k)
-    pts = [as_gaussian(p) for p in points]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if pts[i] == pts[j]:
-                raise ValueError(f"points {i} and {j} coincide")
-    return integer_rank_bareiss([part.point_column(z) for z in pts])
-
-
-def vandermonde_determinant(points: Sequence) -> Gaussian:
-    """Product of pairwise differences; nonzero iff points are distinct."""
-    pts = [as_gaussian(p) for p in points]
-    det: Gaussian = (Fraction(1), Fraction(0))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            det = _gm_mul(det, _gm_sub(pts[j], pts[i]))
-    return det
+        col[rank], col[pivot] = col[pivot], col[rank]
+        steps.append((pivot, col[rank], col))
+        if rank + 1 == height:
+            break
+    return len(steps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,88 @@
+"""Reference ranks that the tests compare the sampler's exact rank against.
+
+Nothing in the package calls these: each is an independent way to the rank
+or the regularity of a point tuple, kept beside the tests that use it.
+"""
+
+from fractions import Fraction
+from math import lcm
+from typing import Sequence
+
+from kregular.sampler import (Gaussian, VandermondeMap, as_gaussian,
+                              integer_rank_bareiss)
+
+
+def gauss_rank_oracle(rows):
+    # Plain fraction Gaussian elimination, independent of the Bareiss path.
+    mat = [[Fraction(v) for v in row] for row in rows]
+    rank = 0
+    for col in range(len(mat[0]) if mat else 0):
+        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        lead = mat[rank][col]
+        for i in range(len(mat)):
+            if i != rank and mat[i][col]:
+                factor = mat[i][col] / lead
+                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _gm_mul(a: Gaussian, b: Gaussian) -> Gaussian:
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _gm_sub(a: Gaussian, b: Gaussian) -> Gaussian:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
+    """Rank over QQ: clear denominators row by row, then Bareiss."""
+    cleared = []
+    for row in rows:
+        denom = lcm(*(f.denominator for f in row)) if row else 1
+        cleared.append([int(f * denom) for f in row])
+    return integer_rank_bareiss(cleared)
+
+
+def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
+    """Unscaled realified evaluation matrix, (2k-1) rows by len(points).
+
+    Ranked independently, it is a reference for the integer columns.
+    """
+    pts = [as_gaussian(p) for p in points]
+    rows: list[list[Fraction]] = [[Fraction(1)] * len(pts)]
+    powers = [(Fraction(1), Fraction(0))] * len(pts)
+    for _ in range(1, k):
+        powers = [_gm_mul(p, z) for p, z in zip(powers, pts)]
+        rows.append([p[0] for p in powers])
+        rows.append([p[1] for p in powers])
+    return rows
+
+
+def vandermonde_rank_exact(points: Sequence, k: int) -> int:
+    """Exact rank of the realified monomial matrix at the given points.
+
+    For t <= k pairwise distinct points the rank is t: extending to k
+    distinct points gives a square complex Vandermonde matrix with nonzero
+    determinant, and complex independence implies real independence.
+    """
+    part = VandermondeMap(k)
+    pts = [as_gaussian(p) for p in points]
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if pts[i] == pts[j]:
+                raise ValueError(f"points {i} and {j} coincide")
+    return integer_rank_bareiss([part.point_column(z) for z in pts])
+
+
+def vandermonde_determinant(points: Sequence) -> Gaussian:
+    """Product of pairwise differences; nonzero iff points are distinct."""
+    pts = [as_gaussian(p) for p in points]
+    det: Gaussian = (Fraction(1), Fraction(0))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            det = _gm_mul(det, _gm_sub(pts[j], pts[i]))
+    return det

@@ -341,6 +341,57 @@ def test_verify_witness_text_pins_both_families(capsys):
     ]
 
 
+def test_verify_sphere_oversized_output_is_pinned(capsys):
+    # Literal goldens: the sampled points, the witnesses and the ranks that
+    # judge them must not move when the exact rank routine changes.
+    code, out, _ = run_cli(capsys, "verify", "sphere:3", "--tuple", "6",
+                           "--trials", "5", "--seed", "1")
+    assert code == EXIT_COUNTEREXAMPLE
+    assert out == (
+        "map: sphere:3\n"
+        "tuple sizes: 6\n"
+        "trials: 5 (seed 1)\n"
+        "violations: 5\n"
+        "note: a tuple size exceeds its part's ambient dimension; "
+        "violations are expected\n"
+        "witness (trial 0): [(96/173, -36/173, 96/173, 101/173), "
+        "(18/43, -12/43, 15/43, 34/43), (-2/3, 4/21, -2/21, 5/7), "
+        "(-128/241, 112/241, -128/241, 113/241), (24/49, 12/49, 0, 41/49), "
+        "(-1/11, 2/11, 4/11, 10/11)]\n"
+        "witness (trial 1): [(-24/49, -32/49, 24/49, -15/49), "
+        "(-16/21, 0, 4/21, 13/21), (32/69, -16/69, 0, -59/69), "
+        "(40/93, -20/31, -40/93, 43/93), (8/45, -32/45, 8/15, -19/45), "
+        "(-70/111, 14/111, 28/37, 13/111)]\n"
+        "witness (trial 2): [(-35/73, -30/73, 30/73, 48/73), "
+        "(15/53, -30/53, 30/53, 28/53), (-28/65, -4/65, -32/65, 49/65), "
+        "(2/35, -8/35, 2/5, 31/35), (-7/13, -2/13, 4/13, 10/13), "
+        "(2/7, -6/35, 0, 33/35)]\n"
+        "verdict: counterexample\n")
+
+
+def test_verify_mixed_sum_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "vandermonde:2+sphere:2",
+                           "--tuple", "3,4", "--trials", "4", "--seed", "9",
+                           "--json")
+    assert code == EXIT_OK
+    assert out == (
+        '{"schema": "2", "map": "vandermonde:2+sphere:2", '
+        '"tuple_sizes": [3, 4], "trials": 4, "seed": 9, "violations": 0, '
+        '"verdict": "no-violation-found", "expected_violation": false, '
+        '"witnesses": []}\n')
+
+
+def test_verify_vandermonde_json_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "verify", "vandermonde:8", "--trials",
+                           "50", "--seed", "3", "--json")
+    assert code == EXIT_OK
+    assert out == (
+        '{"schema": "2", "map": "vandermonde:8", "tuple_sizes": [8], '
+        '"trials": 50, "seed": 3, "violations": 0, '
+        '"verdict": "no-violation-found", "expected_violation": false, '
+        '"witnesses": []}\n')
+
+
 def test_verify_bad_tuple_list(capsys):
     code, _, err = run_cli(capsys, "verify", "vandermonde:2",
                            "--tuple", "2,x")

@@ -11,7 +11,8 @@ import pytest
 from kregular import (CHERN, GF2, QQ, STIEFEL_WHITNEY, GradedSeries,
                       GrassmannPresentation, PrimeField, YasuiIntegralModule,
                       YasuiMod2Module, cached_presentation,
-                      chern_height_of_first_class, kappa_case, rational_rank)
+                      chern_height_of_first_class, kappa_case)
+from rank_oracles import rational_rank
 
 
 def test_constructor_validation():

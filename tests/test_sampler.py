@@ -5,14 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
                       claimed_regularity, evaluate_rank,
-                      integer_rank_bareiss, parse_map, rational_rank,
-                      render_map, sample_check_regular,
-                      vandermonde_determinant, vandermonde_rank_exact)
+                      integer_rank_bareiss, parse_map, render_map,
+                      sample_check_regular)
 from kregular import sampler
-from kregular.sampler import _draw, vandermonde_columns
+from kregular.sampler import _draw
+from rank_oracles import (gauss_rank_oracle, rational_rank,
+                          vandermonde_columns, vandermonde_determinant,
+                          vandermonde_rank_exact)
 
 
 def test_map_validation():
@@ -55,26 +58,11 @@ def test_render_parse_roundtrip():
 # ---------------------------------------------------------------------------
 # Integer and rational rank.
 
-def gauss_rank_oracle(rows):
-    # Plain fraction Gaussian elimination, independent of the Bareiss path.
-    mat = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for col in range(len(mat[0]) if mat else 0):
-        pivot = next((i for i in range(rank, len(mat)) if mat[i][col]), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        lead = mat[rank][col]
-        for i in range(len(mat)):
-            if i != rank and mat[i][col]:
-                factor = mat[i][col] / lead
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[rank])]
-        rank += 1
-    return rank
-
-
 def test_bareiss_basics():
     assert integer_rank_bareiss([]) == 0
+    assert integer_rank_bareiss([[]]) == 0
+    assert integer_rank_bareiss([[], []]) == 0
+    assert integer_rank_bareiss([[0], [-3], [0]]) == 1
     assert integer_rank_bareiss([[0, 0], [0, 0]]) == 0
     assert integer_rank_bareiss([[1, 0], [0, 1]]) == 2
     assert integer_rank_bareiss([[1, 2], [2, 4]]) == 1
@@ -99,6 +87,71 @@ def test_bareiss_matches_gauss_oracle_randomized():
         rows = [[rng.randint(-4, 4) for _ in range(ncols)]
                 for _ in range(nrows)]
         assert integer_rank_bareiss(rows) == gauss_rank_oracle(rows)
+
+
+@st.composite
+def integer_matrices(draw):
+    # Tall, wide and square; zero rows and columns; rows that are integer
+    # combinations of other rows, so rank deficiency is common.
+    ncols = draw(st.integers(0, 7))
+    entry = st.just(0) | st.integers(-40, 40)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=7))
+    combos = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(rows),
+                                    max_size=len(rows)), max_size=3))
+    rows += [[sum(c * row[j] for c, row in zip(combo, rows))
+              for j in range(ncols)] for combo in combos]
+    if ncols and draw(st.booleans()):
+        zero = draw(st.integers(0, ncols - 1))
+        for row in rows:
+            row[zero] = 0
+    return draw(st.permutations(rows)) if rows else rows
+
+
+@settings(max_examples=250, deadline=None)
+@given(integer_matrices())
+def test_bareiss_matches_gauss_oracle_property(rows):
+    before = [row[:] for row in rows]
+    assert integer_rank_bareiss(rows) == gauss_rank_oracle(rows)
+    assert rows == before
+
+
+class Untouchable:
+    """An entry that fails on any arithmetic, comparison or truth test."""
+
+    def _refuse(self, *args):
+        raise AssertionError("an entry past the pivot columns was read")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _refuse
+    __mul__ = __rmul__ = __floordiv__ = __rfloordiv__ = _refuse
+    __neg__ = __bool__ = __eq__ = __ne__ = __index__ = _refuse
+
+
+def test_bareiss_stops_at_full_row_rank():
+    x = Untouchable()
+    # Pivots in the first columns.
+    assert integer_rank_bareiss([[1, 0, x, x],
+                                 [0, 1, x, x]]) == 2
+    # A zero column and a swap before the last pivot.
+    assert integer_rank_bareiss([[0, 0, 2, 5, x, x],
+                                 [0, 1, 2, 3, x, x],
+                                 [0, 2, 4, 7, x, x]]) == 3
+    # A full-rank plane tuple: its first t coordinates already have rank t.
+    part = VandermondeMap(6)
+    columns = [part.point_column(z) for z in (0, 1, (0, 1), (2, 1))]
+    assert gauss_rank_oracle([col[:4] for col in columns]) == 4
+    assert integer_rank_bareiss([col[:4] + [x] * (len(col) - 4)
+                                 for col in columns]) == 4
+
+
+def test_bareiss_leaves_the_rows_alone():
+    rows = [[0, 2, 4, 1], [0, 1, 3, -2], [5, 0, 1, 7], [5, 2, 5, 8]]
+    before = [row[:] for row in rows]
+    inner = [id(row) for row in rows]
+    assert integer_rank_bareiss(rows) == gauss_rank_oracle(rows) == 3
+    assert rows == before
+    assert [id(row) for row in rows] == inner
+    assert integer_rank_bareiss(tuple(map(tuple, rows))) == 3
 
 
 def test_rational_rank_clears_denominators():
