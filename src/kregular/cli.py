@@ -5,6 +5,14 @@ manifold), height (first-class height in a Grassmannian quotient), lucas
 (binomial mod p), verify (randomized regularity checks), table (3-regular
 projective constructions).  All output is ASCII.
 
+One table, `COMMANDS`, describes the grammar: for each subcommand its
+handler, its text renderer, its positionals and its options, each with its
+converter (int or text) or choices, its default and whether it is required.
+`EVERY_COMMAND` lists the options all subcommands take (--json).  `main`
+reads argv against the table in one pass and generates -h/--help from it.
+Options take exact names, as `--name value` or `--name=value`, anywhere
+after the subcommand; the last of a repeated option wins.
+
 Each subcommand's handler returns one payload dict, and `main` alone writes
 it: --json prints it as one deterministic JSON object, and otherwise the
 subcommand's text renderer turns the same payload into lines.  The text
@@ -16,11 +24,10 @@ found a counterexample (the payload's verdict); 2 is unused.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import sys
-from typing import Optional, Sequence
+from types import SimpleNamespace
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .bounds import RegularQuery, bound_disjoint, projective_table_matches
 from .expr import parse_expression, parse_manifold, render_query
@@ -37,12 +44,6 @@ EXIT_COUNTEREXAMPLE = 3
 
 class _UsageError(Exception):
     pass
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # Raise instead of sys.exit so main() can map usage problems to code 1.
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _cmd_bound(args) -> dict:
@@ -188,7 +189,9 @@ def _text_verify(payload: dict) -> list:
 def _cmd_table(args) -> dict:
     text = args.manifold.strip()
     # ASCII only, as in expr: isdigit() also takes superscripts like '\xb2'.
-    if text.isascii() and text.isdigit():
+    # A signed integer goes to RealProj too, which rejects -3 as it does 0.
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if text.isascii() and digits.isdigit():
         spec = RealProj(int(text))
     else:
         parsed = parse_manifold(text)
@@ -218,72 +221,210 @@ def _text_table(payload: dict) -> list:
             f"[{payload['best']['condition']}]"]
 
 
-@functools.cache
-def build_parser() -> _ArgumentParser:
-    """The argparse tree, built on first use and shared by every call."""
-    parser = _ArgumentParser(
-        prog="kregular",
-        description="Bounds and checks for k-regular maps.")
-    sub = parser.add_subparsers(dest="command", required=True)
+class _Arg(NamedTuple):
+    """One positional, or one option spelled `--name` on the command line.
 
-    p_bound = sub.add_parser("bound", help="lower bound for an expression")
-    p_bound.add_argument("expression",
-                         help="manifold like 'S^3 x RP^5' or query like "
-                              "'(S^3, 2) + (R^2, 4)'")
-    p_bound.add_argument("--regime", choices=("real", "complex"),
-                         default="real")
-    p_bound.set_defaults(handler=_cmd_bound, text=_text_bound)
+    `convert` turns the argument's text into its value (`int` or `str`);
+    an option whose `convert` is None is a flag, which takes no value and
+    reads True when given.  A value outside non-empty `choices` is refused.
+    """
 
-    p_dual = sub.add_parser("dual-sw", help="dual class of a manifold")
-    p_dual.add_argument("expression")
-    p_dual.set_defaults(handler=_cmd_dual_sw, text=_text_dual_sw)
+    name: str
+    convert: Optional[Callable] = str
+    choices: tuple = ()
+    default: object = None
+    required: bool = False
+    help: str = ""
 
-    p_height = sub.add_parser("height",
-                              help="height of the first class in "
-                                   "H*(G_k(F^(n+1)))")
-    p_height.add_argument("--k", type=int, required=True)
-    p_height.add_argument("--n", type=int, required=True)
-    p_height.add_argument("--regime", choices=("complex", "real"),
-                          default="complex")
-    p_height.set_defaults(handler=_cmd_height,
-                          text=lambda payload: [payload["height"]])
 
-    p_lucas = sub.add_parser("lucas", help="binomial coefficient mod p")
-    p_lucas.add_argument("n", type=int)
-    p_lucas.add_argument("k", type=int)
-    p_lucas.add_argument("--p", type=int, required=True)
-    p_lucas.set_defaults(handler=_cmd_lucas,
-                         text=lambda payload: [payload["binomial_mod_p"]])
+class _Command(NamedTuple):
+    help: str
+    handler: Callable
+    text: Callable
+    positionals: tuple = ()
+    options: tuple = ()
 
-    p_verify = sub.add_parser("verify",
-                              help="randomized regularity check of an "
-                                   "example map")
-    p_verify.add_argument("map",
-                          help="e.g. vandermonde:3, sphere:4, or "
-                               "vandermonde:2+sphere:3")
-    p_verify.add_argument("--tuple", default=None,
-                          help="comma-separated tuple sizes, one per part "
-                               "(default: the claimed regularity)")
-    p_verify.add_argument("--trials", type=int, default=1000)
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.set_defaults(handler=_cmd_verify, text=_text_verify)
 
-    p_table = sub.add_parser("table",
-                             help="3-regular constructions for RP^m")
-    p_table.add_argument("manifold", help="RP^m or the bare integer m")
-    p_table.set_defaults(handler=_cmd_table, text=_text_table)
+# The command table: every subcommand's handler, text renderer and
+# arguments, and the options that every subcommand accepts.  Parsing and
+# -h/--help both read it.
+EVERY_COMMAND = (
+    _Arg("json", None, default=False,
+         help="print the payload as one JSON object"),
+)
 
-    # Added last so every -h lists it after the command's own options.
-    for command in sub.choices.values():
-        command.add_argument("--json", action="store_true")
-    return parser
+COMMANDS = {
+    "bound": _Command(
+        "lower bound for an expression", _cmd_bound, _text_bound,
+        (_Arg("expression", help="manifold like 'S^3 x RP^5' or query "
+                                 "like '(S^3, 2) + (R^2, 4)'"),),
+        (_Arg("regime", choices=("real", "complex"), default="real"),)),
+    "dual-sw": _Command(
+        "dual class of a manifold", _cmd_dual_sw, _text_dual_sw,
+        (_Arg("expression", help="manifold like 'S^2 x RP^3'"),)),
+    "height": _Command(
+        "height of the first class in H*(G_k(F^(n+1)))", _cmd_height,
+        lambda payload: [payload["height"]], (),
+        (_Arg("k", int, required=True),
+         _Arg("n", int, required=True),
+         _Arg("regime", choices=("complex", "real"), default="complex"))),
+    "lucas": _Command(
+        "binomial coefficient mod p", _cmd_lucas,
+        lambda payload: [payload["binomial_mod_p"]],
+        (_Arg("n", int), _Arg("k", int)),
+        (_Arg("p", int, required=True),)),
+    "verify": _Command(
+        "randomized regularity check of an example map", _cmd_verify,
+        _text_verify,
+        (_Arg("map", help="e.g. vandermonde:3, sphere:4, or "
+                          "vandermonde:2+sphere:3"),),
+        (_Arg("tuple", help="comma-separated tuple sizes, one per part "
+                            "(default: the claimed regularity)"),
+         _Arg("trials", int, default=1000),
+         _Arg("seed", int, default=0))),
+    "table": _Command(
+        "3-regular constructions for RP^m", _cmd_table, _text_table,
+        (_Arg("manifold", help="RP^m or the bare integer m"),)),
+}
+
+_HELP = ("-h", "--help")
+
+
+# Option lookup per subcommand, derived from the table once.
+_OPTIONS = {name: {f"--{option.name}": option
+                   for option in command.options + EVERY_COMMAND}
+            for name, command in COMMANDS.items()}
+
+
+def _names_option(token: str) -> bool:
+    """Whether a token is an option name rather than a value.
+
+    A token that starts with '-' names an option unless it is '-' alone,
+    a negative integer (so `lucas -5 2` and `--seed -5` pass numbers), or
+    holds a space, as an expression may.
+    """
+    return (token[:1] == "-" and token != "-" and " " not in token
+            and not token[1:].isdecimal())
+
+
+def _convert(arg: _Arg, label: str, text: str):
+    try:
+        value = arg.convert(text)
+    except ValueError:
+        raise _UsageError(f"{label}: invalid {arg.convert.__name__} value "
+                          f"{text!r}") from None
+    if arg.choices and value not in arg.choices:
+        raise _UsageError(f"{label}: invalid choice {text!r} (choose from "
+                          f"{', '.join(arg.choices)})")
+    return value
+
+
+def _parse(argv: Sequence[str]) -> tuple:
+    """(command name, arguments) for argv, read in one pass over the table.
+
+    The arguments are None when argv asks for help, and the name too when
+    it asks for the top-level help.  Options may come anywhere after the
+    subcommand as `--name value` or `--name=value`, the last one given
+    wins, and every token after `--` is a positional.
+    """
+    if not argv:
+        raise _UsageError(f"a command is required (choose from "
+                          f"{', '.join(COMMANDS)})")
+    name = argv[0]
+    if name in _HELP:
+        return None, None
+    command = COMMANDS.get(name)
+    if command is None:
+        raise _UsageError(f"invalid command {name!r} (choose from "
+                          f"{', '.join(COMMANDS)})")
+    options = _OPTIONS[name]
+    values = {option.name: option.default for option in options.values()
+              if not option.required}
+    positionals = command.positionals
+    filled = 0
+    tokens = iter(argv[1:])
+    only_positionals = False
+    for token in tokens:
+        if not only_positionals and _names_option(token):
+            if token == "--":
+                only_positionals = True
+                continue
+            if token in _HELP:
+                return name, None
+            flag, equals, text = token.partition("=")
+            option = options.get(flag)
+            if option is None:
+                raise _UsageError(f"unknown option {flag!r} for {name}")
+            if option.convert is None:
+                if equals:
+                    raise _UsageError(f"{flag} takes no value, got {text!r}")
+                values[option.name] = True
+                continue
+            if not equals:
+                text = next(tokens, None)
+                if text is None or _names_option(text):
+                    raise _UsageError(f"{flag} expects a value")
+            values[option.name] = _convert(option, flag, text)
+        elif filled < len(positionals):
+            arg = positionals[filled]
+            values[arg.name] = _convert(arg, arg.name, token)
+            filled += 1
+        else:
+            raise _UsageError(f"unexpected argument {token!r} for {name}")
+    missing = [arg.name for arg in positionals[filled:]]
+    missing += [flag for flag, option in options.items()
+                if option.required and option.name not in values]
+    if missing:
+        raise _UsageError(f"{name} requires {', '.join(missing)}")
+    return name, SimpleNamespace(**values)
+
+
+def _metavar(arg: _Arg) -> str:
+    if arg.choices:
+        return "{" + ",".join(arg.choices) + "}"
+    return "INT" if arg.convert is int else "TEXT"
+
+
+def _help(name: Optional[str]) -> str:
+    """-h/--help text: the subcommands, or one subcommand's arguments."""
+    if name is None:
+        width = max(map(len, COMMANDS))
+        return "\n".join([
+            "usage: kregular <command> [arguments]", "",
+            "Bounds and checks for k-regular maps.", "", "commands:",
+            *(f"  {each:<{width}}  {command.help}"
+              for each, command in COMMANDS.items()),
+            "", "Run 'kregular <command> -h' for a command's arguments."])
+    command = COMMANDS[name]
+    usage = [f"usage: kregular {name}"]
+    rows = []
+    for arg in command.positionals:
+        usage.append(arg.name)
+        rows.append((arg.name, arg.help or _metavar(arg)))
+    for flag, option in _OPTIONS[name].items():
+        shown = (flag if option.convert is None
+                 else f"{flag} {_metavar(option)}")
+        usage.append(shown if option.required else f"[{shown}]")
+        notes = [option.help] if option.help else []
+        if option.required:
+            notes.append("(required)")
+        elif option.convert is not None and option.default is not None:
+            notes.append(f"(default: {option.default})")
+        rows.append((shown, " ".join(notes)))
+    width = max(len(label) for label, _ in rows)
+    return "\n".join([
+        " ".join(usage), "", command.help, "", "arguments:",
+        *(f"  {label:<{width}}  {note}".rstrip() for label, note in rows)])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        payload = args.handler(args)
+        name, args = _parse(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            print(_help(name))
+            return EXIT_OK
+        command = COMMANDS[name]
+        payload = command.handler(args)
     except (_UsageError, ValueError) as exc:
         # ParseError and UnsupportedBundleError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
@@ -291,7 +432,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.json:
         print(json.dumps(payload))
     else:
-        for line in args.text(payload):
+        for line in command.text(payload):
             print(line)
     if payload.get("verdict") == "counterexample":
         return EXIT_COUNTEREXAMPLE

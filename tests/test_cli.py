@@ -14,8 +14,8 @@ from pathlib import Path
 
 import kregular
 from kregular import evaluate_rank, parse_map
-from kregular.cli import (EXIT_COUNTEREXAMPLE, EXIT_OK, EXIT_USAGE,
-                          build_parser, main)
+from kregular.cli import (COMMANDS, EVERY_COMMAND, EXIT_COUNTEREXAMPLE,
+                          EXIT_OK, EXIT_USAGE, main)
 
 
 def run_cli(capsys, *argv):
@@ -461,6 +461,16 @@ def test_table_bare_integer_is_ascii_only(capsys):
         assert err == "error: expected a name (at position 0)\n"
 
 
+def test_table_signed_integer_reaches_the_dimension_check(capsys):
+    # -3 is refused for its dimension, as 0 is, not as an unreadable name.
+    for text in ("-3", "0"):
+        code, out, err = run_cli(capsys, "table", text)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == ("error: RP^m needs an integer dimension >= 2, "
+                       f"got {int(text)}\n")
+    assert run_cli(capsys, "table", "+9") == run_cli(capsys, "table", "9")
+
+
 # ---------------------------------------------------------------------------
 # Text and --json render one payload.
 
@@ -531,8 +541,8 @@ def test_missing_subcommand_is_usage_error(capsys):
 
 
 def test_main_back_to_back_matches_separate_runs(capsys):
-    # The argparse tree is built once and shared; a call, a usage error
-    # included, must leave nothing behind for the next one.
+    # A call, a usage error included, must leave nothing behind for the
+    # next one.
     argvs = [["bound", "HP^2"],
              ["height", "--k", "2", "--n", "5", "--json"],
              ["height", "--k", "2"],
@@ -543,14 +553,36 @@ def test_main_back_to_back_matches_separate_runs(capsys):
              ["height", "--k", "1", "--n", "4", "--regime", "real"],
              ["table", "RP^9"],
              ["table", "RP^2", "--json"]]
-    alone = []
-    for argv in argvs:
-        build_parser.cache_clear()
-        alone.append(run_cli(capsys, *argv))
+    alone = [run_cli(capsys, *argv) for argv in argvs]
     together = [run_cli(capsys, *argv) for argv in argvs]
     assert together == alone
     assert [code for code, _, _ in together].count(EXIT_USAGE) == 2
-    assert build_parser() is build_parser()
+
+
+def test_help_lists_every_command(capsys):
+    for flag in ("-h", "--help"):
+        code, out, err = run_cli(capsys, flag)
+        assert (code, err) == (EXIT_OK, "")
+        for name, command in COMMANDS.items():
+            assert f"  {name}" in out and command.help in out
+
+
+def test_command_help_lists_every_argument(capsys):
+    for name, command in COMMANDS.items():
+        code, out, err = run_cli(capsys, name, "-h")
+        assert (code, err) == (EXIT_OK, ""), name
+        assert out.startswith(f"usage: kregular {name} "), name
+        rows = {row.split()[0]: row
+                for row in out.split("arguments:\n", 1)[1].splitlines()}
+        assert all(arg.name in rows for arg in command.positionals), name
+        for option in command.options + EVERY_COMMAND:
+            row = rows[f"--{option.name}"]
+            assert all(choice in row for choice in option.choices), row
+            if option.required:
+                assert "(required)" in row, row
+            elif option.convert is not None and option.default is not None:
+                assert f"(default: {option.default})" in row, row
+        assert run_cli(capsys, name, "--json", "--help") == (code, out, err)
 
 
 def test_cli_fuzz_never_crashes(capsys):
@@ -585,7 +617,9 @@ def test_module_entry_point():
 
 
 def test_cli_import_does_not_load_numpy():
-    code = "import kregular.cli, sys; assert 'numpy' not in sys.modules"
+    code = ("import kregular.cli, sys; "
+            "assert 'numpy' not in sys.modules, 'numpy'; "
+            "assert 'argparse' not in sys.modules, 'argparse'")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_fresh_process_env())
     assert proc.returncode == 0, proc.stderr

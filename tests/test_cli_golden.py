@@ -1,0 +1,146 @@
+"""Golden CLI corpus: literal stdout and exit codes of fixed argvs.
+
+Recorded from the argparse-based parser that the command table replaced;
+the table must read every argv the same way.  Usage errors print nothing on
+stdout, exit 1 and name the offending token (or missing argument) on
+stderr.
+"""
+
+import pytest
+
+from kregular.cli import EXIT_USAGE, main
+
+# (argv, exit code, stdout)
+GOLDEN = [
+    (('bound', 'S^2 x RP^3'), 0,
+     'N >= 7 (Main Theorem I)\n'
+     '  S^2 x RP^3, k=2: top degree = 5, contributes 7 [two-point bundle '
+     'over a closed manifold: dimension plus top dual class degree]\n'),
+    (('bound', '(CP^4, 2)', '--regime', 'complex'), 0,
+     'N >= 8 (complex two-point lower bound)\n'
+     '  CP^4, k=2: top degree >= 6, contributes 8 [complex two-point bundle '
+     'over CP^m: top degree >= 2m-2 (ring height of the first class)]\n'),
+    (('bound', '--regime', 'complex', '(CP^4, 2)'), 0,
+     'N >= 8 (complex two-point lower bound)\n'
+     '  CP^4, k=2: top degree >= 6, contributes 8 [complex two-point bundle '
+     'over CP^m: top degree >= 2m-2 (ring height of the first class)]\n'),
+    (('bound', '(S^3, 2) + (R^2, 4)', '--json'), 0,
+     '{"schema": "1", "query": "(S^3, 2) + (R^2, 4)", "regime": "real", '
+     '"bound": 12, "theorem": "Main Theorem II", "breakdown": [{"piece": '
+     '"S^3", "points": 2, "top_degree": 3, "contribution": 5, '
+     '"lower_bound_only": false, "source": "two-point bundle over a closed '
+     'manifold: dimension plus top dual class degree"}, {"piece": "R^2", '
+     '"points": 4, "top_degree": 3, "contribution": 7, "lower_bound_only": '
+     'false, "source": "plane bundle with power-of-two points (Cohen-Handel '
+     '1978): top class in degree k-1"}], "tightness": {"ambient_dim": 12, '
+     '"source": "coordinate direct sum of piece constructions", "tight": '
+     'true}}\n'),
+    (('bound', 'R^2', '--regime=real'), 0,
+     'N >= 3 (Main Theorem II)\n'
+     '  R^2, k=2: top degree = 1, contributes 3 [plane bundle with '
+     'power-of-two points (Cohen-Handel 1978): top class in degree k-1]\n'
+     'tight: construction in R^3 [monomial curve in the plane (Cohen-Handel '
+     '1978)]\n'),
+    (('bound', 'RP^1'), 1,
+     ''),
+    (('dual-sw', 'RP^5'), 0,
+     'manifold: RP^5\n'
+     'dual class: 1 + a^2\n'
+     'top degree (series inversion): 2\n'
+     'top degree (closed form): 2\n'),
+    (('dual-sw', '--json', 'S^2 x RP^3'), 0,
+     '{"schema": "1", "manifold": "S^2 x RP^3", "dual_class": "1", '
+     '"top_degree_series": 0, "top_degree_closed_form": 0}\n'),
+    (('height', '--k', '2', '--n', '5'), 0,
+     '8\n'),
+    (('height', '--n', '5', '--k', '2', '--regime', 'real'), 0,
+     '6\n'),
+    (('height', '--k=3', '--n=10', '--regime=real'), 0,
+     '15\n'),
+    (('height', '--k', '1', '--k', '2', '--n', '5'), 0,
+     '8\n'),
+    (('height', '--k', '1', '--n', '4', '--regime', 'real', '--json'), 0,
+     '{"schema": "1", "k": 1, "n": 4, "regime": "real", "element": "w1", '
+     '"height": 4, "truncation": 5}\n'),
+    (('lucas', '7', '3', '--p', '2'), 0,
+     '1\n'),
+    (('lucas', '--p', '3', '100', '50'), 0,
+     '0\n'),
+    (('lucas', '7', '--p', '2', '3'), 0,
+     '1\n'),
+    (('lucas', '-5', '2', '--p', '3'), 1,
+     ''),
+    (('lucas', '100', '50', '--p', '3', '--json'), 0,
+     '{"schema": "1", "n": 100, "k": 50, "p": 3, "binomial_mod_p": 0}\n'),
+    (('verify', 'sphere:3', '--trials', '2', '--seed', '-5'), 0,
+     'map: sphere:3\n'
+     'tuple sizes: 3\n'
+     'trials: 2 (seed -5)\n'
+     'violations: 0\n'
+     'verdict: no-violation-found\n'),
+    (('verify', 'vandermonde:2', '--trials', '5', '--json'), 0,
+     '{"schema": "2", "map": "vandermonde:2", "tuple_sizes": [2], "trials": '
+     '5, "seed": 0, "violations": 0, "verdict": "no-violation-found", '
+     '"expected_violation": false, "witnesses": []}\n'),
+    (('verify', '--trials', '3', '--seed', '1', 'vandermonde:2+sphere:3'), 0,
+     'map: vandermonde:2+sphere:3\n'
+     'tuple sizes: 2,3\n'
+     'trials: 3 (seed 1)\n'
+     'violations: 0\n'
+     'verdict: no-violation-found\n'),
+    (('verify', 'sphere:4', '--tuple', '7', '--trials', '1'), 3,
+     'map: sphere:4\n'
+     'tuple sizes: 7\n'
+     'trials: 1 (seed 0)\n'
+     'violations: 1\n'
+     "note: a tuple size exceeds its part's ambient dimension; violations "
+     'are expected\n'
+     'witness (trial 0): [(70/187, -98/187, 0, 112/187, 89/187), (64/139, '
+     '16/139, 112/139, 48/139, 11/139), (64/113, -32/113, 8/113, -32/113, '
+     '81/113), (0, -8/23, 2/23, -10/23, 19/23), (8/91, 4/13, -20/91, 12/91, '
+     '83/91), (14/71, -14/71, 49/71, 42/71, 22/71), (-7/19, -8/19, -6/19, '
+     '4/19, 14/19)]\n'
+     'verdict: counterexample\n'),
+    (('table', 'RP^9'), 0,
+     '3-regular constructions for RP^9:\n'
+     '  m = 8q+1 (q > 0): R^19\n'
+     '  m = 2^j + 1 (j >= 2): R^17\n'
+     'best: R^17 [m = 2^j + 1 (j >= 2)]\n'),
+    (('table', '2', '--json'), 0,
+     '{"schema": "1", "manifold": "RP^2", "rows": [], "best": null}\n'),
+    (('table', '-3'), 1,
+     ''),
+]
+
+# (argv, a token stderr must name)
+USAGE_ERRORS = [
+    ((), 'command'),  # no subcommand
+    (('frobnicate',), 'frobnicate'),  # unknown subcommand
+    (('--json', 'bound', 'RP^5'), '--json'),  # option before the subcommand
+    (('height', '--k', '2', '--n', '5', '--trunc', '14'),
+     '--trunc'),  # unknown option
+    (('height', '--n', '5', '--k'), '--k'),  # missing option value
+    (('verify', 'sphere:3', '--seed', '--json'), '--seed'),  # ditto
+    (('height', '--k', '2'), '--n'),  # missing required option
+    (('height', '--k', 'two', '--n', '5'), 'two'),  # bad int
+    (('height', '--k', '2', '--n', '5', '--regime', 'quaternionic'),
+     'quaternionic'),  # bad choice
+    (('lucas', '7', '--p', '2'), 'k'),  # missing positional
+    (('dual-sw',), 'expression'),  # ditto
+    (('table', 'RP^9', 'RP^10'), 'RP^10'),  # extra positional
+    (('bound', '--json=1', 'RP^5'), '--json'),  # value for a flag
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN)
+def test_golden_stdout_and_exit_code(capsys, argv, code, stdout):
+    assert main(list(argv)) == code
+    assert capsys.readouterr().out == stdout
+
+
+@pytest.mark.parametrize("argv, token", USAGE_ERRORS)
+def test_usage_error_names_the_token(capsys, argv, token):
+    assert main(list(argv)) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and token in captured.err
