@@ -19,7 +19,7 @@ from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,
                         Product, QuatProj, RealProj, Sphere, atoms,
                         cohomology_ring, dual_sw, floor_log2, is_closed,
                         real_dimension, render, top_dual_degree,
-                        top_dual_degree_closed_form, total_sw)
+                        top_dual_degree_closed_form)
 from .sampler import (DirectSum, ExampleMap, RegularityReport, SphereOneI,
                       VandermondeMap, Witness, ambient_dim,
                       claimed_regularity, evaluate_rank,

@@ -19,8 +19,8 @@ ring, with one generator per projective factor (factors with trivial class
 contribute none) truncated at the total real dimension, holds that product
 when the whole dual class is asked for.  Its generators are distinct, so
 the product's terms are the combinations of the factors' exponents and no
-series arithmetic is needed.  `total_sw` builds total classes as series,
-and the tests invert those in the joint ring to check the bit inversion.
+series arithmetic is needed.  The tests build total classes as series and
+invert them in the joint ring to check the bit inversion.
 
 The headline quantity is the top degree of the dual class.  Over GF(2) the
 product of the factors' nonzero top terms is nonzero, so it is the sum of the
@@ -151,15 +151,6 @@ def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
                    atom.dim_per_m) for i, atom in enumerate(projective)]
     caps = [atom.m for atom in projective]
     return SeriesRing(GF2, generators, real_dimension(spec), caps or None)
-
-
-def total_sw(spec: ManifoldSpec) -> GradedSeries:
-    """Total Stiefel-Whitney class of the tangent bundle, mod 2."""
-    ring = cohomology_ring(spec)
-    total = ring.one()
-    for name, atom in zip(ring.names, _projective(spec)):
-        total = total * (ring.one() + ring.gen(name)) ** (atom.m + 1)
-    return total
 
 
 def _dual_bits(atom: Atom) -> int:

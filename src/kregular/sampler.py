@@ -3,27 +3,32 @@
 Two map families and their direct sums: `VandermondeMap`, the monomial curve
 on the plane, and `SphereOneI`, the sphere embedding x -> (1, x).  A family
 class holds all that differs by family: its ambient dimension, claimed point
-count, name and grid of sample points; how one point is drawn and keyed; the
-integer column of a drawn or a given point; and how a witness point reads as
-text.  The rest of this module reads those, and `parse_map` finds a family by
-name in `_FAMILIES`.  Every rank is exact.  Each point gives one integer
-column, its map value times a positive integer, which leaves the rank
-unchanged, and a direct sum's rank is the sum of its block ranks.  A block's
-t columns are ranked as a t-row integer matrix, one row per point, by
-fraction-free Bareiss elimination taken one coordinate at a time; it stops
-as soon as every point's row holds a pivot, so a full-rank trial never
-touches the coordinates past its last pivot (t = k points against 2k-1
-coordinates for `vandermonde:k`, 3 against m+2 for `sphere:m`).
+count, name and grid of sample points; `sample`, which draws a part's points
+and returns their integer columns; the integer column of a given point; and
+how a witness point is read back off its column and reads as text.  The rest
+of this module reads those, and `parse_map` finds a family by name in
+`_FAMILIES`.  Every rank is exact.  Each point gives one integer column, its
+map value times a positive integer, which leaves the rank unchanged, and a
+direct sum's rank is the sum of its block ranks.  A block's t columns are
+ranked as a t-row integer matrix, one row per point, by fraction-free
+Bareiss elimination taken one coordinate at a time; it stops as soon as
+every point's row holds a pivot, so a full-rank trial never touches the
+coordinates past its last pivot (t = k points against 2k-1 coordinates for
+`vandermonde:k`, 3 against m+2 for `sphere:m`).
 
 Sampling is reproducible: trial i draws from random.Random(seed * 1000003
 + i), so verdicts and witnesses are independent of trial order and identical
-across runs.  Numerators and denominators are drawn as ints, off exactly the
-bits that random.randint would consume, and columns are built from those
-ints; only the points of a kept witness become Fractions.  The points of a
-part are pairwise distinct, compared on an exact integer key: every
-denominator divides 840, so a * 840 // b is equal for two draws exactly when
-a/b is.  The draws of a part range over a finite grid, and a tuple size above
-its part's grid raises ValueError.
+across runs.  The parts of a trial draw one after another, each in one loop
+of its family's `sample`.  For every point the loop draws the numerators and
+denominators as ints, off exactly the bits that random.randint would
+consume (getrandbits of the range's bit length, drawn again while the value
+is out of range); it keys the point, skips it if the part already holds that
+key, and builds the column of a kept point from those ints.  The key is
+exact: every denominator divides 840, so a * 840 // b is equal for two draws
+exactly when a/b is, and the points of a part are pairwise distinct.  Only
+the points of a kept witness become Fractions.  The draws of a part range
+over a finite grid, and a tuple size above its part's grid raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -53,10 +58,11 @@ class VandermondeMap:
     """z -> (1, z, ..., z^(k-1)) on the plane, realified; k-regular.
 
     Points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64] and
-    b, e in [1, 8], drawn as (a, b, c, e): 663^2 = 439,569 distinct points,
-    keyed by (a * 840 // b, c * 840 // e).  With D the lcm of the two
+    b, e in [1, 8], drawn in the order a, b, c, e: 663^2 = 439,569 distinct
+    points, keyed by (a * 840 // b, c * 840 // e).  With D the lcm of the two
     denominators in lowest terms and z = w/D, the column (1, z, ...,
-    z^(k-1)) scaled by D^(k-1) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)).
+    z^(k-1)) scaled by D^(k-1) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)),
+    and z is its second and third entries over its first.
     """
 
     k: int
@@ -81,45 +87,55 @@ class VandermondeMap:
     def grid_size(self) -> int:
         return _grid_size(_PLANE_BOUND, 1) ** 2
 
-    @staticmethod
-    def draw(bits) -> tuple[int, int, int, int]:
-        return (_uniform(bits, -_PLANE_BOUND, _PLANE_BOUND),
-                _uniform(bits, 1, _MAX_DEN),
-                _uniform(bits, -_PLANE_BOUND, _PLANE_BOUND),
-                _uniform(bits, 1, _MAX_DEN))
+    def sample(self, bits, count: int) -> list[list[int]]:
+        """The columns of count pairwise distinct drawn points.
+
+        The key (x, y) is 840 z, so with G = gcd(x, y, 840) the point is
+        z = w/D for the least common denominator D = 840 // G and
+        w = x // G + i y // G.
+        """
+        span = 2 * _PLANE_BOUND + 1
+        width, den_width = span.bit_length(), _MAX_DEN.bit_length()
+        top = self.k - 1
+        columns: list[list[int]] = []
+        seen = set()
+        while len(columns) < count:
+            a = bits(width)
+            while a >= span:
+                a = bits(width)
+            b = bits(den_width)
+            while b >= _MAX_DEN:
+                b = bits(den_width)
+            c = bits(width)
+            while c >= span:
+                c = bits(width)
+            e = bits(den_width)
+            while e >= _MAX_DEN:
+                e = bits(den_width)
+            x = (a - _PLANE_BOUND) * _KEY_SCALE // (b + 1)
+            y = (c - _PLANE_BOUND) * _KEY_SCALE // (e + 1)
+            key = (x, y)
+            if key in seen:
+                continue
+            seen.add(key)
+            g = gcd(x, y, _KEY_SCALE)
+            columns.append(_plane_column(top, _KEY_SCALE // g, x // g,
+                                         y // g))
+        return columns
 
     @staticmethod
-    def key(draw: tuple[int, int, int, int]) -> tuple[int, int]:
-        a, b, c, e = draw
-        return (a * _KEY_SCALE // b, c * _KEY_SCALE // e)
-
-    def column(self, draw: tuple[int, int, int, int]) -> list[int]:
-        a, b, c, e = draw
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        g = gcd(c, e)
-        c, e = c // g, e // g
-        d = lcm(b, e)
-        wr, wi = a * (d // b), c * (d // e)
-        column = [d ** (self.k - 1)]
-        power_re, power_im = 1, 0
-        for j in range(self.k - 2, -1, -1):
-            power_re, power_im = (power_re * wr - power_im * wi,
-                                  power_re * wi + power_im * wr)
-            scale = d ** j
-            column += (power_re * scale, power_im * scale)
-        return column
-
-    @staticmethod
-    def point(draw: tuple[int, int, int, int]) -> Gaussian:
-        a, b, c, e = draw
-        return (Fraction(a, b), Fraction(c, e))
+    def point(column: Sequence[int]) -> Gaussian:
+        """The point z whose column this is."""
+        return (Fraction(column[1], column[0]),
+                Fraction(column[2], column[0]))
 
     def point_column(self, value) -> list[int]:
         """The column of an int, Fraction or (re, im) pair of them."""
         re, im = as_gaussian(value)
-        return self.column((re.numerator, re.denominator,
-                            im.numerator, im.denominator))
+        d = lcm(re.denominator, im.denominator)
+        return _plane_column(self.k - 1, d,
+                             re.numerator * (d // re.denominator),
+                             im.numerator * (d // im.denominator))
 
     @staticmethod
     def render_point(point: Sequence[str]) -> str:
@@ -132,12 +148,13 @@ class SphereOneI:
 
     Points are rational points of S^m: the inverse stereographic images of
     t = a/d, with a in [-8, 8]^m and d in [1, 8], projected from the north
-    pole, which is therefore never drawn.  A draw (a, d) is keyed by
-    a * 840 // d (stereographic projection is injective): 1929 distinct
-    points of S^2, 36,111 of S^3, and so on.  Its column is (|a|^2 + d^2,
-    2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2.  A point given as
-    Fractions, as `evaluate_rank` takes them, gets (1, x) times the lcm of
-    its denominators instead.
+    pole, which is therefore never drawn.  A draw, d first and then a, is
+    keyed by a * 840 // d (stereographic projection is injective): 1929
+    distinct points of S^2, 36,111 of S^3, and so on.  Its column is
+    (|a|^2 + d^2, 2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2, and
+    x is its other entries over its first.  A point given as Fractions, as
+    `evaluate_rank` takes them, gets (1, x) times the lcm of its
+    denominators instead.
     """
 
     m: int
@@ -159,26 +176,44 @@ class SphereOneI:
     def grid_size(self) -> int:
         return _grid_size(_SPHERE_BOUND, self.m)
 
-    def draw(self, bits) -> tuple[tuple[int, ...], int]:
-        d = _uniform(bits, 1, _MAX_DEN)
-        return (tuple([_uniform(bits, -_SPHERE_BOUND, _SPHERE_BOUND)
-                       for _ in range(self.m)]), d)
+    def sample(self, bits, count: int) -> list[list[int]]:
+        """The columns of count pairwise distinct drawn points."""
+        span = 2 * _SPHERE_BOUND + 1
+        width, den_width = span.bit_length(), _MAX_DEN.bit_length()
+        coordinates = range(self.m)
+        columns: list[list[int]] = []
+        seen = set()
+        while len(columns) < count:
+            d = bits(den_width)
+            while d >= _MAX_DEN:
+                d = bits(den_width)
+            d += 1
+            scale, twice = _KEY_SCALE // d, 2 * d
+            scaled = []
+            norm = 0
+            column = [0]
+            for _ in coordinates:
+                v = bits(width)
+                while v >= span:
+                    v = bits(width)
+                v -= _SPHERE_BOUND
+                scaled.append(v * scale)
+                norm += v * v
+                column.append(twice * v)
+            key = tuple(scaled)
+            if key in seen:
+                continue
+            seen.add(key)
+            column[0] = norm + d * d
+            column.append(norm - d * d)
+            columns.append(column)
+        return columns
 
     @staticmethod
-    def key(draw: tuple[tuple[int, ...], int]) -> tuple[int, ...]:
-        a, d = draw
-        return tuple([v * _KEY_SCALE // d for v in a])
-
-    @staticmethod
-    def column(draw: tuple[tuple[int, ...], int]) -> list[int]:
-        a, d = draw
-        norm = sum(v * v for v in a)
-        return [norm + d * d, *(2 * v * d for v in a), norm - d * d]
-
-    def point(self, draw: tuple[tuple[int, ...], int]
-              ) -> tuple[Fraction, ...]:
-        scale, *coordinates = self.column(draw)
-        return tuple(Fraction(c, scale) for c in coordinates)
+    def point(column: Sequence[int]) -> tuple[Fraction, ...]:
+        """The point x whose column this is."""
+        scale = column[0]
+        return tuple([Fraction(c, scale) for c in column[1:]])
 
     def point_column(self, value) -> list[int]:
         """The column of m+1 ints or Fractions of squared norm exactly 1."""
@@ -255,6 +290,18 @@ def parse_map(text: str) -> ExampleMap:
 # ---------------------------------------------------------------------------
 # Exact points and rank.
 
+def _plane_column(top: int, d: int, wr: int, wi: int) -> list[int]:
+    """(1, z, ..., z^top) realified and scaled by d^top, for z = w/d."""
+    column = [d ** top]
+    power_re, power_im = 1, 0
+    for j in range(top - 1, -1, -1):
+        power_re, power_im = (power_re * wr - power_im * wi,
+                              power_re * wi + power_im * wr)
+        scale = d ** j
+        column += (power_re * scale, power_im * scale)
+    return column
+
+
 def _is_exact(value) -> bool:
     return isinstance(value, (int, Fraction))
 
@@ -311,16 +358,6 @@ def integer_rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
 # ---------------------------------------------------------------------------
 # Sampling.
 
-def _uniform(bits, low: int, high: int) -> int:
-    """rng.randint(low, high) off the same bits: getrandbits with rejection."""
-    n = high - low + 1
-    width = n.bit_length()
-    r = bits(width)
-    while r >= n:
-        r = bits(width)
-    return low + r
-
-
 def _grid_size(bound: int, m: int) -> int:
     """Number of distinct points a/d of Q^m, |a_i| <= bound, d <= _MAX_DEN.
 
@@ -331,19 +368,6 @@ def _grid_size(bound: int, m: int) -> int:
     return sum(_MOBIUS[e] * (2 * (bound // e) + 1) ** m
                for d in range(1, _MAX_DEN + 1)
                for e in range(1, d + 1) if d % e == 0)
-
-
-def _draw(bits, part, count: int) -> list:
-    """count draws of part whose points are pairwise distinct."""
-    draws = []
-    seen = set()
-    while len(draws) < count:
-        drawn = part.draw(bits)
-        key = part.key(drawn)
-        if key not in seen:
-            seen.add(key)
-            draws.append(drawn)
-    return draws
 
 
 @dataclass(frozen=True)
@@ -424,15 +448,13 @@ def sample_check_regular(example: ExampleMap,
     witnesses: list[Witness] = []
     for trial in range(trials):
         bits = random.Random(seed * _SEED_STRIDE + trial).getrandbits
-        draws = [_draw(bits, part, size) for part, size in zip(parts, sizes)]
-        rank = sum(integer_rank_bareiss([part.column(d) for d in part_draws])
-                   for part, part_draws in zip(parts, draws))
-        if rank < wanted:
+        columns = [part.sample(bits, size) for part, size in zip(parts, sizes)]
+        if sum(map(integer_rank_bareiss, columns)) < wanted:
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(Witness(trial, tuple(
-                    tuple(part.point(d) for d in part_draws)
-                    for part, part_draws in zip(parts, draws))))
+                    tuple(map(part.point, part_columns))
+                    for part, part_columns in zip(parts, columns))))
     return RegularityReport(
         example=example,
         tuple_sizes=sizes,

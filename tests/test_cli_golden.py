@@ -1,7 +1,10 @@
 """Golden CLI corpus: literal stdout and exit codes of fixed argvs.
 
 Recorded from the argparse-based parser that the command table replaced;
-the table must read every argv the same way.  Usage errors print nothing on
+the table must read every argv the same way.  The Vandermonde and mixed-sum
+verify witnesses were recorded from the sampler that drew, keyed and built
+columns in separate calls per point; the fused per-family loop must draw the
+same points.  Usage errors print nothing on
 stdout, exit 1 and name the offending token (or missing argument) on
 stderr.
 """
@@ -110,6 +113,32 @@ GOLDEN = [
      '{"schema": "1", "manifold": "RP^2", "rows": [], "best": null}\n'),
     (('table', '-3'), 1,
      ''),
+    (('verify', 'vandermonde:3', '--tuple', '6', '--trials', '2'), 3,
+     'map: vandermonde:3\n'
+     'tuple sizes: 6\n'
+     'trials: 2 (seed 0)\n'
+     'violations: 2\n'
+     "note: a tuple size exceeds its part's ambient dimension; violations "
+     'are expected\n'
+     'witness (trial 0): [(34/7) + (-54/5)*i, (60/7) + (13/8)*i, (27/4) + '
+     '(-29/5)*i, (-29/2) + (0)*i, (15/2) + (-23/3)*i, (28) + (26/7)*i]\n'
+     'witness (trial 1): [(-15) + (1/2)*i, (31/4) + (8)*i, (-11/2) + (60)*i, '
+     '(5) + (-8)*i, (1) + (-19/3)*i, (-57) + (-58)*i]\n'
+     'verdict: counterexample\n'),
+    (('verify', 'vandermonde:2+sphere:3', '--tuple', '4,5', '--trials', '2',
+      '--seed', '9', '--json'), 3,
+     '{"schema": "2", "map": "vandermonde:2+sphere:3", "tuple_sizes": [4, '
+     '5], "trials": 2, "seed": 9, "violations": 2, "verdict": '
+     '"counterexample", "expected_violation": true, "witnesses": [{"trial": '
+     '0, "points": [[["8", "-20/3"], ["-11", "29/3"], ["11/2", "-12"], '
+     '["-51", "-7"]], [["8/35", "2/5", "-2/35", "31/35"], ["-8/97", '
+     '"16/97", "-8/97", "95/97"], ["-4/13", "8/13", "8/13", "5/13"], '
+     '["70/187", "-80/187", "70/187", "137/187"], ["-1/19", "-6/19", "0", '
+     '"18/19"]]]}, {"trial": 1, "points": [[["20", "59/4"], ["-13/3", '
+     '"15"], ["7/2", "3"], ["7", "-7"]], [["6/19", "-6/19", "0", "17/19"], '
+     '["50/51", "0", "-10/51", "1/51"], ["-18/19", "6/19", "0", "1/19"], '
+     '["-42/67", "-49/67", "0", "18/67"], ["18/79", "-21/79", "24/79", '
+     '"70/79"]]]}]}\n'),
 ]
 
 # (argv, a token stderr must name)

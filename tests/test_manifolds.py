@@ -7,9 +7,23 @@ import pytest
 from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
                       Sphere, atoms, cohomology_ring, dual_sw, floor_log2,
                       is_closed, real_dimension, render, top_dual_degree,
-                      top_dual_degree_closed_form, total_sw)
+                      top_dual_degree_closed_form)
 from kregular.manifolds import Atom
 from kregular.series import GradedSeries
+
+
+def total_sw(spec):
+    """Total Stiefel-Whitney class of the tangent bundle, mod 2, as a series.
+
+    The oracle the bit inversion is checked against: each projective
+    factor contributes (1 + g)^(m+1) in the joint ring.
+    """
+    ring = cohomology_ring(spec)
+    total = ring.one()
+    projective = [atom for atom in atoms(spec) if atom.letter]
+    for name, atom in zip(ring.names, projective):
+        total = total * (ring.one() + ring.gen(name)) ** (atom.m + 1)
+    return total
 
 
 def test_dimension_validation():

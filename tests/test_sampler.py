@@ -12,7 +12,6 @@ from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
                       integer_rank_bareiss, parse_map, render_map,
                       sample_check_regular)
 from kregular import sampler
-from kregular.sampler import _draw
 from rank_oracles import (gauss_rank_oracle, rational_rank,
                           vandermonde_columns, vandermonde_determinant,
                           vandermonde_rank_exact)
@@ -226,8 +225,8 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
 def test_integer_sphere_columns_lie_on_the_sphere():
     for m in range(2, 7):
         part = SphereOneI(m)
-        draws = _draw(random.Random(29 + m).getrandbits, part, 40)
-        pts = tuple(part.point(d) for d in draws)
+        columns = part.sample(random.Random(29 + m).getrandbits, 40)
+        pts = tuple(part.point(column) for column in columns)
         # The points come from the Fraction drawer below, seeded alike, so
         # the drawn columns are checked against points built independently.
         oracle = fraction_sphere_points(random.Random(29 + m), m, 40)
@@ -235,14 +234,13 @@ def test_integer_sphere_columns_lie_on_the_sphere():
         assert len(set(pts)) == len(pts)
         # A drawn point's column and a Fraction point's column are positive
         # multiples of the same (1, x).
-        for column, x in zip([part.column(d) for d in draws]
-                             + [part.point_column(x) for x in pts],
+        for column, x in zip(columns + [part.point_column(x) for x in pts],
                              pts + pts):
             assert len(column) == m + 2 and column[0] > 0
             assert column[0] ** 2 == sum(c * c for c in column[1:])
             assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
         triple = pts[:3]
-        assert (integer_rank_bareiss([part.column(d) for d in draws[:3]])
+        assert (integer_rank_bareiss(columns[:3])
                 == integer_rank_bareiss([part.point_column(x)
                                          for x in triple])
                 == gauss_rank_oracle([[1, *x] for x in triple]) == 3)
@@ -292,9 +290,38 @@ def test_integer_draws_match_the_fraction_drawer():
             for seed in range(12):
                 oracle = random.Random(seed)
                 rng = random.Random(seed)
-                draws = _draw(rng.getrandbits, part, size)
-                assert (tuple(part.point(d) for d in draws)
-                        == tuple(fraction_points(oracle, part, size)))
+                columns = part.sample(rng.getrandbits, size)
+                points = tuple(part.point(column) for column in columns)
+                assert points == tuple(fraction_points(oracle, part, size))
+                assert rng.getstate() == oracle.getstate()
+                # Every entry of a drawn column, not only those the point
+                # is read from, is a positive multiple of the column of
+                # the exact point; a plane column is that column itself.
+                for column, point in zip(columns, points):
+                    exact = part.point_column(point)
+                    assert column[0] > 0
+                    assert ([column[0] * c for c in exact]
+                            == [exact[0] * c for c in column])
+                    if isinstance(part, VandermondeMap):
+                        assert column == exact
+
+
+def test_sum_trial_matches_the_fraction_drawer():
+    # One trial of a direct sum: its parts draw one after another from one
+    # generator, which ends where the Fraction drawer's does.
+    for k, m in ((2, 2), (3, 4), (5, 3), (8, 6)):
+        example = parse_map(f"vandermonde:{k}+sphere:{m}")
+        for sizes in ((k, 3), (2 * k, m + 3), (1, 1)):
+            for seed in range(8):
+                oracle = random.Random(seed)
+                rng = random.Random(seed)
+                columns = [part.sample(rng.getrandbits, size)
+                           for part, size in zip(example.parts, sizes)]
+                assert ([[part.point(c) for c in part_columns]
+                         for part, part_columns in zip(example.parts,
+                                                       columns)]
+                        == [fraction_points(oracle, part, size)
+                            for part, size in zip(example.parts, sizes)])
                 assert rng.getstate() == oracle.getstate()
 
 
@@ -311,23 +338,47 @@ def test_witnesses_match_the_fraction_drawer():
             for part, size in zip(example.parts, (9, 5)))
 
 
+def grid_bits(values):
+    """A getrandbits stand-in that hands out (width, value) pairs in order.
+
+    It checks each requested width and raises StopIteration once the
+    values run out, so a sampler that needs more draws than the grid has
+    fails instead of looping.
+    """
+    values = iter(values)
+
+    def bits(width):
+        want, value = next(values)
+        assert width == want
+        return value
+    return bits
+
+
 def test_draw_keys_match_fraction_equality():
-    # Exhaustive over the grids: a draw's integer key is a bijection onto
-    # the exact point, so key equality is Fraction equality.
+    # Exhaustive over the grids: every draw of a grid, fed in order, yields
+    # each exact point exactly once.  A key that merged two points would run
+    # out of draws; one that split a point would keep it twice.
     coordinates = [(a, b) for a in range(-64, 65) for b in range(1, 9)]
-    for key_of in (lambda a, b: VandermondeMap.key((a, b, 0, 1))[0],
-                   lambda a, b: VandermondeMap.key((0, 1, a, b))[1]):
-        pairs = {(key_of(a, b), Fraction(a, b)) for a, b in coordinates}
-        assert (len({key for key, _ in pairs}) == len({z for _, z in pairs})
-                == len(pairs) == 663)
+    fixed = ((8, 64), (4, 0))  # the raw draws of 0 = 0/1
+    for place in (0, 1):
+        raw = [((8, a + 64), (4, b - 1)) for a, b in coordinates]
+        draws = [pair + fixed if place == 0 else fixed + pair
+                 for pair in raw]
+        columns = VandermondeMap(2).sample(
+            grid_bits(v for draw in draws for v in draw), 663)
+        points = {VandermondeMap.point(c)[place] for c in columns}
+        assert len(points) == len(columns) == 663
+        assert points == {Fraction(a, b) for a, b in coordinates}
     assert VandermondeMap(2).grid_size == 663 ** 2
     for m, size in ((2, 1929), (3, 36_111)):
-        draws = [(a, d) for d in range(1, 9)
+        draws = [(d, a) for d in range(1, 9)
                  for a in itertools.product(range(-8, 9), repeat=m)]
         sphere = SphereOneI(m)
-        pairs = {(sphere.key(draw), sphere.point(draw)) for draw in draws}
-        assert (len({key for key, _ in pairs}) == len({x for _, x in pairs})
-                == len(pairs) == size)
+        columns = sphere.sample(grid_bits(
+            pair for d, a in draws
+            for pair in ((4, d - 1), *((5, v + 8) for v in a))), size)
+        points = {sphere.point(column) for column in columns}
+        assert len(points) == len(columns) == size
         assert sphere.grid_size == size
 
 
