@@ -56,7 +56,8 @@ def lambda_top(spec: ManifoldSpec, points: int = 2,
     - real (M, 2), M closed: d = dim M + top dual class degree, contributes
       d + 2;
     - complex (S^m, 2): d = floor(m/2), contributes d + 2;
-    - complex (CP^m, 2), m >= 4: d >= 2m-2, contributes d + 2;
+    - complex (CP^m, 2), m >= 4: d >= 2m-2, the height of c1 in
+      H*(G_2(C^(m+1)); QQ) (the box size 2(m-1)), contributes d + 2;
     - complex (R^m, p), p an odd prime: d >= floor((m+1)/2)*(p-1),
       contributes d + 1.
 

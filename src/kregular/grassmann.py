@@ -330,215 +330,3 @@ def chern_height_of_first_class(k: int, n: int) -> int:
     """
     return cached_presentation(k, n, CHERN).first_class_height()
 
-
-def kappa_case(m: int, a: int, b: int) -> int:
-    """Vanishing exponent in the two-point module over CP^m (m >= 4).
-
-    For the combination a*u + b*f (f the first Chern class of the module's
-    Grassmann ring, u the extension class with 2u = 0 and u^2 = f*u) this
-    returns the largest exponent t with a nonzero power: with b != 0 the
-    free summand b^t f^t survives exactly to the ring height of f; with
-    b = 0 the remaining u-component a^t f^(t-1) u survives one step more.
-    (0, 0) is rejected.
-    """
-    if not (isinstance(m, int) and m >= 4):
-        raise ValueError(f"need an integer m >= 4, got {m!r}")
-    if not (isinstance(a, int) and isinstance(b, int)):
-        raise ValueError("coefficients must be integers")
-    if a == 0 and b == 0:
-        raise ValueError("the zero combination has no vanishing exponent")
-    h = chern_height_of_first_class(2, m)
-    return h if b != 0 else h + 1
-
-
-class YasuiIntegralModule:
-    """Two-point configuration module over CP^m with basis {1, u}.
-
-    The free summand lives in the rational Chern presentation of
-    G_2(C^(m+1)); the u-summand is 2-torsion, with coefficients in
-    H*(G_2(C^(m+1)); GF(2)), which is the Stiefel-Whitney presentation of
-    G_2(R^(m+1)) on the same exponent vectors (c_i mod 2 is w_i, degrees
-    halved), and u^2 = c1*u.  Multiplication:
-
-        (x1 + y1 u)(x2 + y2 u) = x1 x2 + (x1' y2 + x2' y1 + y1 y2 c1') u
-
-    where ' is mod-2 reduction of the free part, which therefore must have
-    integer coefficients; c1' is w1.
-    """
-
-    def __init__(self, m: int):
-        if not (isinstance(m, int) and m >= 2):
-            raise ValueError(f"need an integer m >= 2, got {m!r}")
-        self.m = m
-        self.free_presentation = cached_presentation(2, m, CHERN)
-        self.torsion_presentation = cached_presentation(2, m,
-                                                        STIEFEL_WHITNEY)
-
-    def element(self, free: GradedSeries,
-                upart: GradedSeries) -> "YasuiElement":
-        self.free_presentation.ring.require_same(free.ring)
-        self.torsion_presentation.ring.require_same(upart.ring)
-        return YasuiElement(self, free, upart)
-
-    def one(self) -> "YasuiElement":
-        return YasuiElement(self, self.free_presentation.ring.one(),
-                            self.torsion_presentation.ring.zero())
-
-    def u(self) -> "YasuiElement":
-        return YasuiElement(self, self.free_presentation.ring.zero(),
-                            self.torsion_presentation.ring.one())
-
-    def first_class(self) -> "YasuiElement":
-        return YasuiElement(self, self.free_presentation.first_class(),
-                            self.torsion_presentation.ring.zero())
-
-    def reduce_mod_2(self, free: GradedSeries) -> GradedSeries:
-        """Mod-2 image of an integer-coefficient free-part representative.
-
-        The exponent vectors carry over unchanged: c_i reduces to w_i.
-        """
-        terms: dict[tuple[int, ...], int] = {}
-        for exponents, coeff in free.terms.items():
-            if coeff.denominator != 1:
-                raise ValueError(
-                    "mod-2 reduction needs integer coefficients, got "
-                    f"{coeff!r}")
-            terms[exponents] = coeff.numerator % 2
-        return self.torsion_presentation.ring.from_terms(terms)
-
-
-class YasuiElement:
-    """x + y*u in a YasuiIntegralModule; representatives stay ambient."""
-
-    __slots__ = ("module", "free", "upart")
-
-    def __init__(self, module: YasuiIntegralModule, free: GradedSeries,
-                 upart: GradedSeries):
-        self.module = module
-        self.free = free
-        self.upart = upart
-
-    def __add__(self, other: "YasuiElement") -> "YasuiElement":
-        self._check(other)
-        return YasuiElement(self.module, self.free + other.free,
-                            self.upart + other.upart)
-
-    def __mul__(self, other: "YasuiElement") -> "YasuiElement":
-        self._check(other)
-        mod = self.module
-        free = self.free * other.free
-        r1 = mod.reduce_mod_2(self.free)
-        r2 = mod.reduce_mod_2(other.free)
-        c1_mod2 = mod.torsion_presentation.first_class()
-        upart = (r1 * other.upart + r2 * self.upart
-                 + self.upart * other.upart * c1_mod2)
-        return YasuiElement(mod, free, upart)
-
-    def __pow__(self, exponent: int) -> "YasuiElement":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.module.one()
-        for _ in range(exponent):
-            out = out * self
-        return out
-
-    def is_zero(self) -> bool:
-        return (self.module.free_presentation.normal_form(self.free).is_zero()
-                and self.module.torsion_presentation.normal_form(
-                    self.upart).is_zero())
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YasuiElement):
-            return NotImplemented
-        self._check(other)
-        free_diff = self.free - other.free
-        upart_diff = self.upart - other.upart
-        return (self.module.free_presentation.normal_form(
-                    free_diff).is_zero()
-                and self.module.torsion_presentation.normal_form(
-                    upart_diff).is_zero())
-
-    def __hash__(self) -> int:
-        raise TypeError("unhashable: equality is up to the defining ideal")
-
-    def _check(self, other: "YasuiElement") -> None:
-        if other.module.m != self.module.m:
-            raise ValueError("elements from modules over different CP^m")
-
-    def __repr__(self) -> str:
-        return (f"<({self.free.render()}) + ({self.upart.render()})*u "
-                f"over CP^{self.module.m}>")
-
-
-class YasuiMod2Module:
-    """Mod-2 sibling with basis {1, v, v^2} and v^3 = c1*v over G_2(C^(m+1)).
-
-    Coefficients lie in H*(G_2(C^(m+1)); GF(2)), the Stiefel-Whitney
-    presentation of G_2(R^(m+1)), where c1 mod 2 is w1.
-    """
-
-    def __init__(self, m: int):
-        if not (isinstance(m, int) and m >= 2):
-            raise ValueError(f"need an integer m >= 2, got {m!r}")
-        self.m = m
-        self.presentation = cached_presentation(2, m, STIEFEL_WHITNEY)
-
-    def element(self, comp0: GradedSeries, comp1: GradedSeries,
-                comp2: GradedSeries) -> "YasuiMod2Element":
-        for comp in (comp0, comp1, comp2):
-            self.presentation.ring.require_same(comp.ring)
-        return YasuiMod2Element(self, (comp0, comp1, comp2))
-
-    def one(self) -> "YasuiMod2Element":
-        ring = self.presentation.ring
-        return YasuiMod2Element(self, (ring.one(), ring.zero(), ring.zero()))
-
-    def v(self) -> "YasuiMod2Element":
-        ring = self.presentation.ring
-        return YasuiMod2Element(self, (ring.zero(), ring.one(), ring.zero()))
-
-
-class YasuiMod2Element:
-    """x0 + x1*v + x2*v^2 with v^3 = c1*v; components in the GF(2) ring."""
-
-    __slots__ = ("module", "comps")
-
-    def __init__(self, module: YasuiMod2Module,
-                 comps: tuple[GradedSeries, GradedSeries, GradedSeries]):
-        self.module = module
-        self.comps = comps
-
-    def __add__(self, other: "YasuiMod2Element") -> "YasuiMod2Element":
-        self._check(other)
-        return YasuiMod2Element(self.module, tuple(
-            a + b for a, b in zip(self.comps, other.comps)))
-
-    def __mul__(self, other: "YasuiMod2Element") -> "YasuiMod2Element":
-        # v*v = v^2, v*v^2 = c1*v, v^2*v^2 = c1*v^2.
-        self._check(other)
-        x0, x1, x2 = self.comps
-        y0, y1, y2 = other.comps
-        c1 = self.module.presentation.first_class()
-        z0 = x0 * y0
-        z1 = x0 * y1 + x1 * y0 + c1 * (x1 * y2 + x2 * y1)
-        z2 = x0 * y2 + x2 * y0 + x1 * y1 + c1 * (x2 * y2)
-        return YasuiMod2Element(self.module, (z0, z1, z2))
-
-    def is_zero(self) -> bool:
-        nf = self.module.presentation.normal_form
-        return all(nf(comp).is_zero() for comp in self.comps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, YasuiMod2Element):
-            return NotImplemented
-        self._check(other)
-        nf = self.module.presentation.normal_form
-        return all(nf(a - b).is_zero()
-                   for a, b in zip(self.comps, other.comps))
-
-    def __hash__(self) -> int:
-        raise TypeError("unhashable: equality is up to the defining ideal")
-
-    def _check(self, other: "YasuiMod2Element") -> None:
-        if other.module.m != self.module.m:
-            raise ValueError("elements from modules over different CP^m")

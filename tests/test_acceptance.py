@@ -18,7 +18,7 @@ from kregular import (CHERN, STIEFEL_WHITNEY, ComplexProj, Euclid,
                       RegularQuery, Sphere, SphereOneI, VandermondeMap,
                       bound_disjoint, bound_product_2regular,
                       cached_presentation, chern_height_of_first_class,
-                      floor_log2, lucas_binom_mod_p, kappa_case,
+                      floor_log2, lucas_binom_mod_p,
                       main_theorem_1_closed_form, main_theorem_2_closed_form,
                       real_dimension, sample_check_regular, top_dual_degree,
                       top_dual_degree_closed_form)
@@ -131,17 +131,18 @@ def test_criterion_6_handel_recovery():
 
 
 @timed(60.0)
-def test_criterion_7_kappa_case_analysis():
+def test_criterion_7_complex_cp_two_point_bound():
+    # The CP^m rule against row reduction of c1 in G_2(C^(m+1)).
     for m in range(4, 9):
-        h = chern_height_of_first_class(2, m)
-        assert h == 2 * m - 2
-        for a in range(-2, 3):
-            for b in range(-2, 3):
-                if (a, b) == (0, 0):
-                    continue
-                got = kappa_case(m, a, b)
-                assert got >= 2 * m - 2, (m, a, b)
-                assert got == (h if b != 0 else h + 1), (m, a, b)
+        pres = GrassmannPresentation(2, m, CHERN)
+        height = pres.height(pres.first_class())
+        assert height == 2 * m - 2, m
+        report = bound_disjoint(
+            RegularQuery(((ComplexProj(m), 2),), "complex"))
+        (piece,) = report.breakdown
+        assert piece.top_degree == height, m
+        assert piece.is_lower_bound, m
+        assert report.bound == height + 2, m
 
 
 @timed(60.0)

@@ -2,8 +2,9 @@
 
 import pytest
 
-from kregular import (COMPLEX, REAL, ComplexProj, Euclid, Product, RealProj,
-                      Sphere, UnsupportedBundleError, kappa_case, lambda_top)
+from kregular import (CHERN, COMPLEX, REAL, ComplexProj, Euclid,
+                      GrassmannPresentation, Product, RealProj, Sphere,
+                      UnsupportedBundleError, lambda_top)
 
 
 def test_real_closed_two_point_examples():
@@ -71,11 +72,12 @@ def test_profile_carries_source_label():
     assert profile.source
 
 
-@pytest.mark.parametrize("m", [4, 5, 6])
-def test_complex_cp_bound_matches_kappa_minimum(m):
-    # Cross-module consistency: the certified lower bound equals the
-    # smallest vanishing exponent over all admissible class combinations.
-    cases = [kappa_case(m, a, b)
-             for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)]
-    assert lambda_top(ComplexProj(m), 2, COMPLEX).top_degree == min(cases)
-    assert min(cases) == 2 * m - 2
+@pytest.mark.parametrize("m", [4, 5, 6, 7])
+def test_complex_cp_bound_matches_row_reduced_height(m):
+    # The rule reads the box size; row reduction of the Chern presentation
+    # of G_2(C^(m+1)) is the independent second method.
+    profile = lambda_top(ComplexProj(m), 2, COMPLEX)
+    pres = GrassmannPresentation(2, m, CHERN)
+    assert profile.top_degree == pres.height(pres.first_class()) == 2 * m - 2
+    assert profile.contribution == 2 * m
+    assert profile.is_lower_bound

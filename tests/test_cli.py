@@ -53,7 +53,7 @@ def test_bound_complex(capsys):
                            "--regime", "complex")
     assert code == EXIT_OK
     assert out.splitlines()[0] == "N >= 8 (complex two-point lower bound)"
-    assert ">=" in out.splitlines()[1]  # kappa is only bounded below
+    assert ">=" in out.splitlines()[1]  # CP^m is only bounded below
 
 
 def test_bound_json_schema_and_determinism(capsys):

@@ -4,7 +4,8 @@ Recorded from the argparse-based parser that the command table replaced;
 the table must read every argv the same way.  The Vandermonde and mixed-sum
 verify witnesses were recorded from the sampler that drew, keyed and built
 columns in separate calls per point; the fused per-family loop must draw the
-same points.  Usage errors print nothing on
+same points.  The complex CP^5 + S^4 case was recorded before the unused
+two-point module models left `grassmann.py`.  Usage errors print nothing on
 stdout, exit 1 and name the offending token (or missing argument) on
 stderr.
 """
@@ -139,6 +140,16 @@ GOLDEN = [
      '["50/51", "0", "-10/51", "1/51"], ["-18/19", "6/19", "0", "1/19"], '
      '["-42/67", "-49/67", "0", "18/67"], ["18/79", "-21/79", "24/79", '
      '"70/79"]]]}]}\n'),
+    (('bound', '(CP^5, 2) + (S^4, 2)', '--regime', 'complex', '--json'), 0,
+     '{"schema": "1", "query": "(CP^5, 2) + (S^4, 2)", "regime": "complex", '
+     '"bound": 14, "theorem": "disjoint union lower bound (complex)", '
+     '"breakdown": [{"piece": "CP^5", "points": 2, "top_degree": 8, '
+     '"contribution": 10, "lower_bound_only": true, "source": "complex '
+     'two-point bundle over CP^m: top degree >= 2m-2 (ring height of the '
+     'first class)"}, {"piece": "S^4", "points": 2, "top_degree": 2, '
+     '"contribution": 4, "lower_bound_only": false, "source": "complex '
+     'two-point bundle over a sphere: top degree floor(m/2)"}], '
+     '"tightness": null}\n'),
 ]
 
 # (argv, a token stderr must name)

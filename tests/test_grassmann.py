@@ -1,4 +1,4 @@
-"""Grassmannian quotient presentations, heights, and the two-point modules."""
+"""Grassmannian quotient presentations and heights."""
 
 import importlib
 import math
@@ -9,9 +9,8 @@ from fractions import Fraction
 import pytest
 
 from kregular import (CHERN, GF2, QQ, STIEFEL_WHITNEY, GradedSeries,
-                      GrassmannPresentation, PrimeField, YasuiIntegralModule,
-                      YasuiMod2Module, cached_presentation,
-                      chern_height_of_first_class, kappa_case)
+                      GrassmannPresentation, PrimeField, cached_presentation,
+                      chern_height_of_first_class)
 from rank_oracles import rational_rank
 
 
@@ -445,124 +444,3 @@ def test_benchmark_probe_names_resolve(monkeypatch):
     assert callable(cached_presentation.cache_info)
     data = GrassmannPresentation(2, 3, CHERN)._reduce_degree(4)
     assert len(data.monomials) == 2
-
-
-# ---------------------------------------------------------------------------
-# kappa case analysis.
-
-def test_kappa_case_examples():
-    assert kappa_case(4, 1, 0) == 7
-    assert kappa_case(4, 0, 1) == 6
-    assert kappa_case(4, 1, 1) == 6
-    assert kappa_case(4, -2, 2) == 6
-
-
-def test_kappa_case_validation():
-    with pytest.raises(ValueError):
-        kappa_case(3, 1, 1)
-    with pytest.raises(ValueError):
-        kappa_case(4, 0, 0)
-    with pytest.raises(ValueError):
-        kappa_case(4, Fraction(1, 2), 1)
-
-
-def test_kappa_case_lower_bound_m4():
-    for a in range(-2, 3):
-        for b in range(-2, 3):
-            if (a, b) != (0, 0):
-                assert kappa_case(4, a, b) >= 6
-
-
-# ---------------------------------------------------------------------------
-# Yasui modules.
-
-def test_yasui_u_is_two_torsion():
-    mod = YasuiIntegralModule(4)
-    u = mod.u()
-    assert (u + u).is_zero()
-
-
-def test_yasui_u_squared_is_c1_u():
-    mod = YasuiIntegralModule(4)
-    u = mod.u()
-    assert u * u == mod.first_class() * u
-
-
-def test_yasui_xu_u_equals_x_c1_u():
-    mod = YasuiIntegralModule(5)
-    rng = random.Random(3)
-    ring = mod.free_presentation.ring
-    monos = [m for d in range(0, 9, 2) for m in ring.monomials_of_degree(d)]
-    u, c1 = mod.u(), mod.first_class()
-    for _ in range(10):
-        x = mod.element(ring.from_terms(
-            {m: rng.randint(-3, 3) for m in rng.sample(monos, 4)}),
-            mod.torsion_presentation.ring.zero())
-        assert (x * u) * u == x * c1 * u
-
-
-def test_yasui_mod2_reduction_needs_integers():
-    mod = YasuiIntegralModule(4)
-    ring = mod.free_presentation.ring
-    with pytest.raises(ValueError):
-        mod.reduce_mod_2(ring.one().scale(Fraction(1, 2)))
-
-
-def test_yasui_elements_from_different_bases_do_not_mix():
-    u4 = YasuiIntegralModule(4).u()
-    u5 = YasuiIntegralModule(5).u()
-    with pytest.raises(ValueError):
-        u4 * u5
-
-
-def test_yasui_element_unhashable():
-    with pytest.raises(TypeError):
-        hash(YasuiIntegralModule(4).u())
-
-
-def test_yasui_powers_of_u():
-    # u^t = c1^(t-1) u, so u survives one step past the height of c1.
-    mod = YasuiIntegralModule(4)
-    h = chern_height_of_first_class(2, 4)
-    u = mod.u()
-    assert not (u ** (h + 1)).is_zero()
-    assert (u ** (h + 2)).is_zero()
-
-
-def test_yasui_u_height_is_sw_height_plus_one():
-    # u^t = w1^(t-1) u in the 2-torsion summand, whose coefficients are the
-    # Stiefel-Whitney presentation of G_2(R^(m+1)); so u survives exactly
-    # one step past the height of w1 there, counted by Pieri parity.
-    for m, expect in zip(range(4, 10), (7, 7, 7, 7, 15, 15)):
-        mod = YasuiIntegralModule(m)
-        assert mod.torsion_presentation is \
-            cached_presentation(2, m, STIEFEL_WHITNEY)
-        assert mod.torsion_presentation is YasuiMod2Module(m).presentation
-        u = mod.u()
-        power, t = u, 0
-        while not power.is_zero():
-            power, t = power * u, t + 1
-        assert t == pieri_sw_height(2, m) + 1 == expect, m
-
-
-def test_yasui_mod2_v_cubed():
-    mod = YasuiMod2Module(4)
-    v = mod.v()
-    ring = mod.presentation.ring
-    expected = mod.element(ring.zero(), mod.presentation.first_class(),
-                           ring.zero())
-    assert v * v * v == expected
-
-
-def test_yasui_mod2_v4():
-    mod = YasuiMod2Module(5)
-    v = mod.v()
-    ring = mod.presentation.ring
-    expected = mod.element(ring.zero(), ring.zero(),
-                           mod.presentation.first_class())
-    assert v * v * v * v == expected
-
-
-def test_yasui_mod2_unhashable():
-    with pytest.raises(TypeError):
-        hash(YasuiMod2Module(4).v())
