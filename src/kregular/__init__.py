@@ -1,7 +1,7 @@
 """Exact bounds and randomized checks for k-regular maps."""
 
 from .bounds import (BoundReport, ExistenceRecord, RegularQuery,
-                     TightnessInfo, bound_cited, bound_disjoint,
+                     bound_cited, bound_disjoint,
                      bound_product_2regular, handel_disjoint_closed_form,
                      main_theorem_1_closed_form, main_theorem_2_closed_form,
                      projective_3regular_upper, projective_table_matches,

@@ -22,9 +22,9 @@ from typing import Callable, Optional, Sequence
 
 from .bundles import COMPLEX, REAL, BundleProfile, lambda_top
 from .fields import digit_sum_base_p, is_prime
-from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, RealProj,
-                        Sphere, atoms, floor_log2, is_closed, real_dimension,
-                        render, top_dual_degree_closed_form)
+from .manifolds import (Atom, Euclid, ManifoldSpec, RealProj, Sphere,
+                        is_closed, real_dimension, render,
+                        top_dual_degree_closed_form)
 
 MAIN_THEOREM_1 = "Main Theorem I"
 MAIN_THEOREM_2 = "Main Theorem II"
@@ -62,32 +62,29 @@ class ExistenceRecord:
 
 
 @dataclass(frozen=True)
-class TightnessInfo:
-    """Best known construction next to a lower bound."""
-
-    upper: ExistenceRecord
-    tight: bool
-
-
-@dataclass(frozen=True)
 class BoundReport:
+    """A lower bound, the rule behind it and its per-piece breakdown.
+
+    `construction` is the best known construction for the query (what
+    upper_existence returned), or None when none is known; the bound is
+    `tight` when that construction's ambient dimension meets it.
+    """
+
     bound: int
     theorem: str
     breakdown: tuple
-    tightness: Optional[TightnessInfo] = None
+    construction: Optional[ExistenceRecord] = None
+
+    @property
+    def tight(self) -> bool:
+        return (self.construction is not None
+                and self.construction.ambient_dim == self.bound)
 
 
 def _require_closed_product(spec: ManifoldSpec, context: str) -> None:
     if not is_closed(spec):
         raise ValueError(f"{context} needs closed factors, got "
                          f"{render(spec)}")
-
-
-def _tightness(record: Optional[ExistenceRecord],
-               bound: int) -> Optional[TightnessInfo]:
-    if record is None:
-        return None
-    return TightnessInfo(record, record.ambient_dim == bound)
 
 
 def bound_product_2regular(spec: ManifoldSpec) -> BoundReport:
@@ -102,19 +99,10 @@ def bound_product_2regular(spec: ManifoldSpec) -> BoundReport:
 
 
 def main_theorem_1_closed_form(spec: ManifoldSpec) -> int:
-    """Power-of-two evaluation of the product bound; no bundle algebra."""
+    """Dimension + closed-form top dual degree + 2; no bundle algebra."""
     _require_closed_product(spec, "the product bound")
-    total = 2
-    for atom in atoms(spec):
-        if isinstance(atom, Sphere):
-            total += atom.m
-        elif isinstance(atom, RealProj):
-            total += 2 ** (floor_log2(atom.m) + 1) - 1
-        elif isinstance(atom, ComplexProj):
-            total += 2 ** (floor_log2(atom.m) + 2) - 2
-        else:
-            total += 2 ** (floor_log2(atom.m) + 3) - 4
-    return total
+    return (real_dimension(spec)
+            + top_dual_degree_closed_form(spec).top_degree + 2)
 
 
 def _is_mt2_piece(spec: ManifoldSpec, points: int) -> bool:
@@ -150,7 +138,7 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
                       for spec, points in query.pieces)
     bound = sum(piece.contribution for piece in breakdown)
     return BoundReport(bound, _theorem(query), breakdown,
-                       _tightness(upper_existence(query), bound))
+                       upper_existence(query))
 
 
 def main_theorem_2_closed_form(
@@ -166,27 +154,14 @@ def main_theorem_2_closed_form(
             raise ValueError(
                 f"({render(spec)}, {points}) is outside the disjoint-union "
                 "theorem's families")
-        if isinstance(spec, Euclid):
-            total += 2 * points - 1
-        elif isinstance(spec, Sphere):
-            total += spec.m + 2
-        elif isinstance(spec, RealProj):
-            total += 2 ** (floor_log2(spec.m) + 1) + 1
-        elif isinstance(spec, ComplexProj):
-            total += 2 ** (floor_log2(spec.m) + 2)
-        else:
-            total += 2 ** (floor_log2(spec.m) + 3) - 2
+        total += (2 * points - 1 if isinstance(spec, Euclid)
+                  else main_theorem_1_closed_form(spec))
     return total
 
 
 def handel_disjoint_closed_form(specs: Sequence[ManifoldSpec]) -> int:
-    """Two points per closed piece: sum of (dimension + top dual degree) + 2n."""
-    total = 2 * len(specs)
-    for spec in specs:
-        _require_closed_product(spec, "the two-point disjoint bound")
-        total += real_dimension(spec) + top_dual_degree_closed_form(
-            spec).top_degree
-    return total
+    """Two points per closed piece: the pieces' product bounds, summed."""
+    return sum(map(main_theorem_1_closed_form, specs))
 
 
 # ---------------------------------------------------------------------------
@@ -217,14 +192,19 @@ def bound_cited(kind: str, **params) -> BoundReport:
     return maker(**params)
 
 
-def _cited_real_euclid(m: int, k: int) -> BoundReport:
-    # Chisholm proved the bound for m a power of two only.
-    if not (isinstance(m, int) and _power_of(m, 2)):
-        raise ValueError(f"m = {m!r} must be a power of 2")
+def _digit_sum_bound(m: int, k: int, p: int) -> tuple[int, int]:
+    """(m(k - alpha_p(k)) + alpha_p(k), alpha_p(k)) for m a power of p."""
+    if not (isinstance(m, int) and _power_of(m, p)):
+        raise ValueError(f"m = {m!r} must be a power of {p}")
     if not (isinstance(k, int) and k >= 2):
         raise ValueError("need k >= 2")
-    alpha = digit_sum_base_p(k, 2)
-    bound = m * (k - alpha) + alpha
+    alpha = digit_sum_base_p(k, p)
+    return m * (k - alpha) + alpha, alpha
+
+
+def _cited_real_euclid(m: int, k: int) -> BoundReport:
+    # Chisholm proved the bound for m a power of two only.
+    bound, alpha = _digit_sum_bound(m, k, 2)
     piece = BundleProfile(Euclid(m), k, REAL, None, bound, True,
                           f"k-regular maps of R^m (m a power of 2): N >= "
                           f"m(k - alpha(k)) + alpha(k) with alpha({k}) = "
@@ -240,12 +220,7 @@ def _cited_complex_euclid(m: int, p: int) -> BoundReport:
 def _cited_complex_prime_power(m: int, k: int, p: int) -> BoundReport:
     if not is_prime(p):
         raise ValueError(f"{p!r} is not prime")
-    if not _power_of(m, p):
-        raise ValueError(f"m = {m!r} must be a power of p = {p}")
-    if not (isinstance(k, int) and k >= 2):
-        raise ValueError("need k >= 2")
-    alpha = digit_sum_base_p(k, p)
-    bound = m * (k - alpha) + alpha
+    bound, alpha = _digit_sum_bound(m, k, p)
     piece = BundleProfile(Euclid(2 * m), k, COMPLEX, None, bound, True,
                           f"complex k-regular maps of C^m (m a power of "
                           f"{p}): N >= m(k - alpha_p(k)) + alpha_p(k) with "

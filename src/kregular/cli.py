@@ -25,6 +25,7 @@ found a counterexample (the payload's verdict); 2 is unused.
 from __future__ import annotations
 
 import json
+import os
 import sys
 from types import SimpleNamespace
 from typing import Callable, NamedTuple, Optional, Sequence
@@ -53,11 +54,11 @@ def _cmd_bound(args) -> dict:
              else RegularQuery(((parsed, 2),), args.regime))
     report = bound_disjoint(query)
     tightness = None
-    if report.tightness is not None:
+    if report.construction is not None:
         tightness = {
-            "ambient_dim": report.tightness.upper.ambient_dim,
-            "source": report.tightness.upper.source,
-            "tight": report.tightness.tight,
+            "ambient_dim": report.construction.ambient_dim,
+            "source": report.construction.source,
+            "tight": report.tight,
         }
     return {
         "schema": "1",
@@ -141,11 +142,11 @@ def _cmd_verify(args) -> dict:
     example = parse_map(args.map)
     sizes: Optional[tuple[int, ...]] = None
     if args.tuple is not None:
-        try:
-            sizes = tuple(int(chunk) for chunk in args.tuple.split(","))
-        except ValueError:
+        chunks = args.tuple.split(",")
+        if not all(map(_is_int, chunks)):
             raise _UsageError(f"bad tuple sizes {args.tuple!r}; want a "
-                              "comma-separated list of integers") from None
+                              "comma-separated list of integers")
+        sizes = tuple(map(int, chunks))
     report = sample_check_regular(example, sizes, trials=args.trials,
                                   seed=args.seed)
     return {
@@ -188,10 +189,8 @@ def _text_verify(payload: dict) -> list:
 
 def _cmd_table(args) -> dict:
     text = args.manifold.strip()
-    # ASCII only, as in expr: isdigit() also takes superscripts like '\xb2'.
     # A signed integer goes to RealProj too, which rejects -3 as it does 0.
-    digits = text[1:] if text[:1] in ("+", "-") else text
-    if text.isascii() and digits.isdigit():
+    if _is_int(text):
         spec = RealProj(int(text))
     else:
         parsed = parse_manifold(text)
@@ -290,10 +289,28 @@ COMMANDS = {
 _HELP = ("-h", "--help")
 
 
-# Option lookup per subcommand, derived from the table once.
+# Per subcommand, derived from the table once: option lookup, the optional
+# options' defaults, and the required options as (flag, name) pairs.
 _OPTIONS = {name: {f"--{option.name}": option
                    for option in command.options + EVERY_COMMAND}
             for name, command in COMMANDS.items()}
+_DEFAULTS = {name: {option.name: option.default
+                    for option in options.values() if not option.required}
+             for name, options in _OPTIONS.items()}
+_REQUIRED = {name: [(flag, option.name) for flag, option in options.items()
+                    if option.required]
+             for name, options in _OPTIONS.items()}
+
+
+def _is_int(text: str) -> bool:
+    """Whether an argument is an integer: ASCII digits after at most one sign.
+
+    Every integer argument meets this rule before int(), which also reads
+    other scripts' digits, '_' and surrounding spaces; isdigit() alone also
+    takes superscript digits.
+    """
+    digits = text[1:] if text[:1] in "+-" else text
+    return digits.isdigit() and digits.isascii()
 
 
 def _names_option(token: str) -> bool:
@@ -301,18 +318,19 @@ def _names_option(token: str) -> bool:
 
     A token that starts with '-' names an option unless it is '-' alone,
     a negative integer (so `lucas -5 2` and `--seed -5` pass numbers), or
-    holds a space, as an expression may.
+    holds a space, as an expression may.  A second '-' rules out a number
+    without calling _is_int, which keeps the common `--name` case cheap.
     """
     return (token[:1] == "-" and token != "-" and " " not in token
-            and not token[1:].isdecimal())
+            and (token[1:2] == "-" or not _is_int(token)))
 
 
 def _convert(arg: _Arg, label: str, text: str):
-    try:
-        value = arg.convert(text)
-    except ValueError:
-        raise _UsageError(f"{label}: invalid {arg.convert.__name__} value "
-                          f"{text!r}") from None
+    # Unsigned ASCII digits, the common case, pass without calling _is_int.
+    if arg.convert is int and not (text.isdigit() and text.isascii()
+                                   or _is_int(text)):
+        raise _UsageError(f"{label}: invalid int value {text!r}")
+    value = arg.convert(text)
     if arg.choices and value not in arg.choices:
         raise _UsageError(f"{label}: invalid choice {text!r} (choose from "
                           f"{', '.join(arg.choices)})")
@@ -338,8 +356,7 @@ def _parse(argv: Sequence[str]) -> tuple:
         raise _UsageError(f"invalid command {name!r} (choose from "
                           f"{', '.join(COMMANDS)})")
     options = _OPTIONS[name]
-    values = {option.name: option.default for option in options.values()
-              if not option.required}
+    values = dict(_DEFAULTS[name])
     positionals = command.positionals
     filled = 0
     tokens = iter(argv[1:])
@@ -372,8 +389,7 @@ def _parse(argv: Sequence[str]) -> tuple:
         else:
             raise _UsageError(f"unexpected argument {token!r} for {name}")
     missing = [arg.name for arg in positionals[filled:]]
-    missing += [flag for flag, option in options.items()
-                if option.required and option.name not in values]
+    missing += [flag for flag, key in _REQUIRED[name] if key not in values]
     if missing:
         raise _UsageError(f"{name} requires {', '.join(missing)}")
     return name, SimpleNamespace(**values)
@@ -420,23 +436,31 @@ def _help(name: Optional[str]) -> str:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         name, args = _parse(sys.argv[1:] if argv is None else argv)
-        if args is None:
-            print(_help(name))
-            return EXIT_OK
-        command = COMMANDS[name]
-        payload = command.handler(args)
+        if args is not None:
+            command = COMMANDS[name]
+            payload = command.handler(args)
     except (_UsageError, ValueError) as exc:
         # ParseError and UnsupportedBundleError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if args.json:
-        print(json.dumps(payload))
+    if args is None:
+        lines, code = [_help(name)], EXIT_OK
     else:
-        for line in command.text(payload):
+        lines = ([json.dumps(payload)] if args.json
+                 else command.text(payload))
+        code = (EXIT_COUNTEREXAMPLE
+                if payload.get("verdict") == "counterexample" else EXIT_OK)
+    try:
+        for line in lines:
             print(line)
-    if payload.get("verdict") == "counterexample":
-        return EXIT_COUNTEREXAMPLE
-    return EXIT_OK
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does, and wants no more.
+        # Point stdout at devnull so the interpreter's exit flush is quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

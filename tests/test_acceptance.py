@@ -87,13 +87,17 @@ def test_criterion_3_grassmannian_heights():
 
 @timed(60.0)
 def test_criterion_4_corollary_bounds():
+    # Each family's value is checked three ways: the bundle bound, the
+    # product closed form and the one-piece disjoint-union closed form.
     for m in range(2, 65):
         i = floor_log2(m)
-        assert bound_product_2regular(Sphere(m)).bound == m + 2
-        assert bound_product_2regular(RealProj(m)).bound == 2 ** (i + 1) + 1
-        assert bound_product_2regular(ComplexProj(m)).bound == 2 ** (i + 2)
-        assert bound_product_2regular(QuatProj(m)).bound == \
-            2 ** (i + 3) - 2
+        for family, expect in ((Sphere, m + 2), (RealProj, 2 ** (i + 1) + 1),
+                               (ComplexProj, 2 ** (i + 2)),
+                               (QuatProj, 2 ** (i + 3) - 2)):
+            spec = family(m)
+            assert bound_product_2regular(spec).bound == \
+                main_theorem_1_closed_form(spec) == \
+                main_theorem_2_closed_form(((spec, 2),)) == expect, spec
     for i in range(1, 6):
         m = 2 ** i + 1
         assert bound_product_2regular(RealProj(m)).bound == 2 * m - 1

@@ -6,7 +6,7 @@ import pytest
 
 from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
                       Product, QuatProj, RealProj, RegularQuery, Sphere,
-                      TightnessInfo, UnsupportedBundleError, bound_cited,
+                      UnsupportedBundleError, bound_cited,
                       bound_disjoint, bound_product_2regular,
                       handel_disjoint_closed_form, lambda_top,
                       main_theorem_1_closed_form, main_theorem_2_closed_form,
@@ -59,10 +59,10 @@ def test_product_bound_is_the_one_piece_disjoint_bound():
         bound = profile.top_degree + 2
         assert profile.contribution == bound
         upper = upper_existence_piece(spec, 2)
-        tightness = (None if upper is None
-                     else TightnessInfo(upper, upper.ambient_dim == bound))
         assert report == BoundReport(bound, MAIN_THEOREM_1, (profile,),
-                                     tightness)
+                                     upper)
+        assert report.tight == (upper is not None
+                                and upper.ambient_dim == bound)
         assert report == bound_disjoint(RegularQuery(((spec, 2),), REAL))
         assert report.bound == main_theorem_1_closed_form(spec)
 
@@ -93,7 +93,7 @@ def test_closed_form_matches_bundle_computation():
 def test_disjoint_single_plane():
     report = bound_disjoint(RegularQuery(((Euclid(2), 2),), REAL))
     assert report.bound == 3
-    assert report.tightness is not None and report.tightness.tight
+    assert report.construction is not None and report.tight
 
 
 def test_disjoint_single_sphere_is_main_theorem_1():
@@ -126,7 +126,7 @@ def test_disjoint_serves_complex_queries_and_rejects_bad_pieces():
     assert report.bound == 1 + 2
     assert report.theorem == "complex two-point lower bound"
     assert report.breakdown == (lambda_top(Sphere(3), 2, COMPLEX),)
-    assert report.tightness is None
+    assert report.construction is None
     with pytest.raises(UnsupportedBundleError) as err:
         bound_disjoint(RegularQuery(((Euclid(3), 2),), REAL))
     assert "R^3" in str(err.value)
@@ -228,7 +228,7 @@ def test_complex_grid_against_piece_formulas():
             assert report.theorem == BCLZ_2015
         else:
             assert report.theorem == "complex two-point lower bound"
-        assert report.tightness is None
+        assert report.construction is None
 
 
 def test_complex_cp_piece_is_marked_lower_bound():
@@ -236,7 +236,7 @@ def test_complex_cp_piece_is_marked_lower_bound():
         RegularQuery(((ComplexProj(5), 2),), COMPLEX))
     (piece,) = report.breakdown
     assert piece.is_lower_bound
-    assert report.tightness is None
+    assert report.construction is None
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +328,7 @@ def test_table_rows_for_rp9():
 def test_table_has_no_row_for_rp2():
     assert projective_table_matches(2) == []
     assert projective_3regular_upper(2) is None
-    assert bound_product_2regular(RealProj(2)).tightness is None
+    assert bound_product_2regular(RealProj(2)).construction is None
 
 
 def test_table_sample_rows():
@@ -341,9 +341,9 @@ def test_table_sample_rows():
 def test_sphere_bound_is_tight():
     for m in range(2, 17):
         report = bound_product_2regular(Sphere(m))
-        assert report.tightness is not None
-        assert report.tightness.tight
-        assert report.tightness.upper.ambient_dim == m + 2
+        assert report.construction is not None
+        assert report.tight
+        assert report.construction.ambient_dim == m + 2
 
 
 def test_rp_power_of_two_plus_one_is_tight():
@@ -351,15 +351,15 @@ def test_rp_power_of_two_plus_one_is_tight():
         m = 2 ** i + 1
         report = bound_product_2regular(RealProj(m))
         assert report.bound == 2 * m - 1
-        assert report.tightness is not None and report.tightness.tight
+        assert report.construction is not None and report.tight
 
 
 def test_disjoint_tightness_from_direct_sum():
     query = RegularQuery(((Sphere(3), 2), (Sphere(5), 2)), REAL)
     report = bound_disjoint(query)
-    assert report.tightness is not None
-    assert report.tightness.upper.ambient_dim == (3 + 2) + (5 + 2)
-    assert report.tightness.tight
+    assert report.construction is not None
+    assert report.construction.ambient_dim == (3 + 2) + (5 + 2)
+    assert report.tight
 
 
 def test_upper_existence_piece_refuses_quietly():

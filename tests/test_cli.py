@@ -12,6 +12,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import kregular
 from kregular import evaluate_rank, parse_map
 from kregular.cli import (COMMANDS, EVERY_COMMAND, EXIT_COUNTEREXAMPLE,
@@ -233,6 +235,8 @@ def test_lucas_text(capsys):
     code, out, _ = run_cli(capsys, "lucas", "7", "3", "--p", "2")
     assert code == EXIT_OK
     assert out == "1\n"
+    # An integer may carry one sign.
+    assert run_cli(capsys, "lucas", "+7", "3", "--p=+2") == (code, out, "")
 
 
 def test_lucas_json(capsys):
@@ -583,6 +587,47 @@ def test_command_help_lists_every_argument(capsys):
             elif option.convert is not None and option.default is not None:
                 assert f"(default: {option.default})" in row, row
         assert run_cli(capsys, name, "--json", "--help") == (code, out, err)
+
+
+# (argv, the malformed integer stderr must name)
+MALFORMED_INTEGERS = [
+    (("height", "--k", "\u0662", "--n", "5"), "\u0662"),
+    (("height", "--k", "2", "--n=\u0665"), "\u0665"),
+    (("lucas", "1_0", "3", "--p", "7"), "1_0"),
+    (("lucas", " 10", "3", "--p", "7"), " 10"),
+    (("lucas", "10", "3", "--p", "7 "), "7 "),
+    (("lucas", "+-5", "3", "--p", "7"), "+-5"),
+    (("lucas", "-\u0665", "3", "--p", "7"), "-\u0665"),
+    (("verify", "sphere:2", "--tuple", "\u0663", "--trials", "2"), "\u0663"),
+    (("verify", "sphere:2", "--tuple", " 3"), " 3"),
+    (("verify", "sphere:2", "--trials", "\xb2"), "\xb2"),
+    (("verify", "sphere:2", "--seed=-\u0665"), "-\u0665"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, token", MALFORMED_INTEGERS,
+    ids=[" ".join(argv) for argv, _ in MALFORMED_INTEGERS])
+def test_integer_arguments_are_ascii_digits(capsys, argv, token):
+    # int() alone also reads other scripts' digits, '_' and spaces.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: ") and repr(token) in err
+
+
+def test_closed_stdout_ends_quietly_with_the_command_exit_code():
+    # The reader takes 100 bytes and closes the pipe, as `| head -c 100`
+    # does; the rest of the witness line meets a closed pipe.
+    with subprocess.Popen(
+            [sys.executable, "-m", "kregular.cli", "verify", "vandermonde:2",
+             "--tuple", "5000", "--trials", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=_fresh_process_env()) as proc:
+        proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (EXIT_COUNTEREXAMPLE, b"")
 
 
 def test_cli_fuzz_never_crashes(capsys):
