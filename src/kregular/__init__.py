@@ -11,8 +11,8 @@ from .bundles import (COMPLEX, REAL, BundleProfile, UnsupportedBundleError,
 from .expr import ParseError, parse_expression, parse_manifold, render_query
 from .fields import (GF2, QQ, PrimeField, RationalField, digit_sum_base_p,
                      is_prime, lucas_binom_mod_p)
-from .grassmann import (CHERN, STIEFEL_WHITNEY, GrassmannPresentation,
-                        cached_presentation, chern_height_of_first_class)
+from .grassmann import (GrassmannPresentation, cached_presentation,
+                        chern_height_of_first_class)
 from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,
                         Product, QuatProj, RealProj, Sphere, atoms,
                         cohomology_ring, dual_sw, floor_log2, is_closed,

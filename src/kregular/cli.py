@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 from .bounds import RegularQuery, bound_disjoint, projective_table_matches
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
-from .grassmann import CHERN, STIEFEL_WHITNEY, cached_presentation
+from .grassmann import cached_presentation, chern_height_of_first_class
 from .manifolds import (RealProj, dual_sw, render,
                         top_dual_degree_closed_form)
 from .sampler import map_parts, parse_map, render_map, sample_check_regular
@@ -115,16 +115,24 @@ def _text_dual_sw(payload: dict) -> list:
 
 
 def _cmd_height(args) -> dict:
-    classes = CHERN if args.regime == "complex" else STIEFEL_WHITNEY
-    pres = cached_presentation(args.k, args.n, classes)
+    k, n = args.k, args.n
+    # Chern classes sit in even degrees (|c1| = 2), Stiefel-Whitney classes
+    # in every degree; the truncation is one first-class degree past the
+    # top degree scale*k(n+1-k).
+    if args.regime == "complex":
+        element, scale = "c1", 2
+        height = chern_height_of_first_class(k, n)
+    else:
+        element, scale = "w1", 1
+        height = cached_presentation(k, n).first_class_height()
     return {
         "schema": "1",
-        "k": args.k,
-        "n": args.n,
+        "k": k,
+        "n": n,
         "regime": args.regime,
-        "element": pres.ring.names[0],
-        "height": pres.first_class_height(),
-        "truncation": pres.ring.truncation,
+        "element": element,
+        "height": height,
+        "truncation": scale * (k * (n + 1 - k) + 1),
     }
 
 
@@ -317,12 +325,13 @@ def _names_option(token: str) -> bool:
     """Whether a token is an option name rather than a value.
 
     A token that starts with '-' names an option unless it is '-' alone,
-    a negative integer (so `lucas -5 2` and `--seed -5` pass numbers), or
-    holds a space, as an expression may.  A second '-' rules out a number
-    without calling _is_int, which keeps the common `--name` case cheap.
+    holds a space, as an expression may, or has a digit after the '-', in
+    any script.  So `lucas -5 2` and `--seed -5` pass numbers, and a
+    malformed number, in another script's digits say, reaches its
+    converter, which names it.
     """
     return (token[:1] == "-" and token != "-" and " " not in token
-            and (token[1:2] == "-" or not _is_int(token)))
+            and not token[1:2].isdigit())
 
 
 def _convert(arg: _Arg, label: str, text: str):

@@ -1,15 +1,19 @@
-"""Reference ranks that the tests compare the sampler's exact rank against.
+"""Reference ranks that the tests compare the package's answers against.
 
 Nothing in the package calls these: each is an independent way to the rank
-or the regularity of a point tuple, kept beside the tests that use it.
+or the regularity of a point tuple, or to a Chern height, kept beside the
+tests that use it.
 """
 
 from fractions import Fraction
 from math import lcm
+from operator import add
 from typing import Sequence
 
+from kregular.fields import QQ
 from kregular.sampler import (Gaussian, VandermondeMap, as_gaussian,
                               integer_rank_bareiss)
+from kregular.series import SeriesRing
 
 
 def gauss_rank_oracle(rows):
@@ -45,6 +49,51 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
         denom = lcm(*(f.denominator for f in row)) if row else 1
         cleared.append([int(f * denom) for f in row])
     return integer_rank_bareiss(cleared)
+
+
+def chern_relations(k: int, n: int) -> tuple:
+    """Relations of H*(G_k(C^(n+1)); QQ) on c_1 .. c_k (|c_i| = 2i).
+
+    They are the degree-2j parts of the inverse of 1 + c_1 + ... + c_k for
+    j = n-k+2 .. n+1; the ring is cut at 2(n+1), the last one's degree.
+    """
+    ring = SeriesRing(QQ, [(f"c{i}", 2 * i) for i in range(1, k + 1)],
+                      2 * (n + 1))
+    total = ring.one()
+    for gen in ring.gens():
+        total = total + gen
+    dual = total.inverse()
+    return tuple(dual.homogeneous_part(2 * j) for j in range(n - k + 2, n + 2))
+
+
+def chern_height_by_rank(k: int, n: int) -> int:
+    """Largest t with c1^t nonzero in H*(G_k(C^(n+1)); QQ), by rank.
+
+    c1^t is one monomial of degree 2t, and it is zero in the quotient
+    exactly when its row lies in the span of the rows of the relations'
+    monomial multiples in that degree, so its rank adds nothing to theirs.
+    """
+    relations = chern_relations(k, n)
+    ring = relations[0].ring
+    t = 0
+    while True:
+        columns = {mono: i for i, mono in
+                   enumerate(ring.monomials_of_degree(2 * t))}
+        rows = []
+        for rel in relations:
+            rel_degree = rel.top_degree()
+            if rel_degree > 2 * t:
+                continue
+            for mono in ring.monomials_of_degree(2 * t - rel_degree):
+                row = [Fraction(0)] * len(columns)
+                for exponents, coeff in rel.terms.items():
+                    row[columns[tuple(map(add, mono, exponents))]] = coeff
+                rows.append(row)
+        power = [Fraction(0)] * len(columns)
+        power[columns[(t,) + (0,) * (k - 1)]] = Fraction(1)
+        if rational_rank(rows + [power]) == rational_rank(rows):
+            return t - 1
+        t += 1
 
 
 def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:

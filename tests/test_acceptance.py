@@ -13,16 +13,16 @@ import subprocess
 import sys
 import time
 
-from kregular import (CHERN, STIEFEL_WHITNEY, ComplexProj, Euclid,
-                      GrassmannPresentation, Product, QuatProj, RealProj,
-                      RegularQuery, Sphere, SphereOneI, VandermondeMap,
-                      bound_disjoint, bound_product_2regular,
-                      cached_presentation, chern_height_of_first_class,
-                      floor_log2, lucas_binom_mod_p,
-                      main_theorem_1_closed_form, main_theorem_2_closed_form,
-                      real_dimension, sample_check_regular, top_dual_degree,
+from kregular import (ComplexProj, Euclid, GrassmannPresentation, Product,
+                      QuatProj, RealProj, RegularQuery, Sphere, SphereOneI,
+                      VandermondeMap, bound_disjoint, bound_product_2regular,
+                      chern_height_of_first_class, floor_log2,
+                      lucas_binom_mod_p, main_theorem_1_closed_form,
+                      main_theorem_2_closed_form, real_dimension,
+                      sample_check_regular, top_dual_degree,
                       top_dual_degree_closed_form)
 from kregular.cli import main
+from rank_oracles import chern_height_by_rank
 from test_cli import _fresh_process_env
 from test_grassmann import pieri_sw_height
 
@@ -67,22 +67,16 @@ def test_criterion_2_complex_and_quaternionic_top_dual_degree():
             2 ** (j + 3) - 4 * m - 4, m
 
 
-def _rows_height(k, n):
-    # Row reduction of c1's powers, the method independent of Pieri.
-    pres = cached_presentation(k, n, CHERN)
-    return pres.height(pres.first_class())
-
-
 @timed(30.0)
 def test_criterion_3_grassmannian_heights():
     for n in range(1, 7):
         for k in range(1, n + 1):
             assert chern_height_of_first_class(k, n) == k * (n + 1 - k), \
                 (k, n)
-            assert _rows_height(k, n) == k * (n + 1 - k), (k, n)
+            assert chern_height_by_rank(k, n) == k * (n + 1 - k), (k, n)
     for n in range(2, 9):
         assert chern_height_of_first_class(2, n) == 2 * n - 2, n
-        assert _rows_height(2, n) == 2 * n - 2, n
+        assert chern_height_by_rank(2, n) == 2 * n - 2, n
 
 
 @timed(60.0)
@@ -136,10 +130,10 @@ def test_criterion_6_handel_recovery():
 
 @timed(60.0)
 def test_criterion_7_complex_cp_two_point_bound():
-    # The CP^m rule against row reduction of c1 in G_2(C^(m+1)).
+    # The CP^m rule against the rank of c1's powers modulo the relations
+    # of G_2(C^(m+1)) over QQ.
     for m in range(4, 9):
-        pres = GrassmannPresentation(2, m, CHERN)
-        height = pres.height(pres.first_class())
+        height = chern_height_by_rank(2, m)
         assert height == 2 * m - 2, m
         report = bound_disjoint(
             RegularQuery(((ComplexProj(m), 2),), "complex"))
@@ -198,7 +192,7 @@ def test_criterion_10_large_products_factor_by_factor():
 @timed(5.0)
 def test_criterion_11_sw_height_bit_rows():
     # A fresh G_5(R^19): every degree up to w1^32 is row-reduced over GF(2).
-    pres = GrassmannPresentation(5, 18, STIEFEL_WHITNEY)
+    pres = GrassmannPresentation(5, 18)
     height = pres.height(pres.first_class())
     assert height == 31
     assert height == pieri_sw_height(5, 18)

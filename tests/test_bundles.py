@@ -2,9 +2,9 @@
 
 import pytest
 
-from kregular import (CHERN, COMPLEX, REAL, ComplexProj, Euclid,
-                      GrassmannPresentation, Product, RealProj, Sphere,
-                      UnsupportedBundleError, lambda_top)
+from kregular import (COMPLEX, REAL, ComplexProj, Euclid, Product, RealProj,
+                      Sphere, UnsupportedBundleError, lambda_top)
+from rank_oracles import chern_height_by_rank
 
 
 def test_real_closed_two_point_examples():
@@ -74,10 +74,9 @@ def test_profile_carries_source_label():
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
 def test_complex_cp_bound_matches_row_reduced_height(m):
-    # The rule reads the box size; row reduction of the Chern presentation
-    # of G_2(C^(m+1)) is the independent second method.
+    # The rule reads the box size; the rank of c1's powers modulo the
+    # relations of G_2(C^(m+1)) over QQ is the independent second method.
     profile = lambda_top(ComplexProj(m), 2, COMPLEX)
-    pres = GrassmannPresentation(2, m, CHERN)
-    assert profile.top_degree == pres.height(pres.first_class()) == 2 * m - 2
+    assert profile.top_degree == chern_height_by_rank(2, m) == 2 * m - 2
     assert profile.contribution == 2 * m
     assert profile.is_lower_bound

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import kregular
-from kregular import evaluate_rank, parse_map
+from kregular import cached_presentation, evaluate_rank, parse_map
 from kregular.cli import (COMMANDS, EVERY_COMMAND, EXIT_COUNTEREXAMPLE,
                           EXIT_OK, EXIT_USAGE, main)
 
@@ -212,6 +212,15 @@ def test_height_json(capsys):
     payload = json.loads(out)
     assert payload["height"] == 4
     assert payload["element"] == "w1"
+    # The complex payload comes from the box size alone: no presentation
+    # is built.
+    cached = cached_presentation.cache_info().currsize
+    code, out, _ = run_cli(capsys, "height", "--k", "2", "--n", "5", "--json")
+    assert code == EXIT_OK
+    assert json.loads(out) == {"schema": "1", "k": 2, "n": 5,
+                               "regime": "complex", "element": "c1",
+                               "height": 8, "truncation": 18}
+    assert cached_presentation.cache_info().currsize == cached
 
 
 def test_height_trunc_option_is_usage_error(capsys):
@@ -602,6 +611,9 @@ MALFORMED_INTEGERS = [
     (("verify", "sphere:2", "--tuple", " 3"), " 3"),
     (("verify", "sphere:2", "--trials", "\xb2"), "\xb2"),
     (("verify", "sphere:2", "--seed=-\u0665"), "-\u0665"),
+    (("verify", "sphere:2", "--seed", "-\u0665"), "-\u0665"),
+    (("lucas", "5", "2", "--p", "-\u0663"), "-\u0663"),
+    (("height", "--k", "-\u0662", "--n", "5"), "-\u0662"),
 ]
 
 

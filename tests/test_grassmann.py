@@ -4,14 +4,12 @@ import importlib
 import math
 import pathlib
 import random
-from fractions import Fraction
 
 import pytest
 
-from kregular import (CHERN, GF2, QQ, STIEFEL_WHITNEY, GradedSeries,
-                      GrassmannPresentation, PrimeField, cached_presentation,
-                      chern_height_of_first_class)
-from rank_oracles import rational_rank
+from kregular import (GF2, GradedSeries, GrassmannPresentation, PrimeField,
+                      cached_presentation, chern_height_of_first_class)
+from rank_oracles import chern_height_by_rank, chern_relations
 
 
 def test_constructor_validation():
@@ -19,18 +17,17 @@ def test_constructor_validation():
         GrassmannPresentation(0, 3)
     with pytest.raises(ValueError):
         GrassmannPresentation(4, 3)
-    with pytest.raises(ValueError):
-        GrassmannPresentation(2, 3, "unknown")
-    # The class family fixes the coefficient field.
-    assert GrassmannPresentation(2, 3, CHERN).ring.field == QQ
-    assert GrassmannPresentation(2, 3, STIEFEL_WHITNEY).ring.field == GF2
+    # The Chern height checks the same box, with the same message.
+    with pytest.raises(ValueError, match=r"1 <= k <= n, got k=4, n=3"):
+        chern_height_of_first_class(4, 3)
+    assert GrassmannPresentation(2, 3).ring.field == GF2
 
 
 # ---------------------------------------------------------------------------
 # Relation extraction.
 
 def test_projective_line_relation():
-    pres = GrassmannPresentation(1, 1, STIEFEL_WHITNEY)
+    pres = GrassmannPresentation(1, 1)
     (rel,) = pres.relations
     assert rel == pres.ring.from_terms({(2,): 1})
 
@@ -39,40 +36,45 @@ def test_projective_line_relation():
 def test_real_projective_relations(m):
     # k=1: the single relation is the generator to the (m+1)st power,
     # recovering the truncated polynomial ring on one generator.
-    pres = GrassmannPresentation(1, m, STIEFEL_WHITNEY)
+    pres = GrassmannPresentation(1, m)
     (rel,) = pres.relations
     assert rel == pres.ring.from_terms({(m + 1,): 1})
 
 
 def test_chern_relations_g2c3():
-    pres = GrassmannPresentation(2, 2, CHERN)
-    rel2, rel3 = pres.relations
-    assert rel2 == pres.ring.from_terms({(2, 0): 1, (0, 1): -1})
-    assert rel3 == pres.ring.from_terms({(3, 0): -1, (1, 1): 2})
+    # The Chern height oracle's relations for G_2(C^3), pinned by hand:
+    # 1/(1 + c1 + c2) has degree-4 part c1^2 - c2 and degree-6 part
+    # -c1^3 + 2 c1 c2.
+    rel2, rel3 = chern_relations(2, 2)
+    ring = rel2.ring
+    assert rel2 == ring.from_terms({(2, 0): 1, (0, 1): -1})
+    assert rel3 == ring.from_terms({(3, 0): -1, (1, 1): 2})
 
 
 def test_relations_invert_the_total_class():
     # Oracle: 1 + (lower dual parts) + relations multiplies the total class
     # back to 1 within the truncation.
-    pres = GrassmannPresentation(2, 3, CHERN)
+    pres = GrassmannPresentation(2, 3)
     total = pres.ring.one()
     for g in pres.ring.gens():
         total = total + g
     dual = total.inverse()
     for j, rel in zip(range(pres.n - pres.k + 2, pres.n + 2),
                       pres.relations):
-        assert dual.homogeneous_part(2 * j) == rel
+        assert dual.homogeneous_part(j) == rel
     assert (total * dual) == pres.ring.one()
 
 
 # ---------------------------------------------------------------------------
 # Quotient bases and normal forms.
 
-def test_quotient_basis_g2c3():
-    pres = GrassmannPresentation(2, 2, CHERN)
+def test_quotient_basis_g2r3():
+    # w1^2 + w2 is the degree-2 relation; its lead w1^2 is a pivot.
+    pres = GrassmannPresentation(2, 2)
     assert pres.quotient_basis(0) == ((0, 0),)
-    assert pres.quotient_basis(2) == ((1, 0),)
-    assert pres.quotient_basis(6) == ()
+    assert pres.quotient_basis(1) == ((1, 0),)
+    assert pres.quotient_basis(2) == ((0, 1),)
+    assert pres.quotient_basis(3) == ()
 
 
 def _box_shapes(size, rows, width):
@@ -89,23 +91,17 @@ def _box_shapes(size, rows, width):
 
 def test_degree_dimensions_match_box_partitions():
     # Oracle independent of the relations: the Schubert basis gives
-    # dim H^d(G_k(F^(n+1))) = #partitions of d/scale in a k x (n+1-k) box,
-    # and 0 when scale does not divide d.  Degrees above the top, which
-    # heights never reduce, are row-reduced here up to the ring truncation.
-    # Stiefel-Whitney presentations run on GF(2) bit rows, Chern ones on
-    # dense QQ list rows.
+    # dim H^d(G_k(R^(n+1)); GF(2)) = #partitions of d in a k x (n+1-k) box.
+    # Degrees above the top, which heights never reduce, are row-reduced
+    # here up to the ring truncation.
     for n in range(1, 7):
         for k in range(1, n + 1):
-            for classes in (CHERN, STIEFEL_WHITNEY):
-                pres = GrassmannPresentation(k, n, classes)
-                scale = pres.scale
-                assert pres.ring.truncation == pres.top_degree + scale
-                for d in range(pres.top_degree + scale + 1):
-                    expect = (len(list(_box_shapes(d // scale, k,
-                                                   n + 1 - k)))
-                              if d % scale == 0 else 0)
-                    got = len(pres._reduce_degree(d).basis)
-                    assert got == expect, (k, n, classes, d)
+            pres = GrassmannPresentation(k, n)
+            assert pres.ring.truncation == pres.top_degree + 1
+            for d in range(pres.top_degree + 2):
+                expect = len(list(_box_shapes(d, k, n + 1 - k)))
+                got = len(pres._reduce_degree(d).basis)
+                assert got == expect, (k, n, d)
 
 
 def _count_field_calls(monkeypatch):
@@ -122,10 +118,10 @@ def _count_field_calls(monkeypatch):
 
 
 def test_gf2_reduction_makes_no_field_calls(monkeypatch):
-    # GF(2) rows are XORed as ints; a fall-back to the generic list path
-    # would call PrimeField.mul/sub for every entry.  The relations, which
+    # GF(2) rows are XORed as ints; reducing them entry by entry with
+    # field arithmetic would call PrimeField.mul/sub.  The relations, which
     # come from series arithmetic on first use, are built before counting.
-    pres = GrassmannPresentation(3, 8, STIEFEL_WHITNEY)
+    pres = GrassmannPresentation(3, 8)
     assert pres.relations
     w1_power = pres.first_class() * pres.first_class()
     calls = _count_field_calls(monkeypatch)
@@ -141,36 +137,33 @@ def test_gf2_reduction_makes_no_field_calls(monkeypatch):
 def test_total_dimension_is_binomial():
     for n in range(1, 7):
         for k in range(1, n + 1):
-            expect = math.comb(n + 1, k)
-            chern = cached_presentation(k, n, CHERN)
-            sw = cached_presentation(k, n, STIEFEL_WHITNEY)
-            assert chern.total_dimension() == expect
-            assert sw.total_dimension() == expect
+            assert cached_presentation(k, n).total_dimension() == \
+                math.comb(n + 1, k)
 
 
-def test_normal_form_reduces_c1_squared():
-    pres = GrassmannPresentation(2, 2, CHERN)
-    c1 = pres.first_class()
-    nf = pres.normal_form(c1 * c1)
-    # c1^2 = c2 holds in the quotient; c2 is the surviving basis monomial.
-    assert nf.terms == {(0, 1): Fraction(1)}
-    assert pres.normal_form(c1 * c1) == pres.normal_form(
-        pres.ring.gen("c2"))
+def test_normal_form_reduces_w1_squared():
+    pres = GrassmannPresentation(2, 2)
+    w1 = pres.first_class()
+    nf = pres.normal_form(w1 * w1)
+    # w1^2 = w2 holds in the quotient; w2 is the surviving basis monomial.
+    assert nf.terms == {(0, 1): 1}
+    assert pres.normal_form(w1 * w1) == pres.normal_form(
+        pres.ring.gen("w2"))
 
 
 def test_normal_form_kills_relations():
-    pres = GrassmannPresentation(2, 4, CHERN)
+    pres = GrassmannPresentation(2, 4)
     for rel in pres.relations:
         assert pres.normal_form(rel).is_zero()
-    sw = GrassmannPresentation(1, 5, STIEFEL_WHITNEY)
-    assert sw.normal_form(sw.ring.from_terms({(6,): 1})).is_zero()
+    rp5 = GrassmannPresentation(1, 5)
+    assert rp5.normal_form(rp5.ring.from_terms({(6,): 1})).is_zero()
 
 
 def test_normal_form_is_linear():
-    pres = cached_presentation(2, 4, CHERN)
+    pres = cached_presentation(2, 4)
     ring = pres.ring
     rng = random.Random(7)
-    monos = [m for d in range(0, ring.truncation + 1, 2)
+    monos = [m for d in range(ring.truncation + 1)
              for m in ring.monomials_of_degree(d)]
     for _ in range(25):
         e = ring.from_terms({m: rng.randint(-4, 4)
@@ -183,14 +176,14 @@ def test_normal_form_is_linear():
 
 def test_quotient_element_plumbing():
     # Normal forms are plain series of the presentation's ring.
-    pres = GrassmannPresentation(2, 2, CHERN)
+    pres = GrassmannPresentation(2, 2)
     nf = pres.normal_form(pres.first_class())
     assert isinstance(nf, GradedSeries)
     assert nf.ring is pres.ring
     assert nf.coefficient((1, 0)) == 1
     assert nf.coefficient((0, 1)) == 0
     assert nf == pres.first_class()
-    assert nf.render() == pres.first_class().render() == "c1"
+    assert nf.render() == pres.first_class().render() == "w1"
     assert hash(nf) == hash(pres.normal_form(pres.first_class()))
     assert hash(nf) == hash(pres.first_class())
 
@@ -207,10 +200,8 @@ def _xor_rank(rows):
     return len(pivots)
 
 
-def _in_span(pres, rows, vector):
-    # Does `vector` lie in the span of `rows` (lists over the ring's field)?
-    if pres.classes == CHERN:
-        return rational_rank(rows + [vector]) == rational_rank(rows)
+def _in_span(rows, vector):
+    # Does `vector` lie in the span of `rows` (lists over GF(2))?
     packed = [sum(1 << j for j, v in enumerate(row) if v) for row in rows]
     target = sum(1 << j for j, v in enumerate(vector) if v)
     return _xor_rank(packed + [target]) == _xor_rank(packed)
@@ -219,43 +210,38 @@ def _in_span(pres, rows, vector):
 def test_normal_form_against_relation_span():
     # Independent oracle: in each degree d, e - normal_form(e) must lie in
     # the span of the relation-times-monomial rows, built here from series
-    # products and ranked without grassmann.py (rational_rank over QQ, an
-    # XOR bit rank over GF(2)); normal_form(e) must sit on quotient_basis(d).
+    # products and ranked without grassmann.py (an XOR bit rank);
+    # normal_form(e) must sit on quotient_basis(d).
     rng = random.Random(11)
     for n in range(1, 6):
         for k in range(1, n + 1):
-            for classes in (CHERN, STIEFEL_WHITNEY):
-                pres = cached_presentation(k, n, classes)
-                ring = pres.ring
-                field = ring.field
-                degrees = range(0, ring.truncation + 1, pres.scale)
-                monos = [m for d in degrees
-                         for m in ring.monomials_of_degree(d)]
-                for _ in range(3):
-                    e = ring.from_terms(
-                        {m: rng.randint(-3, 3)
-                         for m in rng.sample(monos, min(6, len(monos)))})
-                    nf = pres.normal_form(e)
-                    assert nf.ring is ring
-                    diff = e - nf
-                    for d in degrees:
-                        basis = set(pres.quotient_basis(d))
-                        assert set(nf.homogeneous_part(d).terms) <= basis
-                        columns = ring.monomials_of_degree(d)
-                        rows = []
-                        for rel in pres.relations:
-                            rel_degree = rel.top_degree()
-                            if rel_degree > d:
-                                continue
-                            for mono in ring.monomials_of_degree(
-                                    d - rel_degree):
-                                shifted = ring.from_terms({mono: 1}) * rel
-                                rows.append([shifted.coefficient(c)
-                                             for c in columns])
-                        vector = [diff.coefficient(c) for c in columns]
-                        if any(v != field.zero for v in vector):
-                            assert _in_span(pres, rows, vector), \
-                                (k, n, classes, d)
+            pres = cached_presentation(k, n)
+            ring = pres.ring
+            degrees = range(ring.truncation + 1)
+            monos = [m for d in degrees for m in ring.monomials_of_degree(d)]
+            for _ in range(3):
+                e = ring.from_terms(
+                    {m: rng.randint(-3, 3)
+                     for m in rng.sample(monos, min(6, len(monos)))})
+                nf = pres.normal_form(e)
+                assert nf.ring is ring
+                diff = e - nf
+                for d in degrees:
+                    basis = set(pres.quotient_basis(d))
+                    assert set(nf.homogeneous_part(d).terms) <= basis
+                    columns = ring.monomials_of_degree(d)
+                    rows = []
+                    for rel in pres.relations:
+                        rel_degree = rel.top_degree()
+                        if rel_degree > d:
+                            continue
+                        for mono in ring.monomials_of_degree(d - rel_degree):
+                            shifted = ring.from_terms({mono: 1}) * rel
+                            rows.append([shifted.coefficient(c)
+                                         for c in columns])
+                    vector = [diff.coefficient(c) for c in columns]
+                    if any(vector):
+                        assert _in_span(rows, vector), (k, n, d)
 
 
 # ---------------------------------------------------------------------------
@@ -264,10 +250,8 @@ def test_normal_form_against_relation_span():
 def test_height_examples():
     assert chern_height_of_first_class(2, 5) == 8
     assert chern_height_of_first_class(2, 2) == 2
-    pres = cached_presentation(2, 2, CHERN)
-    c1 = pres.first_class()
-    assert not pres.normal_form(c1 * c1).is_zero()
-    assert pres.normal_form(c1 * c1 * c1).is_zero()
+    # In G_2(C^3), c1^2 survives and c1^3 is in the relations' span.
+    assert chern_height_by_rank(2, 2) == 2
 
 
 def _standard_tableaux(shape):
@@ -338,7 +322,7 @@ def test_sw_heights_match_pieri_counting():
     # the odd-path walk.
     for n in range(1, 13):
         for k in range(1, n + 1):
-            pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
+            pres = GrassmannPresentation(k, n)
             closed = pres.first_class_height()
             assert pres._degree_data == {}, (k, n)
             assert closed == pres.height(pres.first_class()) == \
@@ -352,30 +336,32 @@ def test_sw_closed_form_matches_odd_path_walk():
     pairs |= {(k, size - 1) for size in range(2, 66)
               for k in range(1, min(4, size - 1) + 1)}
     for k, n in sorted(pairs):
-        pres = GrassmannPresentation(k, n, STIEFEL_WHITNEY)
+        pres = GrassmannPresentation(k, n)
         assert pres.first_class_height() == odd_path_height(k, n), (k, n)
 
 
 def test_chern_first_class_heights_match_row_reduction():
-    # The Pieri answer (the box size) against row reduction over QQ.
+    # The Pieri answer (the box size) against the rank of c1's powers
+    # modulo the relations over QQ.
     for n in range(1, 8):
         for k in range(1, n + 1):
-            pres = cached_presentation(k, n, CHERN)
-            assert pres.first_class_height() == \
-                pres.height(pres.first_class()) == k * (n + 1 - k), (k, n)
+            assert chern_height_of_first_class(k, n) == \
+                chern_height_by_rank(k, n) == k * (n + 1 - k), (k, n)
 
 
 def test_first_class_height_builds_nothing():
-    for classes, expect in ((CHERN, 30), (STIEFEL_WHITNEY, 15)):
-        pres = GrassmannPresentation(3, 12, classes)
-        assert pres.first_class_height() == expect
-        assert pres._degree_data == {}
-        assert "relations" not in vars(pres)
+    pres = GrassmannPresentation(3, 12)
+    assert pres.first_class_height() == 15
+    assert pres._degree_data == {}
+    assert "relations" not in vars(pres)
+    before = cached_presentation.cache_info()
+    assert chern_height_of_first_class(3, 12) == 30
+    assert cached_presentation.cache_info() == before
 
 
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_height_of_line_bundle_generator(m):
-    pres = cached_presentation(1, m, STIEFEL_WHITNEY)
+    pres = cached_presentation(1, m)
     assert pres.height(pres.first_class()) == m
 
 
@@ -387,22 +373,22 @@ def test_height_grid_small():
 
 
 def test_height_of_units_and_zero():
-    pres = cached_presentation(2, 3, CHERN)
+    pres = cached_presentation(2, 3)
     assert pres.height(pres.ring.one()) == math.inf
     assert pres.height(pres.ring.zero()) == 0
     assert pres.height(pres.relations[0]) == 0
 
 
 def test_height_reduces_no_degree_above_top():
-    # c1^9 of G_2(C^6) lies in degree 18 > top 16: it is zero without
-    # being row-reduced, and the height is exact.
-    pres = GrassmannPresentation(2, 5, CHERN)
-    assert pres.height(pres.first_class()) == 8
-    assert max(pres._degree_data) == pres.top_degree == 16
+    # w1^6 of RP^5 lies in degree 6 > top 5: it is zero without being
+    # row-reduced, and the height is exact.
+    pres = GrassmannPresentation(1, 5)
+    assert pres.height(pres.first_class()) == 5
+    assert max(pres._degree_data) == pres.top_degree == 5
 
 
 def test_quotient_basis_is_empty_above_top():
-    pres = GrassmannPresentation(1, 2, STIEFEL_WHITNEY)
+    pres = GrassmannPresentation(1, 2)
     assert pres.quotient_basis(pres.top_degree) == ((2,),)
     for degree in (pres.top_degree + 1, pres.ring.truncation + 5):
         assert pres.quotient_basis(degree) == ()
@@ -410,21 +396,21 @@ def test_quotient_basis_is_empty_above_top():
 
 
 def test_cached_presentation_is_shared():
-    a = cached_presentation(2, 3, CHERN)
-    b = cached_presentation(2, 3, CHERN)
+    a = cached_presentation(2, 3)
+    b = cached_presentation(2, 3)
     assert a is b
 
 
 def test_cached_presentation_has_one_spelling():
     # The cache keys on how a call is spelled, so only the positional
-    # three-argument spelling is accepted.
+    # two-argument spelling is accepted.
     with pytest.raises(TypeError):
-        cached_presentation(2, 3, classes=CHERN)
+        cached_presentation(2, n=3)
     with pytest.raises(TypeError):
-        cached_presentation(2, 3)
-    first = cached_presentation(2, 4, STIEFEL_WHITNEY)
+        cached_presentation(2)
+    first = cached_presentation(2, 4)
     before = cached_presentation.cache_info()
-    assert cached_presentation(2, 4, STIEFEL_WHITNEY) is first
+    assert cached_presentation(2, 4) is first
     after = cached_presentation.cache_info()
     assert after.hits == before.hits + 1
     assert after.misses == before.misses
@@ -442,5 +428,5 @@ def test_benchmark_probe_names_resolve(monkeypatch):
             owner = getattr(owner, owner_name)
         assert callable(getattr(owner, name)), (layer, owner_name, name)
     assert callable(cached_presentation.cache_info)
-    data = GrassmannPresentation(2, 3, CHERN)._reduce_degree(4)
+    data = GrassmannPresentation(2, 3)._reduce_degree(2)
     assert len(data.monomials) == 2
