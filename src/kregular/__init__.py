@@ -9,8 +9,7 @@ from .bounds import (BoundReport, ExistenceRecord, RegularQuery,
 from .bundles import (COMPLEX, REAL, BundleProfile, UnsupportedBundleError,
                       lambda_top)
 from .expr import ParseError, parse_expression, parse_manifold, render_query
-from .fields import (GF2, QQ, PrimeField, RationalField, digit_sum_base_p,
-                     is_prime, lucas_binom_mod_p)
+from .fields import digit_sum_base_p, is_prime, lucas_binom_mod_p
 from .grassmann import (GrassmannPresentation, cached_presentation,
                         chern_height_of_first_class)
 from .manifolds import (ComplexProj, DualClassProfile, Euclid, ManifoldSpec,

@@ -10,9 +10,10 @@ The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".
 
 A bare product parses to a manifold spec, a parenthesized list to a
 RegularQuery (regime chosen by the caller, default real).  Errors carry the
-character position; semantic violations (closed families need m >= 2, point
-counts need k >= 2) are reported at the offending token.  render() and
-render_query() produce strings this parser accepts back.
+character position, and syntax errors name the text found there; semantic
+violations (closed families need m >= 2, point counts need k >= 2) are
+reported at the offending token.  render() and render_query() produce
+strings this parser accepts back.
 """
 
 from __future__ import annotations
@@ -64,15 +65,25 @@ class _Tokens:
     def at_end(self) -> bool:
         return self.peek() == ""
 
+    def error(self, expected: str) -> ParseError:
+        """Syntax error at the next token, naming the text found there.
+
+        The text is the run of non-space characters from the position.
+        """
+        self.skip_space()
+        rest = self.text[self.pos:].split(None, 1)
+        got = repr(rest[0]) if rest else "end of input"
+        return ParseError(f"expected {expected}, got {got}", self.pos)
+
     def take_symbol(self, symbol: str) -> None:
         if self.peek() != symbol:
-            raise ParseError(f"expected {symbol!r}", self.pos)
+            raise self.error(repr(symbol))
         self.pos += 1
 
     def take_name(self) -> tuple[str, int]:
         ch = self.peek()
         if not _is_letter(ch):
-            raise ParseError("expected a name", self.pos)
+            raise self.error("a name")
         start = self.pos
         while self.pos < len(self.text) and _is_letter(self.text[self.pos]):
             self.pos += 1
@@ -81,7 +92,7 @@ class _Tokens:
     def take_int(self) -> tuple[int, int]:
         ch = self.peek()
         if not _is_digit(ch):
-            raise ParseError("expected an integer", self.pos)
+            raise self.error("an integer")
         start = self.pos
         while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1

@@ -1,18 +1,14 @@
-"""Coefficient fields for graded series arithmetic.
+"""Integer arithmetic mod a prime: primality, base-p digit sums, Lucas.
 
-Two fields are supported: the prime field Z/p (elements are plain ints in
-[0, p)) and the rationals (elements are fractions.Fraction).  Field objects
-carry the arithmetic; values stay primitive so that inner loops avoid
-per-element object overhead.  No floats anywhere in this module.
+Series arithmetic is over GF(2) only and needs no field object (see
+series.py).  This module holds the integer kernels that the bounds, the
+bundle rules and the `lucas` command read; inputs and outputs are plain
+ints, and no floats are used.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Union
-
-Coeff = Union[int, Fraction]
 
 
 def is_prime(n: int) -> bool:
@@ -29,106 +25,6 @@ def is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-class PrimeField:
-    """Arithmetic of Z/p for a prime p, acting on ints in [0, p)."""
-
-    __slots__ = ("p",)
-
-    def __init__(self, p: int):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"modulus {p!r} is not prime")
-        self.p = p
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def from_int(self, n: int) -> int:
-        return n % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in prime field")
-        return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def __repr__(self) -> str:
-        return f"GF({self.p})"
-
-
-class RationalField:
-    """Exact rational arithmetic on fractions.Fraction values."""
-
-    __slots__ = ()
-
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
-
-    def add(self, a: Fraction, b: Fraction) -> Fraction:
-        return a + b
-
-    def sub(self, a: Fraction, b: Fraction) -> Fraction:
-        return a - b
-
-    def neg(self, a: Fraction) -> Fraction:
-        return -a
-
-    def mul(self, a: Fraction, b: Fraction) -> Fraction:
-        return a * b
-
-    def inv(self, a: Fraction) -> Fraction:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / a
-
-    def div(self, a: Fraction, b: Fraction) -> Fraction:
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return a / b
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RationalField)
-
-    def __hash__(self) -> int:
-        return hash("RationalField")
-
-    def __repr__(self) -> str:
-        return "QQ"
-
-
-Field = Union[PrimeField, RationalField]
-
-GF2 = PrimeField(2)
-QQ = RationalField()
 
 
 def digit_sum_base_p(k: int, p: int) -> int:

@@ -39,7 +39,6 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Union
 
-from .fields import GF2
 from .series import GradedSeries, SeriesRing
 
 
@@ -62,7 +61,7 @@ class GrassmannPresentation:
         self.k = k
         self.n = n
         self.top_degree = top
-        self.ring = SeriesRing(GF2, [(f"w{i}", i) for i in range(1, k + 1)],
+        self.ring = SeriesRing([(f"w{i}", i) for i in range(1, k + 1)],
                                top + 1)
         self._degree_data: dict[int, _DegreeData] = {}
 
@@ -126,7 +125,7 @@ class GrassmannPresentation:
             degree = degree_of(exponents)
             if degree <= top:
                 by_degree.setdefault(degree, set()).add(exponents)
-        reduced: dict[tuple[int, ...], int] = {}
+        reduced: set[tuple[int, ...]] = set()
         for degree, terms in by_degree.items():
             data = self._data(degree)
             monomials = data.monomials
@@ -137,9 +136,9 @@ class GrassmannPresentation:
             row = _xor_pivots(data.pivots, row)
             while row:
                 low = row & -row
-                reduced[monomials[low.bit_length() - 1]] = 1
+                reduced.add(monomials[low.bit_length() - 1])
                 row ^= low
-        return GradedSeries(self.ring, reduced)
+        return GradedSeries(self.ring, frozenset(reduced))
 
     def height(self, element: GradedSeries) -> Union[int, float]:
         """Largest t with element^t nonzero in the quotient.
@@ -149,7 +148,7 @@ class GrassmannPresentation:
         the exponent before it.
         """
         self.ring.require_same(element.ring)
-        if element.constant_coefficient() != self.ring.field.zero:
+        if element.constant_coefficient():
             return math.inf
         power = element
         t = 0

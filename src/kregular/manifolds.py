@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar, Optional, Union
 
-from .fields import GF2
 from .series import GradedSeries, SeriesRing
 
 
@@ -151,7 +150,7 @@ def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
     generators = [(atom.letter if single else f"{atom.letter}{i + 1}",
                    atom.dim_per_m) for i, atom in enumerate(projective)]
     caps = [atom.m for atom in projective]
-    return SeriesRing(GF2, generators, real_dimension(spec), caps or None)
+    return SeriesRing(generators, real_dimension(spec), caps or None)
 
 
 def _dual_bits(atom: Atom) -> int:
@@ -186,7 +185,7 @@ def dual_sw(spec: ManifoldSpec) -> GradedSeries:
     exponents = [[i for i in range(bits.bit_length()) if bits >> i & 1]
                  for bits in map(_dual_bits, _projective(spec))]
     return GradedSeries(cohomology_ring(spec),
-                        dict.fromkeys(product(*exponents), 1))
+                        frozenset(product(*exponents)))
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,19 @@
-"""Truncated graded polynomial rings with sparse series elements.
+"""Truncated graded polynomial rings over GF(2) with sparse series elements.
 
-A SeriesRing fixes a coefficient field, a list of generators with positive
-integer degrees, a truncation bound D (terms of weighted degree > D are
-dropped by every operation), and optional per-generator exponent caps
-(x^(cap+1) = 0, used for truncated one-generator cohomology rings and their
-products).  Elements store only nonzero coefficients, keyed by exponent
-vector.  Truncations are part of the ring: combining elements of different
-rings raises RingMismatchError instead of re-truncating silently.
+A SeriesRing fixes a list of generators with positive integer degrees, a
+truncation bound D (terms of weighted degree > D are dropped by every
+operation), and optional per-generator exponent caps (x^(cap+1) = 0, used
+for truncated one-generator cohomology rings and their products).  Every
+coefficient is 0 or 1, so an element is the frozenset of the exponent
+vectors of its terms: a sum is a symmetric difference, and a product
+toggles each term it reaches.  Truncations are part of the ring: combining
+elements of different rings raises RingMismatchError instead of
+re-truncating silently.
 """
 
 from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional, Sequence
-
-from .fields import Coeff, Field
 
 
 class RingMismatchError(ValueError):
@@ -25,12 +25,11 @@ class NonInvertibleError(ValueError):
 
 
 class SeriesRing:
-    """F[x_1, ..., x_r] graded by weighted degree, cut above `truncation`."""
+    """GF(2)[x_1, ..., x_r] graded by weighted degree, cut at `truncation`."""
 
-    __slots__ = ("field", "names", "degrees", "truncation", "caps",
-                 "_monomial_cache")
+    __slots__ = ("names", "degrees", "truncation", "caps", "_monomial_cache")
 
-    def __init__(self, field: Field, generators: Sequence[tuple[str, int]],
+    def __init__(self, generators: Sequence[tuple[str, int]],
                  truncation: int,
                  caps: Optional[Sequence[Optional[int]]] = None):
         names = tuple(name for name, _ in generators)
@@ -51,7 +50,6 @@ class SeriesRing:
             for cap in caps:
                 if cap is not None and (not isinstance(cap, int) or cap < 0):
                     raise ValueError("caps must be nonnegative or None")
-        self.field = field
         self.names = names
         self.degrees = degrees
         self.truncation = truncation
@@ -62,32 +60,29 @@ class SeriesRing:
         return sum(e * d for e, d in zip(exponents, self.degrees))
 
     def zero(self) -> "GradedSeries":
-        return GradedSeries(self, {})
+        return GradedSeries(self, frozenset())
 
     def one(self) -> "GradedSeries":
-        return self.scalar(1)
-
-    def scalar(self, value) -> "GradedSeries":
-        if isinstance(value, int):
-            value = self.field.from_int(value)
-        if value == self.field.zero:
-            return self.zero()
-        return GradedSeries(self, {(0,) * len(self.names): value})
+        return GradedSeries(self, frozenset({(0,) * len(self.names)}))
 
     def gen(self, name: str) -> "GradedSeries":
         i = self.names.index(name)
         if self.degrees[i] > self.truncation or self._capped_out(i, 1):
             return self.zero()
         exponents = tuple(1 if j == i else 0 for j in range(len(self.names)))
-        return GradedSeries(self, {exponents: self.field.one})
+        return GradedSeries(self, frozenset({exponents}))
 
     def gens(self) -> list["GradedSeries"]:
         return [self.gen(name) for name in self.names]
 
-    def from_terms(self, terms: Mapping[tuple[int, ...], object]
+    def from_terms(self, terms: Mapping[tuple[int, ...], int]
                    ) -> "GradedSeries":
-        """Build an element from {exponent vector: coefficient}; validates."""
-        clean: dict[tuple[int, ...], Coeff] = {}
+        """Build an element from {exponent vector: int coefficient}.
+
+        Validates each exponent vector and keeps the terms with an odd
+        coefficient.
+        """
+        clean = set()
         for exponents, coeff in terms.items():
             exponents = tuple(exponents)
             if len(exponents) != len(self.names) or any(
@@ -96,14 +91,12 @@ class SeriesRing:
             if self.degree_of(exponents) > self.truncation:
                 raise ValueError(
                     f"term {exponents!r} exceeds truncation {self.truncation}")
-            if isinstance(coeff, int):
-                coeff = self.field.from_int(coeff)
             if any(cap is not None and e > cap
                    for e, cap in zip(exponents, self.caps or ())):
                 continue
-            if coeff != self.field.zero:
-                clean[exponents] = coeff
-        return GradedSeries(self, clean)
+            if coeff % 2:
+                clean.add(exponents)
+        return GradedSeries(self, frozenset(clean))
 
     def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
         """All exponent vectors of weighted degree exactly d (caps respected)."""
@@ -135,18 +128,17 @@ class SeriesRing:
                 and exponent > self.caps[i])
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, SeriesRing) and other.field == self.field
+        return (isinstance(other, SeriesRing)
                 and other.names == self.names and other.degrees == self.degrees
                 and other.truncation == self.truncation
                 and other.caps == self.caps)
 
     def __hash__(self) -> int:
-        return hash((self.field, self.names, self.degrees, self.truncation,
-                     self.caps))
+        return hash((self.names, self.degrees, self.truncation, self.caps))
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
-        return f"SeriesRing({self.field!r}; {gens}; trunc={self.truncation})"
+        return f"SeriesRing({gens}; trunc={self.truncation})"
 
     def require_same(self, other: "SeriesRing") -> None:
         if self != other:
@@ -155,20 +147,19 @@ class SeriesRing:
 
 
 class GradedSeries:
-    """Sparse element of a SeriesRing; never stores zero coefficients."""
+    """Element of a SeriesRing: the frozenset of its terms' exponents."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: SeriesRing, terms: dict[tuple[int, ...], Coeff]):
+    def __init__(self, ring: SeriesRing, terms: frozenset[tuple[int, ...]]):
         self.ring = ring
         self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def constant_coefficient(self) -> Coeff:
-        zero_vec = (0,) * len(self.ring.names)
-        return self.terms.get(zero_vec, self.ring.field.zero)
+    def constant_coefficient(self) -> int:
+        return self.coefficient((0,) * len(self.ring.names))
 
     def top_degree(self) -> Optional[int]:
         """Largest weighted degree carrying a nonzero term; None if zero."""
@@ -179,50 +170,33 @@ class GradedSeries:
 
     def homogeneous_part(self, d: int) -> "GradedSeries":
         degree_of = self.ring.degree_of
-        part = {e: c for e, c in self.terms.items() if degree_of(e) == d}
-        return GradedSeries(self.ring, part)
+        return GradedSeries(self.ring, frozenset(
+            e for e in self.terms if degree_of(e) == d))
 
-    def coefficient(self, exponents: Sequence[int]) -> Coeff:
-        return self.terms.get(tuple(exponents), self.ring.field.zero)
+    def coefficient(self, exponents: Sequence[int]) -> int:
+        return int(tuple(exponents) in self.terms)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, GradedSeries) and other.ring == self.ring
                 and other.terms == self.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.terms))
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self.ring.require_same(other.ring)
-        field = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = field.add(out.get(e, field.zero), c)
-            if v == field.zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return GradedSeries(self.ring, out)
-
-    def __neg__(self) -> "GradedSeries":
-        field = self.ring.field
-        return GradedSeries(self.ring,
-                            {e: field.neg(c) for e, c in self.terms.items()})
-
-    def __sub__(self, other: "GradedSeries") -> "GradedSeries":
-        return self + (-other)
+        return GradedSeries(self.ring, self.terms ^ other.terms)
 
     def __mul__(self, other: "GradedSeries") -> "GradedSeries":
         self.ring.require_same(other.ring)
         ring = self.ring
-        field = ring.field
         degrees = ring.degrees
         caps = ring.caps
         trunc = ring.truncation
-        out: dict[tuple[int, ...], Coeff] = {}
-        for e1, c1 in self.terms.items():
+        out: set[tuple[int, ...]] = set()
+        for e1 in self.terms:
             d1 = ring.degree_of(e1)
-            for e2, c2 in other.terms.items():
+            for e2 in other.terms:
                 d = d1 + sum(x * w for x, w in zip(e2, degrees))
                 if d > trunc:
                     continue
@@ -231,21 +205,11 @@ class GradedSeries:
                         cap is not None and x > cap
                         for x, cap in zip(e, caps)):
                     continue
-                v = field.add(out.get(e, field.zero), field.mul(c1, c2))
-                if v == field.zero:
-                    out.pop(e, None)
+                if e in out:
+                    out.remove(e)
                 else:
-                    out[e] = v
-        return GradedSeries(self.ring, out)
-
-    def scale(self, coeff) -> "GradedSeries":
-        field = self.ring.field
-        if isinstance(coeff, int):
-            coeff = field.from_int(coeff)
-        if coeff == field.zero:
-            return self.ring.zero()
-        return GradedSeries(
-            self.ring, {e: field.mul(coeff, c) for e, c in self.terms.items()})
+                    out.add(e)
+        return GradedSeries(self.ring, frozenset(out))
 
     def __pow__(self, exponent: int) -> "GradedSeries":
         if not isinstance(exponent, int) or exponent < 0:
@@ -262,23 +226,23 @@ class GradedSeries:
     def inverse(self) -> "GradedSeries":
         """Multiplicative inverse, degree by degree, up to the truncation.
 
-        Requires constant term exactly 1; raises NonInvertibleError
-        otherwise.  With s = 1 + n the inverse t satisfies t_0 = 1 and
-        t_d = -sum_{e=1}^{d} n_e * t_{d-e} for homogeneous components.
+        Requires constant term 1; raises NonInvertibleError otherwise.  With
+        s = 1 + n the inverse t satisfies t_0 = 1 and
+        t_d = sum_{e=1}^{d} n_e * t_{d-e} for homogeneous components (the
+        sign of the recurrence vanishes mod 2).
         """
         ring = self.ring
-        field = ring.field
-        if self.constant_coefficient() != field.one:
+        if not self.constant_coefficient():
             raise NonInvertibleError(
-                "series inversion needs constant term 1, got "
-                f"{self.constant_coefficient()!r}")
+                "series inversion needs constant term 1, got 0")
         degree_of = ring.degree_of
-        buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
-        for e, c in self.terms.items():
+        buckets: dict[int, set[tuple[int, ...]]] = {}
+        for e in self.terms:
             d = degree_of(e)
             if d > 0:
-                buckets.setdefault(d, {})[e] = c
-        positive = {d: GradedSeries(ring, b) for d, b in buckets.items()}
+                buckets.setdefault(d, set()).add(e)
+        positive = {d: GradedSeries(ring, frozenset(b))
+                    for d, b in buckets.items()}
         parts: dict[int, GradedSeries] = {0: ring.one()}
         for d in range(1, ring.truncation + 1):
             acc = ring.zero()
@@ -286,43 +250,22 @@ class GradedSeries:
                 if e <= d and (d - e) in parts:
                     acc = acc + s_e * parts[d - e]
             if not acc.is_zero():
-                parts[d] = -acc
-        total = ring.zero()
-        for part in parts.values():
-            total = total + part
-        return total
+                parts[d] = acc
+        # The parts sit in distinct degrees, so their sum is their union.
+        return GradedSeries(ring, frozenset().union(
+            *(part.terms for part in parts.values())))
 
     def render(self) -> str:
-        """ASCII string like '1 + a^2 + 2*a*b'; zero renders as '0'."""
+        """ASCII string like '1 + a^2 + a*b'; zero renders as '0'."""
         if not self.terms:
             return "0"
         ring = self.ring
         degree_of = ring.degree_of
         ordered = sorted(self.terms, key=lambda e: (degree_of(e), e))
-        pieces: list[str] = []
-        for exponents in ordered:
-            coeff = self.terms[exponents]
-            mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
-                for name, e in zip(ring.names, exponents) if e)
-            pieces.append(_term_text(coeff, mono))
-        out = pieces[0]
-        for text in pieces[1:]:
-            if text.startswith("-"):
-                out += " - " + text[1:]
-            else:
-                out += " + " + text
-        return out
+        return " + ".join(
+            "*".join(name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(ring.names, exponents) if e) or "1"
+            for exponents in ordered)
 
     def __repr__(self) -> str:
         return f"<series {self.render()} in {self.ring!r}>"
-
-
-def _term_text(coeff: Coeff, mono: str) -> str:
-    if not mono:
-        return str(coeff)
-    if coeff == 1:
-        return mono
-    if coeff == -1:
-        return f"-{mono}"
-    return f"{coeff}*{mono}"

@@ -10,10 +10,8 @@ from math import lcm
 from operator import add
 from typing import Sequence
 
-from kregular.fields import QQ
 from kregular.sampler import (Gaussian, VandermondeMap, as_gaussian,
                               integer_rank_bareiss)
-from kregular.series import SeriesRing
 
 
 def gauss_rank_oracle(rows):
@@ -51,19 +49,32 @@ def rational_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return integer_rank_bareiss(cleared)
 
 
-def chern_relations(k: int, n: int) -> tuple:
+def chern_relations(k: int, n: int) -> tuple[dict, ...]:
     """Relations of H*(G_k(C^(n+1)); QQ) on c_1 .. c_k (|c_i| = 2i).
 
-    They are the degree-2j parts of the inverse of 1 + c_1 + ... + c_k for
-    j = n-k+2 .. n+1; the ring is cut at 2(n+1), the last one's degree.
+    Each relation is an {exponents: int} dict.  The degree-2j part dual_j
+    of the inverse of 1 + c_1 + ... + c_k has dual_0 = 1 and
+    dual_j = -(c_1 dual_(j-1) + ... + c_k dual_(j-k)), and the relations
+    are dual_j for j = n-k+2 .. n+1.
     """
-    ring = SeriesRing(QQ, [(f"c{i}", 2 * i) for i in range(1, k + 1)],
-                      2 * (n + 1))
-    total = ring.one()
-    for gen in ring.gens():
-        total = total + gen
-    dual = total.inverse()
-    return tuple(dual.homogeneous_part(2 * j) for j in range(n - k + 2, n + 2))
+    duals = [{(0,) * k: 1}]
+    for j in range(1, n + 2):
+        acc: dict = {}
+        for i in range(1, min(j, k) + 1):
+            for exponents, coeff in duals[j - i].items():
+                shifted = exponents[:i - 1] + (exponents[i - 1] + 1,) \
+                    + exponents[i:]
+                acc[shifted] = acc.get(shifted, 0) - coeff
+        duals.append({e: c for e, c in acc.items() if c})
+    return tuple(duals[n - k + 2:])
+
+
+def _chern_monomials(k: int, weight: int, first: int = 1) -> list:
+    """Exponent vectors on c_first .. c_k whose sum of i * e_i is weight."""
+    if first > k:
+        return [()] if weight == 0 else []
+    return [(e,) + rest for e in range(weight // first + 1)
+            for rest in _chern_monomials(k, weight - e * first, first + 1)]
 
 
 def chern_height_by_rank(k: int, n: int) -> int:
@@ -72,26 +83,25 @@ def chern_height_by_rank(k: int, n: int) -> int:
     c1^t is one monomial of degree 2t, and it is zero in the quotient
     exactly when its row lies in the span of the rows of the relations'
     monomial multiples in that degree, so its rank adds nothing to theirs.
+    Degrees are counted in halves here: c_i and the relation dual_j weigh
+    i and j.
     """
     relations = chern_relations(k, n)
-    ring = relations[0].ring
     t = 0
     while True:
-        columns = {mono: i for i, mono in
-                   enumerate(ring.monomials_of_degree(2 * t))}
+        columns = {mono: i for i, mono in enumerate(_chern_monomials(k, t))}
         rows = []
-        for rel in relations:
-            rel_degree = rel.top_degree()
-            if rel_degree > 2 * t:
-                continue
-            for mono in ring.monomials_of_degree(2 * t - rel_degree):
-                row = [Fraction(0)] * len(columns)
-                for exponents, coeff in rel.terms.items():
+        for j, rel in enumerate(relations, n - k + 2):
+            if j > t:
+                break
+            for mono in _chern_monomials(k, t - j):
+                row = [0] * len(columns)
+                for exponents, coeff in rel.items():
                     row[columns[tuple(map(add, mono, exponents))]] = coeff
                 rows.append(row)
-        power = [Fraction(0)] * len(columns)
-        power[columns[(t,) + (0,) * (k - 1)]] = Fraction(1)
-        if rational_rank(rows + [power]) == rational_rank(rows):
+        power = [0] * len(columns)
+        power[columns[(t,) + (0,) * (k - 1)]] = 1
+        if integer_rank_bareiss(rows + [power]) == integer_rank_bareiss(rows):
             return t - 1
         t += 1
 

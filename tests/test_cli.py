@@ -471,7 +471,7 @@ def test_table_bare_integer_is_ascii_only(capsys):
     for text in ("\u0663", "\u00b2"):
         code, out, err = run_cli(capsys, "table", text)
         assert (code, out) == (EXIT_USAGE, "")
-        assert err == "error: expected a name (at position 0)\n"
+        assert err == f"error: expected a name, got {text!r} (at position 0)\n"
 
 
 def test_table_signed_integer_reaches_the_dimension_check(capsys):

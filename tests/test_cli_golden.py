@@ -169,16 +169,24 @@ USAGE_ERRORS = [
     (('dual-sw',), 'expression'),  # ditto
     (('table', 'RP^9', 'RP^10'), 'RP^10'),  # extra positional
     (('bound', '--json=1', 'RP^5'), '--json'),  # value for a flag
+    (('bound', '-5x'), "'-5x'"),  # syntax error names the text
+    (('table', '-5x'), "'-5x'"),  # ditto
 ]
 
 
-@pytest.mark.parametrize("argv, code, stdout", GOLDEN)
+def _ids(cases):
+    # Ids from the argv, so adding a case does not rename the others.
+    return [" ".join(case[0]) or "(no arguments)" for case in cases]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=_ids(GOLDEN))
 def test_golden_stdout_and_exit_code(capsys, argv, code, stdout):
     assert main(list(argv)) == code
     assert capsys.readouterr().out == stdout
 
 
-@pytest.mark.parametrize("argv, token", USAGE_ERRORS)
+@pytest.mark.parametrize("argv, token", USAGE_ERRORS,
+                         ids=_ids(USAGE_ERRORS))
 def test_usage_error_names_the_token(capsys, argv, token):
     assert main(list(argv)) == EXIT_USAGE
     captured = capsys.readouterr()

@@ -81,6 +81,20 @@ def test_syntax_error_positions():
         parse_expression("S^3 x")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("-5x", "expected a name, got '-5x' (at position 0)"),
+    ("RP5 x S^2", "expected '^', got '5' (at position 2)"),
+    ("RP^", "expected an integer, got end of input (at position 3)"),
+    ("(S^3;  2)", "expected ',', got ';' (at position 4)"),
+    ("S^3 x  ", "expected a name, got end of input (at position 7)"),
+])
+def test_syntax_errors_name_the_text(text, message):
+    # The text shown is the run of non-space characters at the position.
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == message
+
+
 def test_parse_manifold_rejects_queries():
     with pytest.raises(ParseError):
         parse_manifold("(S^3, 2)")

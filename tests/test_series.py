@@ -1,16 +1,13 @@
 """Truncated graded series: arithmetic, inversion, caps, rendering."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kregular import (GF2, QQ, GradedSeries, NonInvertibleError, PrimeField,
-                      RingMismatchError, SeriesRing)
+from kregular import NonInvertibleError, RingMismatchError, SeriesRing
 
 
 def gf2_ring(trunc, names=("a",)):
-    return SeriesRing(GF2, [(n, 1) for n in names], trunc)
+    return SeriesRing([(n, 1) for n in names], trunc)
 
 
 def one_plus(ring, name="a"):
@@ -22,17 +19,17 @@ def one_plus(ring, name="a"):
 
 def test_ring_validation():
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a", 1), ("a", 2)], 4)
+        SeriesRing([("a", 1), ("a", 2)], 4)
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a", 0)], 4)
+        SeriesRing([("a", 0)], 4)
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a b", 1)], 4)
+        SeriesRing([("a b", 1)], 4)
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a", 1)], -1)
+        SeriesRing([("a", 1)], -1)
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a", 1)], 4, caps=[1, 2])
+        SeriesRing([("a", 1)], 4, caps=[1, 2])
     with pytest.raises(ValueError):
-        SeriesRing(GF2, [("a", 1)], 4, caps=[-1])
+        SeriesRing([("a", 1)], 4, caps=[-1])
 
 
 def test_from_terms_validation():
@@ -44,23 +41,24 @@ def test_from_terms_validation():
     with pytest.raises(ValueError):
         ring.from_terms({(4,): 1})
     assert ring.from_terms({(2,): 2}).is_zero()  # 2 = 0 in GF(2)
+    assert ring.from_terms({(1,): -3}) == ring.gen("a")  # odd reads as 1
 
 
 def test_generator_beyond_truncation_is_zero():
-    ring = SeriesRing(GF2, [("a", 1), ("b", 5)], 3)
+    ring = SeriesRing([("a", 1), ("b", 5)], 3)
     assert ring.gen("b").is_zero()
     assert not ring.gen("a").is_zero()
 
 
 def test_monomial_enumeration_descending_lex():
-    ring = SeriesRing(GF2, [("a", 1), ("b", 1)], 4)
+    ring = SeriesRing([("a", 1), ("b", 1)], 4)
     assert ring.monomials_of_degree(2) == [(2, 0), (1, 1), (0, 2)]
-    weighted = SeriesRing(GF2, [("a", 1), ("b", 2)], 6)
+    weighted = SeriesRing([("a", 1), ("b", 2)], 6)
     assert weighted.monomials_of_degree(4) == [(4, 0), (2, 1), (0, 2)]
 
 
 def test_monomial_enumeration_respects_caps():
-    ring = SeriesRing(GF2, [("a", 1), ("b", 1)], 6, caps=[2, None])
+    ring = SeriesRing([("a", 1), ("b", 1)], 6, caps=[2, None])
     assert ring.monomials_of_degree(4) == [(2, 2), (1, 3), (0, 4)]
 
 
@@ -74,8 +72,8 @@ def test_char2_squaring():
 
 
 def test_multiplicative_identity():
-    ring = SeriesRing(PrimeField(5), [("a", 1), ("b", 2)], 7)
-    s = ring.from_terms({(0, 0): 3, (1, 1): 4, (3, 2): 2})
+    ring = SeriesRing([("a", 1), ("b", 2)], 7)
+    s = ring.from_terms({(0, 0): 1, (1, 1): 1, (3, 2): 1})
     assert ring.one() * s == s
     assert s * ring.one() == s
 
@@ -91,7 +89,7 @@ def test_truncation_drops_high_terms():
 
 
 def test_caps_kill_overflow_products():
-    ring = SeriesRing(GF2, [("a", 1)], 10, caps=[3])
+    ring = SeriesRing([("a", 1)], 10, caps=[3])
     a = ring.gen("a")
     assert (a ** 3) == ring.from_terms({(3,): 1})
     assert (a ** 4).is_zero()
@@ -105,17 +103,9 @@ def test_ring_mismatch_raises():
         r1.one() * r2.one()
 
 
-def test_scale_and_neg_over_qq():
-    ring = SeriesRing(QQ, [("x", 1)], 3)
-    s = ring.one() + ring.gen("x")
-    assert s.scale(Fraction(1, 2)).coefficient((1,)) == Fraction(1, 2)
-    assert s.scale(0).is_zero()
-    assert (-s) + s == ring.zero()
-
-
 def test_pow_matches_repeated_product():
-    ring = SeriesRing(PrimeField(3), [("a", 1), ("b", 2)], 8)
-    s = ring.one() + ring.gen("a") + ring.gen("b").scale(2)
+    ring = SeriesRing([("a", 1), ("b", 2)], 8)
+    s = ring.one() + ring.gen("a") + ring.gen("b")
     by_mul = ring.one()
     for _ in range(5):
         by_mul = by_mul * s
@@ -126,7 +116,7 @@ def test_pow_matches_repeated_product():
 
 
 def test_degree_queries():
-    ring = SeriesRing(GF2, [("a", 1), ("b", 2)], 9)
+    ring = SeriesRing([("a", 1), ("b", 2)], 9)
     s = ring.from_terms({(0, 0): 1, (1, 2): 1, (3, 0): 1})
     assert s.top_degree() == 5
     assert s.homogeneous_part(3) == ring.from_terms({(3, 0): 1})
@@ -160,9 +150,6 @@ def test_invert_requires_unit_constant():
     ring = gf2_ring(4)
     with pytest.raises(NonInvertibleError):
         ring.gen("a").inverse()
-    qring = SeriesRing(QQ, [("x", 1)], 4)
-    with pytest.raises(NonInvertibleError):
-        qring.scalar(2).inverse()
 
 
 def random_unit(ring, draw_coeffs):
@@ -186,26 +173,22 @@ def test_invert_roundtrip_gf2_trunc32(rng):
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=25, deadline=None)
 def test_invert_roundtrip_two_generators(rng):
-    ring = SeriesRing(PrimeField(5), [("a", 1), ("b", 2)], 12)
-    s = random_unit(ring, lambda: rng.randint(0, 4))
+    ring = SeriesRing([("a", 1), ("b", 2)], 12)
+    s = random_unit(ring, lambda: rng.randint(0, 1))
     assert s * s.inverse() == ring.one()
-    qring = SeriesRing(QQ, [("a", 1), ("b", 2)], 10)
-    q = random_unit(qring, lambda: Fraction(rng.randint(-3, 3),
-                                            rng.randint(1, 4)))
-    assert q * q.inverse() == qring.one()
 
 
 @given(st.randoms(use_true_random=False))
 @settings(max_examples=30, deadline=None)
 def test_mul_commutative_associative(rng):
-    ring = SeriesRing(PrimeField(3), [("a", 1), ("b", 2)], 10)
+    ring = SeriesRing([("a", 1), ("b", 2)], 10)
 
     def draw():
         terms = {}
         for _ in range(6):
             e = (rng.randint(0, 4), rng.randint(0, 2))
             if ring.degree_of(e) <= ring.truncation:
-                terms[e] = rng.randint(0, 2)
+                terms[e] = rng.randint(0, 1)
         return ring.from_terms(terms)
 
     s, t, u = draw(), draw(), draw()
@@ -218,7 +201,7 @@ def test_mul_commutative_associative(rng):
 @settings(max_examples=30, deadline=None)
 def test_char2_frobenius_square(rng):
     # In characteristic 2 squaring doubles every exponent vector.
-    ring = SeriesRing(GF2, [("a", 1), ("b", 1)], 16)
+    ring = SeriesRing([("a", 1), ("b", 1)], 16)
     s = random_unit(ring, lambda: rng.randint(0, 1))
     for exponents in (s * s).terms:
         assert all(e % 2 == 0 for e in exponents)
@@ -228,14 +211,9 @@ def test_char2_frobenius_square(rng):
 # Rendering.
 
 def test_render_ascii():
-    ring = SeriesRing(GF2, [("a", 1), ("b", 2)], 6)
+    ring = SeriesRing([("a", 1), ("b", 2)], 6)
     assert ring.zero().render() == "0"
     assert ring.one().render() == "1"
     s = ring.from_terms({(0, 0): 1, (2, 0): 1, (1, 1): 1})
     assert s.render() == "1 + a^2 + a*b"
 
-
-def test_render_signs_over_qq():
-    ring = SeriesRing(QQ, [("c", 1)], 4)
-    s = ring.from_terms({(0,): 1, (1,): -1, (2,): Fraction(3, 2), (3,): -2})
-    assert s.render() == "1 - c + 3/2*c^2 - 2*c^3"
