@@ -174,19 +174,22 @@ USAGE_ERRORS = [
 ]
 
 
-def _ids(cases):
-    # Ids from the argv, so adding a case does not rename the others.
-    return [" ".join(case[0]) or "(no arguments)" for case in cases]
+def _ids(cases, positional):
+    # The first `positional` cases keep the ids pytest gave them by position
+    # (argvN-...) when they were recorded; later ones take ids from their
+    # argv, so appending a case renames no other.  Add new cases at the end.
+    return [None if i < positional else " ".join(case[0])
+            for i, case in enumerate(cases)]
 
 
-@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=_ids(GOLDEN))
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=_ids(GOLDEN, 28))
 def test_golden_stdout_and_exit_code(capsys, argv, code, stdout):
     assert main(list(argv)) == code
     assert capsys.readouterr().out == stdout
 
 
 @pytest.mark.parametrize("argv, token", USAGE_ERRORS,
-                         ids=_ids(USAGE_ERRORS))
+                         ids=_ids(USAGE_ERRORS, 13))
 def test_usage_error_names_the_token(capsys, argv, token):
     assert main(list(argv)) == EXIT_USAGE
     captured = capsys.readouterr()
