@@ -152,7 +152,7 @@ def parse_expression(text: str,
     else:
         result = _parse_product(tokens)
     if not tokens.at_end():
-        raise ParseError("trailing input", tokens.pos)
+        raise tokens.error("end of input")
     return result
 
 

@@ -26,10 +26,10 @@ The height of w1 is answered in closed form, with no ring arithmetic, by
 Stong's theorem (R. E. Stong, "Cup products in Grassmannians", Topology
 Appl. 13, 1982): with N = n+1, k' = min(k, N-k) and 2^s < N <= 2^(s+1),
 the height of w1 is N-1 if k' = 1, 2^(s+1)-2 if k' = 2 or if k' = 3 and
-N = 2^s+1, and 2^(s+1)-1 otherwise.  The relations are built on the first
-row reduction, so a presentation that only answers the first-class height
-does no series arithmetic.  `height(element)` row-reduces powers of any
-element and stays the second method for w1.
+N = 2^s+1, and 2^(s+1)-1 otherwise.  The ring and the relations are built
+on first use, so a presentation that only answers the first-class height
+builds no ring and does no series arithmetic.  `height(element)`
+row-reduces powers of any element and stays the second method for w1.
 """
 
 from __future__ import annotations
@@ -61,9 +61,13 @@ class GrassmannPresentation:
         self.k = k
         self.n = n
         self.top_degree = top
-        self.ring = SeriesRing([(f"w{i}", i) for i in range(1, k + 1)],
-                               top + 1)
         self._degree_data: dict[int, _DegreeData] = {}
+
+    @cached_property
+    def ring(self) -> SeriesRing:
+        """GF(2)[w_1, ..., w_k] cut at top + 1, built on first use."""
+        return SeriesRing([(f"w{i}", i) for i in range(1, self.k + 1)],
+                          self.top_degree + 1)
 
     @cached_property
     def relations(self) -> tuple[GradedSeries, ...]:

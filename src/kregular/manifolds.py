@@ -17,11 +17,12 @@ and the factor's dual class is inverted on those bits, degree by degree.
 Total classes are multiplicative (Whitney product formula), so the dual
 class of a product is the product of the factors' dual classes.  The joint
 ring, with one generator per projective factor (factors with trivial class
-contribute none) truncated at the total real dimension, holds that product
-when the whole dual class is asked for.  Its generators are distinct, so
-the product's terms are the combinations of the factors' exponents and no
-series arithmetic is needed.  The tests build total classes as series and
-invert them in the joint ring to check the bit inversion.
+contribute none) cut at the total real dimension, holds that product when
+the whole dual class is asked for.  Its generators are distinct, so the
+product's terms are the combinations of the factors' exponents, each at
+most its factor's m, and no series arithmetic is needed.  The tests build
+total classes as series, invert them in the joint ring and reduce modulo
+every g^(m+1) to check the bit inversion.
 
 The headline quantity is the top degree of the dual class.  Over GF(2) the
 product of the factors' nonzero top terms is nonzero, so it is the sum of the
@@ -139,18 +140,18 @@ def render(spec: ManifoldSpec) -> str:
 
 
 def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
-    """Joint GF(2) ring holding the total and dual classes of `spec`.
+    """Joint GF(2) ring holding the dual class of `spec`.
 
-    One generator per projective factor, capped at exponent m (g^(m+1) = 0);
-    sphere and Euclidean factors carry total class 1 and contribute no
-    generator.  Truncation is the total real dimension.
+    One generator per projective factor; sphere and Euclidean factors carry
+    total class 1 and contribute no generator.  The ring is cut by degree
+    only, at the total real dimension: it does not impose g^(m+1) = 0, so
+    two specs with the same generators and dimension share one ring.
     """
     single = len(atoms(spec)) == 1
-    projective = _projective(spec)
     generators = [(atom.letter if single else f"{atom.letter}{i + 1}",
-                   atom.dim_per_m) for i, atom in enumerate(projective)]
-    caps = [atom.m for atom in projective]
-    return SeriesRing(generators, real_dimension(spec), caps or None)
+                   atom.dim_per_m)
+                  for i, atom in enumerate(_projective(spec))]
+    return SeriesRing(generators, real_dimension(spec))
 
 
 def _dual_bits(atom: Atom) -> int:

@@ -1,13 +1,11 @@
 """Truncated graded polynomial rings over GF(2) with sparse series elements.
 
-A SeriesRing fixes a list of generators with positive integer degrees, a
-truncation bound D (terms of weighted degree > D are dropped by every
-operation), and optional per-generator exponent caps (x^(cap+1) = 0, used
-for truncated one-generator cohomology rings and their products).  Every
-coefficient is 0 or 1, so an element is the frozenset of the exponent
-vectors of its terms: a sum is a symmetric difference, and a product
-toggles each term it reaches.  Truncations are part of the ring: combining
-elements of different rings raises RingMismatchError instead of
+A SeriesRing fixes a list of generators with positive integer degrees and
+a truncation bound D: terms of weighted degree > D are dropped by every
+operation.  Every coefficient is 0 or 1, so an element is the frozenset of
+the exponent vectors of its terms: a sum is a symmetric difference, and a
+product toggles each term it reaches.  Truncations are part of the ring:
+combining elements of different rings raises RingMismatchError instead of
 re-truncating silently.
 """
 
@@ -27,11 +25,10 @@ class NonInvertibleError(ValueError):
 class SeriesRing:
     """GF(2)[x_1, ..., x_r] graded by weighted degree, cut at `truncation`."""
 
-    __slots__ = ("names", "degrees", "truncation", "caps", "_monomial_cache")
+    __slots__ = ("names", "degrees", "truncation", "_monomial_cache")
 
     def __init__(self, generators: Sequence[tuple[str, int]],
-                 truncation: int,
-                 caps: Optional[Sequence[Optional[int]]] = None):
+                 truncation: int):
         names = tuple(name for name, _ in generators)
         degrees = tuple(deg for _, deg in generators)
         if len(set(names)) != len(names):
@@ -43,17 +40,9 @@ class SeriesRing:
                 raise ValueError(f"generator {name} needs a positive degree")
         if not isinstance(truncation, int) or truncation < 0:
             raise ValueError("truncation must be a nonnegative integer")
-        if caps is not None:
-            caps = tuple(caps)
-            if len(caps) != len(names):
-                raise ValueError("one cap entry per generator required")
-            for cap in caps:
-                if cap is not None and (not isinstance(cap, int) or cap < 0):
-                    raise ValueError("caps must be nonnegative or None")
         self.names = names
         self.degrees = degrees
         self.truncation = truncation
-        self.caps = caps
         self._monomial_cache: dict[int, list[tuple[int, ...]]] = {}
 
     def degree_of(self, exponents: Sequence[int]) -> int:
@@ -67,7 +56,7 @@ class SeriesRing:
 
     def gen(self, name: str) -> "GradedSeries":
         i = self.names.index(name)
-        if self.degrees[i] > self.truncation or self._capped_out(i, 1):
+        if self.degrees[i] > self.truncation:
             return self.zero()
         exponents = tuple(1 if j == i else 0 for j in range(len(self.names)))
         return GradedSeries(self, frozenset({exponents}))
@@ -91,15 +80,12 @@ class SeriesRing:
             if self.degree_of(exponents) > self.truncation:
                 raise ValueError(
                     f"term {exponents!r} exceeds truncation {self.truncation}")
-            if any(cap is not None and e > cap
-                   for e, cap in zip(exponents, self.caps or ())):
-                continue
             if coeff % 2:
                 clean.add(exponents)
         return GradedSeries(self, frozenset(clean))
 
     def monomials_of_degree(self, d: int) -> list[tuple[int, ...]]:
-        """All exponent vectors of weighted degree exactly d (caps respected)."""
+        """All exponent vectors of weighted degree exactly d."""
         got = self._monomial_cache.get(d)
         if got is None:
             got = sorted(self._enumerate(d, 0, [0] * len(self.names)),
@@ -115,26 +101,18 @@ class SeriesRing:
         if i >= len(self.names):
             return
         deg = self.degrees[i]
-        top = remaining // deg
-        if self.caps is not None and self.caps[i] is not None:
-            top = min(top, self.caps[i])
-        for e in range(top + 1):
+        for e in range(remaining // deg + 1):
             prefix[i] = e
             yield from self._enumerate(remaining - e * deg, i + 1, prefix)
         prefix[i] = 0
 
-    def _capped_out(self, i: int, exponent: int) -> bool:
-        return (self.caps is not None and self.caps[i] is not None
-                and exponent > self.caps[i])
-
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, SeriesRing)
                 and other.names == self.names and other.degrees == self.degrees
-                and other.truncation == self.truncation
-                and other.caps == self.caps)
+                and other.truncation == self.truncation)
 
     def __hash__(self) -> int:
-        return hash((self.names, self.degrees, self.truncation, self.caps))
+        return hash((self.names, self.degrees, self.truncation))
 
     def __repr__(self) -> str:
         gens = ", ".join(f"{n}:{d}" for n, d in zip(self.names, self.degrees))
@@ -191,7 +169,6 @@ class GradedSeries:
         self.ring.require_same(other.ring)
         ring = self.ring
         degrees = ring.degrees
-        caps = ring.caps
         trunc = ring.truncation
         out: set[tuple[int, ...]] = set()
         for e1 in self.terms:
@@ -201,10 +178,6 @@ class GradedSeries:
                 if d > trunc:
                     continue
                 e = tuple(a + b for a, b in zip(e1, e2))
-                if caps is not None and any(
-                        cap is not None and x > cap
-                        for x, cap in zip(e, caps)):
-                    continue
                 if e in out:
                     out.remove(e)
                 else:

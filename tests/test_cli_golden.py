@@ -171,6 +171,7 @@ USAGE_ERRORS = [
     (('bound', '--json=1', 'RP^5'), '--json'),  # value for a flag
     (('bound', '-5x'), "'-5x'"),  # syntax error names the text
     (('table', '-5x'), "'-5x'"),  # ditto
+    (('bound', 'RP^5 y'), "'y'"),  # trailing input names the text
 ]
 
 

@@ -87,6 +87,8 @@ def test_syntax_error_positions():
     ("RP^", "expected an integer, got end of input (at position 3)"),
     ("(S^3;  2)", "expected ',', got ';' (at position 4)"),
     ("S^3 x  ", "expected a name, got end of input (at position 7)"),
+    ("RP^5 y", "expected end of input, got 'y' (at position 5)"),
+    ("(S^3, 2) S^2", "expected end of input, got 'S^2' (at position 9)"),
 ])
 def test_syntax_errors_name_the_text(text, message):
     # The text shown is the run of non-space characters at the position.

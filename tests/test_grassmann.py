@@ -4,6 +4,8 @@ import importlib
 import math
 import pathlib
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 
@@ -66,6 +68,20 @@ def test_chern_relations_reduce_to_sw_relations():
                             for rel in chern_relations(k, n))
             assert reduced == tuple(rel.terms for rel in pres.relations), \
                 (k, n)
+
+
+def test_relations_by_lucas():
+    # A third builder, with no series arithmetic: mod 2 the coefficient of
+    # w^a in 1/(1 + w_1 + ... + w_k) is the multinomial coefficient
+    # (a_1 + ... + a_k)! / (a_1! ... a_k!), which by Lucas's theorem is odd
+    # exactly when the a_i have pairwise disjoint binary digits.
+    for n in range(1, 11):
+        for k in range(1, n + 1):
+            pres = GrassmannPresentation(k, n)
+            for j, rel in zip(range(n - k + 2, n + 2), pres.relations):
+                odd = frozenset(a for a in pres.ring.monomials_of_degree(j)
+                                if sum(a) == reduce(or_, a))
+                assert rel.terms == odd, (k, n, j)
 
 
 def test_relations_invert_the_total_class():
@@ -342,6 +358,7 @@ def test_first_class_height_builds_nothing():
     assert pres.first_class_height() == 15
     assert pres._degree_data == {}
     assert "relations" not in vars(pres)
+    assert "ring" not in vars(pres)
     before = cached_presentation.cache_info()
     assert chern_height_of_first_class(3, 12) == 30
     assert cached_presentation.cache_info() == before
