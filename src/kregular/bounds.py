@@ -17,7 +17,6 @@ sides meet, the report marks the bound tight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .bundles import COMPLEX, REAL, BundleProfile, lambda_top
@@ -25,6 +24,7 @@ from .fields import digit_sum_base_p, is_prime
 from .manifolds import (Atom, Euclid, ManifoldSpec, RealProj, Sphere,
                         is_closed, real_dimension, render,
                         top_dual_degree_closed_form)
+from .record import Record
 
 MAIN_THEOREM_1 = "Main Theorem I"
 MAIN_THEOREM_2 = "Main Theorem II"
@@ -32,17 +32,15 @@ DISJOINT_REAL = "disjoint union lower bound (real)"
 DISJOINT_COMPLEX = "disjoint union lower bound (complex)"
 BCLZ_2015 = "Blagojevic-Cohen-Luck-Ziegler (2015)"
 
-@dataclass(frozen=True)
-class RegularQuery:
+class RegularQuery(Record):
     """Pieces (spec, point count) asked about together, with a regime."""
 
-    pieces: tuple
-    regime: str = REAL
+    __slots__ = ("pieces", "regime")
 
-    def __post_init__(self):
-        if self.regime not in (REAL, COMPLEX):
-            raise ValueError(f"unknown regime {self.regime!r}")
-        pieces = tuple((spec, points) for spec, points in self.pieces)
+    def __init__(self, pieces: tuple, regime: str = REAL):
+        if regime not in (REAL, COMPLEX):
+            raise ValueError(f"unknown regime {regime!r}")
+        pieces = tuple((spec, points) for spec, points in pieces)
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
@@ -51,18 +49,20 @@ class RegularQuery:
                     f"piece ({render(spec)}, {points!r}): point count must "
                     "be an integer >= 2")
         object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "regime", regime)
 
 
-@dataclass(frozen=True)
-class ExistenceRecord:
+class ExistenceRecord(Record):
     """A construction: a k-regular map into R^(ambient_dim) exists."""
 
-    ambient_dim: int
-    source: str
+    __slots__ = ("ambient_dim", "source")
+
+    def __init__(self, ambient_dim: int, source: str):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Record):
     """A lower bound, the rule behind it and its per-piece breakdown.
 
     `construction` is the best known construction for the query (what
@@ -70,10 +70,14 @@ class BoundReport:
     `tight` when that construction's ambient dimension meets it.
     """
 
-    bound: int
-    theorem: str
-    breakdown: tuple
-    construction: Optional[ExistenceRecord] = None
+    __slots__ = ("bound", "theorem", "breakdown", "construction")
+
+    def __init__(self, bound: int, theorem: str, breakdown: tuple,
+                 construction: Optional[ExistenceRecord] = None):
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "breakdown", breakdown)
+        object.__setattr__(self, "construction", construction)
 
     @property
     def tight(self) -> bool:
@@ -259,11 +263,14 @@ _CITED: dict[str, Callable[..., BoundReport]] = {
 # ---------------------------------------------------------------------------
 # Existence table and upper bounds.
 
-@dataclass(frozen=True)
-class TableRow:
-    label: str
-    matches: Callable[[int], bool]
-    ambient: Callable[[int], int]
+class TableRow(Record):
+    __slots__ = ("label", "matches", "ambient")
+
+    def __init__(self, label: str, matches: Callable[[int], bool],
+                 ambient: Callable[[int], int]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "ambient", ambient)
 
 
 PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (

@@ -10,13 +10,13 @@ UnsupportedBundleError rather than guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .fields import is_prime
 from .grassmann import chern_height_of_first_class
 from .manifolds import (ComplexProj, Euclid, ManifoldSpec, Sphere, is_closed,
                         real_dimension, render, top_dual_degree)
+from .record import Record
 
 REAL = "real"
 COMPLEX = "complex"
@@ -26,8 +26,7 @@ class UnsupportedBundleError(ValueError):
     """No implemented rule determines the requested bundle degree."""
 
 
-@dataclass(frozen=True)
-class BundleProfile:
+class BundleProfile(Record):
     """Top degree data for the k-point bundle over `spec`.
 
     `top_degree` is exact unless `is_lower_bound` is set, in which case the
@@ -37,13 +36,19 @@ class BundleProfile:
     `source` names the rule.
     """
 
-    spec: ManifoldSpec
-    points: int
-    regime: str
-    top_degree: Optional[int]
-    contribution: int
-    is_lower_bound: bool
-    source: str
+    __slots__ = ("spec", "points", "regime", "top_degree", "contribution",
+                 "is_lower_bound", "source")
+
+    def __init__(self, spec: ManifoldSpec, points: int, regime: str,
+                 top_degree: Optional[int], contribution: int,
+                 is_lower_bound: bool, source: str):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "contribution", contribution)
+        object.__setattr__(self, "is_lower_bound", is_lower_bound)
+        object.__setattr__(self, "source", source)
 
 
 def lambda_top(spec: ManifoldSpec, points: int = 2,

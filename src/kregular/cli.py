@@ -24,7 +24,6 @@ found a counterexample (the payload's verdict); 2 is unused.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from types import SimpleNamespace
@@ -36,7 +35,6 @@ from .fields import lucas_binom_mod_p
 from .grassmann import cached_presentation, chern_height_of_first_class
 from .manifolds import (RealProj, dual_sw, render,
                         top_dual_degree_closed_form)
-from .sampler import map_parts, parse_map, render_map, sample_check_regular
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -147,6 +145,9 @@ def _cmd_lucas(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
+    # The sampler (and fractions) load here, not with the module: no other
+    # subcommand needs them.
+    from .sampler import parse_map, render_map, sample_check_regular
     example = parse_map(args.map)
     sizes: Optional[tuple[int, ...]] = None
     if args.tuple is not None:
@@ -175,6 +176,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _text_verify(payload: dict) -> list:
+    from .sampler import map_parts, parse_map
     sizes = ",".join(str(s) for s in payload["tuple_sizes"])
     lines = [f"map: {payload['map']}",
              f"tuple sizes: {sizes}",
@@ -455,8 +457,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args is None:
         lines, code = [_help(name)], EXIT_OK
     else:
-        lines = ([json.dumps(payload)] if args.json
-                 else command.text(payload))
+        if args.json:
+            import json
+            lines = [json.dumps(payload)]
+        else:
+            lines = command.text(payload)
         code = (EXIT_COUNTEREXAMPLE
                 if payload.get("verdict") == "counterexample" else EXIT_OK)
     try:

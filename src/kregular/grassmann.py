@@ -233,12 +233,13 @@ def _rref_insert(pivots: _BitPivots, row: int) -> None:
         pivots[lead] = row
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def cached_presentation(k: int, n: int, /) -> GrassmannPresentation:
-    """One shared presentation per (k, n).
+    """One shared presentation per (k, n), for the 256 most recent keys.
 
     The arguments are positional only, so each key has one spelling in the
-    cache.
+    cache.  The bound keeps a long-running process that answers many keys
+    from holding every presentation it ever built.
     """
     return GrassmannPresentation(k, n)
 

@@ -33,15 +33,14 @@ taken with int.bit_length, never floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import ClassVar, Optional, Union
 
+from .record import Record
 from .series import GradedSeries, SeriesRing
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Record):
     """One factor: a family's m-dimensional member.
 
     Subclasses are the families and set only class data: the expression
@@ -51,57 +50,61 @@ class Atom:
     A class that sets no prefix, such as Atom itself, cannot be built.
     """
 
-    m: int
+    __slots__ = ("m",)
 
     prefix: ClassVar[str]
     closed: ClassVar[bool] = True
     dim_per_m: ClassVar[int] = 1
     letter: ClassVar[Optional[str]] = None
 
-    def __post_init__(self):
+    def __init__(self, m: int):
         if not hasattr(self, "prefix"):
             raise TypeError(f"{type(self).__name__} sets no prefix; build a "
                             "family such as Sphere or RealProj")
         least = 2 if self.closed else 1
-        if (not isinstance(self.m, int) or isinstance(self.m, bool)
-                or self.m < least):
+        if not isinstance(m, int) or isinstance(m, bool) or m < least:
             raise ValueError(f"{self.prefix}^m needs an integer dimension "
-                             f">= {least}, got {self.m!r}")
+                             f">= {least}, got {m!r}")
+        object.__setattr__(self, "m", m)
 
 
 class Sphere(Atom):
+    __slots__ = ()
     prefix = "S"
 
 
 class RealProj(Atom):
+    __slots__ = ()
     prefix = "RP"
     letter = "a"
 
 
 class ComplexProj(Atom):
+    __slots__ = ()
     prefix = "CP"
     dim_per_m = 2
     letter = "b"
 
 
 class QuatProj(Atom):
+    __slots__ = ()
     prefix = "HP"
     dim_per_m = 4
     letter = "d"
 
 
 class Euclid(Atom):
+    __slots__ = ()
     prefix = "R"
     closed = False
 
 
-@dataclass(frozen=True)
-class Product:
-    factors: tuple
+class Product(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def __init__(self, factors: tuple):
         flat: list[Atom] = []
-        for factor in self.factors:
+        for factor in factors:
             if isinstance(factor, Product):
                 flat.extend(factor.factors)
             elif isinstance(factor, Atom):
@@ -189,13 +192,15 @@ def dual_sw(spec: ManifoldSpec) -> GradedSeries:
                         frozenset(product(*exponents)))
 
 
-@dataclass(frozen=True)
-class DualClassProfile:
+class DualClassProfile(Record):
     """Top nonvanishing degree of the dual class, with the method used."""
 
-    spec: ManifoldSpec
-    top_degree: int
-    method: str
+    __slots__ = ("spec", "top_degree", "method")
+
+    def __init__(self, spec: ManifoldSpec, top_degree: int, method: str):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "top_degree", top_degree)
+        object.__setattr__(self, "method", method)
 
 
 def top_dual_degree(spec: ManifoldSpec) -> DualClassProfile:

@@ -34,10 +34,11 @@ ValueError.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence, Union
+
+from .record import Record
 
 _SEED_STRIDE = 1_000_003
 _MAX_WITNESSES = 3
@@ -53,8 +54,7 @@ _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 Gaussian = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
-class VandermondeMap:
+class VandermondeMap(Record):
     """z -> (1, z, ..., z^(k-1)) on the plane, realified; k-regular.
 
     Points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64] and
@@ -65,12 +65,13 @@ class VandermondeMap:
     and z is its second and third entries over its first.
     """
 
-    k: int
+    __slots__ = ("k",)
     name = "vandermonde"
 
-    def __post_init__(self):
-        if not isinstance(self.k, int) or self.k < 2:
-            raise ValueError(f"need an integer k >= 2, got {self.k!r}")
+    def __init__(self, k: int):
+        if not isinstance(k, int) or k < 2:
+            raise ValueError(f"need an integer k >= 2, got {k!r}")
+        object.__setattr__(self, "k", k)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.k}"
@@ -142,8 +143,7 @@ class VandermondeMap:
         return f"({point[0]}) + ({point[1]})*i"
 
 
-@dataclass(frozen=True)
-class SphereOneI:
+class SphereOneI(Record):
     """x -> (1, x) on S^m; 3-regular (a line meets a sphere twice).
 
     Points are rational points of S^m: the inverse stereographic images of
@@ -157,13 +157,14 @@ class SphereOneI:
     denominators instead.
     """
 
-    m: int
+    __slots__ = ("m",)
     name = "sphere"
     claimed = 3
 
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 2:
-            raise ValueError(f"need an integer m >= 2, got {self.m!r}")
+    def __init__(self, m: int):
+        if not isinstance(m, int) or m < 2:
+            raise ValueError(f"need an integer m >= 2, got {m!r}")
+        object.__setattr__(self, "m", m)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.m}"
@@ -235,14 +236,13 @@ class SphereOneI:
 _FAMILIES = {family.name: family for family in (VandermondeMap, SphereOneI)}
 
 
-@dataclass(frozen=True)
-class DirectSum:
+class DirectSum(Record):
     """Block direct sum of maps on the disjoint union of their domains."""
 
-    parts: tuple
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        parts = tuple(self.parts)
+    def __init__(self, parts: tuple):
+        parts = tuple(parts)
         if not parts:
             raise ValueError("empty direct sum")
         for part in parts:
@@ -370,24 +370,31 @@ def _grid_size(bound: int, m: int) -> int:
                for e in range(1, d + 1) if d % e == 0)
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """A failing trial: its index and the sampled points per part."""
 
-    trial: int
-    points: tuple
+    __slots__ = ("trial", "points")
+
+    def __init__(self, trial: int, points: tuple):
+        object.__setattr__(self, "trial", trial)
+        object.__setattr__(self, "points", points)
 
 
-@dataclass(frozen=True)
-class RegularityReport:
-    example: ExampleMap
-    tuple_sizes: tuple[int, ...]
-    trials: int
-    seed: int
-    violations: int
-    witnesses: tuple
-    verdict: str
-    expected_violation: bool
+class RegularityReport(Record):
+    __slots__ = ("example", "tuple_sizes", "trials", "seed", "violations",
+                 "witnesses", "verdict", "expected_violation")
+
+    def __init__(self, example: ExampleMap, tuple_sizes: tuple[int, ...],
+                 trials: int, seed: int, violations: int, witnesses: tuple,
+                 verdict: str, expected_violation: bool):
+        object.__setattr__(self, "example", example)
+        object.__setattr__(self, "tuple_sizes", tuple_sizes)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "expected_violation", expected_violation)
 
 
 def evaluate_rank(example: ExampleMap, points_per_part: Sequence

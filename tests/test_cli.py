@@ -680,3 +680,27 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=_fresh_process_env())
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_loads_neither_sampler_nor_json():
+    # Only verify needs the sampler (with fractions and random), only --json
+    # needs json, and the records need no dataclasses.  `site` may preload
+    # some of these, so the check is against what the import adds.
+    code = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import kregular",
+        "assert not [m for m in sys.modules if m.startswith('kregular.')]",
+        "import kregular.cli",
+        "added = set(sys.modules) - before",
+        "unwanted = {'dataclasses', 'inspect', 'fractions', 'decimal',",
+        "            'json', 'random', 'kregular.sampler'}",
+        "assert not added & unwanted, sorted(added & unwanted)",
+        "sys.exit(kregular.cli.main(['verify', 'vandermonde:3',",
+        "                            '--trials', '2', '--json']))"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_process_env())
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert (payload["map"], payload["trials"], payload["violations"]) == \
+        ("vandermonde:3", 2, 0)

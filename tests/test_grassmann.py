@@ -421,6 +421,15 @@ def test_cached_presentation_has_one_spelling():
     assert after.misses == before.misses
 
 
+def test_cached_presentation_is_bounded():
+    # A process that answers many keys keeps at most 256 presentations.
+    for n in range(1, 301):
+        assert cached_presentation(1, n).n == n
+    info = cached_presentation.cache_info()
+    assert info.maxsize == 256
+    assert info.currsize <= 256
+
+
 def test_benchmark_probe_names_resolve(monkeypatch):
     # kbench's tracer skips a missing probe and its counter then reads 0,
     # so every private name it wraps must still exist here.
