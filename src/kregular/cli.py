@@ -27,13 +27,13 @@ from __future__ import annotations
 import os
 import sys
 from types import SimpleNamespace
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .bounds import RegularQuery, bound_disjoint, projective_table_matches
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import cached_presentation, chern_height_of_first_class
-from .manifolds import (RealProj, dual_sw, render,
+from .manifolds import (RealProj, dual_sw, render, top_dual_degree,
                         top_dual_degree_closed_form)
 
 EXIT_OK = 0
@@ -94,12 +94,11 @@ def _text_bound(payload: dict) -> list:
 
 def _cmd_dual_sw(args) -> dict:
     spec = parse_manifold(args.expression)
-    dual = dual_sw(spec)
     return {
         "schema": "1",
         "manifold": render(spec),
-        "dual_class": dual.render(),
-        "top_degree_series": dual.top_degree(),
+        "dual_class": dual_sw(spec).render(),
+        "top_degree_series": top_dual_degree(spec).top_degree,
         "top_degree_closed_form":
             top_dual_degree_closed_form(spec).top_degree,
     }
@@ -155,7 +154,7 @@ def _cmd_verify(args) -> dict:
         if not all(map(_is_int, chunks)):
             raise _UsageError(f"bad tuple sizes {args.tuple!r}; want a "
                               "comma-separated list of integers")
-        sizes = tuple(map(int, chunks))
+        sizes = tuple(_int("--tuple", chunk) for chunk in chunks)
     report = sample_check_regular(example, sizes, trials=args.trials,
                                   seed=args.seed)
     return {
@@ -201,7 +200,7 @@ def _cmd_table(args) -> dict:
     text = args.manifold.strip()
     # A signed integer goes to RealProj too, which rejects -3 as it does 0.
     if _is_int(text):
-        spec = RealProj(int(text))
+        spec = RealProj(_int("manifold", text))
     else:
         parsed = parse_manifold(text)
         if not isinstance(parsed, RealProj):
@@ -230,86 +229,81 @@ def _text_table(payload: dict) -> list:
             f"[{payload['best']['condition']}]"]
 
 
-class _Arg(NamedTuple):
+def _arg(name: str, convert: Optional[Callable] = str, choices: tuple = (),
+         default: object = None, required: bool = False,
+         help: str = "") -> SimpleNamespace:
     """One positional, or one option spelled `--name` on the command line.
 
     `convert` turns the argument's text into its value (`int` or `str`);
     an option whose `convert` is None is a flag, which takes no value and
     reads True when given.  A value outside non-empty `choices` is refused.
     """
-
-    name: str
-    convert: Optional[Callable] = str
-    choices: tuple = ()
-    default: object = None
-    required: bool = False
-    help: str = ""
+    return SimpleNamespace(name=name, convert=convert, choices=choices,
+                           default=default, required=required, help=help)
 
 
-class _Command(NamedTuple):
-    help: str
-    handler: Callable
-    text: Callable
-    positionals: tuple = ()
-    options: tuple = ()
+def _command(help: str, handler: Callable, text: Callable,
+             positionals: tuple = (), options: tuple = ()) -> SimpleNamespace:
+    """One subcommand and what parsing derives from its options once.
+
+    `flags` is the `--flag` lookup over its options and EVERY_COMMAND's,
+    `defaults` holds the optional ones' defaults and `required` the
+    (flag, name) pairs of the required ones.
+    """
+    flags = {f"--{option.name}": option
+             for option in options + EVERY_COMMAND}
+    return SimpleNamespace(
+        help=help, handler=handler, text=text, positionals=positionals,
+        options=options, flags=flags,
+        defaults={option.name: option.default
+                  for option in flags.values() if not option.required},
+        required=[(flag, option.name) for flag, option in flags.items()
+                  if option.required])
 
 
 # The command table: every subcommand's handler, text renderer and
 # arguments, and the options that every subcommand accepts.  Parsing and
 # -h/--help both read it.
 EVERY_COMMAND = (
-    _Arg("json", None, default=False,
+    _arg("json", None, default=False,
          help="print the payload as one JSON object"),
 )
 
 COMMANDS = {
-    "bound": _Command(
+    "bound": _command(
         "lower bound for an expression", _cmd_bound, _text_bound,
-        (_Arg("expression", help="manifold like 'S^3 x RP^5' or query "
+        (_arg("expression", help="manifold like 'S^3 x RP^5' or query "
                                  "like '(S^3, 2) + (R^2, 4)'"),),
-        (_Arg("regime", choices=("real", "complex"), default="real"),)),
-    "dual-sw": _Command(
+        (_arg("regime", choices=("real", "complex"), default="real"),)),
+    "dual-sw": _command(
         "dual class of a manifold", _cmd_dual_sw, _text_dual_sw,
-        (_Arg("expression", help="manifold like 'S^2 x RP^3'"),)),
-    "height": _Command(
+        (_arg("expression", help="manifold like 'S^2 x RP^3'"),)),
+    "height": _command(
         "height of the first class in H*(G_k(F^(n+1)))", _cmd_height,
         lambda payload: [payload["height"]], (),
-        (_Arg("k", int, required=True),
-         _Arg("n", int, required=True),
-         _Arg("regime", choices=("complex", "real"), default="complex"))),
-    "lucas": _Command(
+        (_arg("k", int, required=True),
+         _arg("n", int, required=True),
+         _arg("regime", choices=("complex", "real"), default="complex"))),
+    "lucas": _command(
         "binomial coefficient mod p", _cmd_lucas,
         lambda payload: [payload["binomial_mod_p"]],
-        (_Arg("n", int), _Arg("k", int)),
-        (_Arg("p", int, required=True),)),
-    "verify": _Command(
+        (_arg("n", int), _arg("k", int)),
+        (_arg("p", int, required=True),)),
+    "verify": _command(
         "randomized regularity check of an example map", _cmd_verify,
         _text_verify,
-        (_Arg("map", help="e.g. vandermonde:3, sphere:4, or "
+        (_arg("map", help="e.g. vandermonde:3, sphere:4, or "
                           "vandermonde:2+sphere:3"),),
-        (_Arg("tuple", help="comma-separated tuple sizes, one per part "
+        (_arg("tuple", help="comma-separated tuple sizes, one per part "
                             "(default: the claimed regularity)"),
-         _Arg("trials", int, default=1000),
-         _Arg("seed", int, default=0))),
-    "table": _Command(
+         _arg("trials", int, default=1000),
+         _arg("seed", int, default=0))),
+    "table": _command(
         "3-regular constructions for RP^m", _cmd_table, _text_table,
-        (_Arg("manifold", help="RP^m or the bare integer m"),)),
+        (_arg("manifold", help="RP^m or the bare integer m"),)),
 }
 
 _HELP = ("-h", "--help")
-
-
-# Per subcommand, derived from the table once: option lookup, the optional
-# options' defaults, and the required options as (flag, name) pairs.
-_OPTIONS = {name: {f"--{option.name}": option
-                   for option in command.options + EVERY_COMMAND}
-            for name, command in COMMANDS.items()}
-_DEFAULTS = {name: {option.name: option.default
-                    for option in options.values() if not option.required}
-             for name, options in _OPTIONS.items()}
-_REQUIRED = {name: [(flag, option.name) for flag, option in options.items()
-                    if option.required]
-             for name, options in _OPTIONS.items()}
 
 
 def _is_int(text: str) -> bool:
@@ -336,12 +330,19 @@ def _names_option(token: str) -> bool:
             and not token[1:2].isdigit())
 
 
-def _convert(arg: _Arg, label: str, text: str):
-    # Unsigned ASCII digits, the common case, pass without calling _is_int.
-    if arg.convert is int and not (text.isdigit() and text.isascii()
-                                   or _is_int(text)):
+def _int(label: str, text: str) -> int:
+    """The integer an argument spells, or a usage error naming `label`."""
+    if not _is_int(text):
         raise _UsageError(f"{label}: invalid int value {text!r}")
-    value = arg.convert(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _UsageError(f"{label}: integer too long "
+                          f"({len(text.lstrip('+-'))} digits)") from None
+
+
+def _convert(arg: SimpleNamespace, label: str, text: str):
+    value = _int(label, text) if arg.convert is int else text
     if arg.choices and value not in arg.choices:
         raise _UsageError(f"{label}: invalid choice {text!r} (choose from "
                           f"{', '.join(arg.choices)})")
@@ -366,8 +367,7 @@ def _parse(argv: Sequence[str]) -> tuple:
     if command is None:
         raise _UsageError(f"invalid command {name!r} (choose from "
                           f"{', '.join(COMMANDS)})")
-    options = _OPTIONS[name]
-    values = dict(_DEFAULTS[name])
+    values = dict(command.defaults)
     positionals = command.positionals
     filled = 0
     tokens = iter(argv[1:])
@@ -380,7 +380,7 @@ def _parse(argv: Sequence[str]) -> tuple:
             if token in _HELP:
                 return name, None
             flag, equals, text = token.partition("=")
-            option = options.get(flag)
+            option = command.flags.get(flag)
             if option is None:
                 raise _UsageError(f"unknown option {flag!r} for {name}")
             if option.convert is None:
@@ -400,13 +400,13 @@ def _parse(argv: Sequence[str]) -> tuple:
         else:
             raise _UsageError(f"unexpected argument {token!r} for {name}")
     missing = [arg.name for arg in positionals[filled:]]
-    missing += [flag for flag, key in _REQUIRED[name] if key not in values]
+    missing += [flag for flag, key in command.required if key not in values]
     if missing:
         raise _UsageError(f"{name} requires {', '.join(missing)}")
     return name, SimpleNamespace(**values)
 
 
-def _metavar(arg: _Arg) -> str:
+def _metavar(arg: SimpleNamespace) -> str:
     if arg.choices:
         return "{" + ",".join(arg.choices) + "}"
     return "INT" if arg.convert is int else "TEXT"
@@ -428,7 +428,7 @@ def _help(name: Optional[str]) -> str:
     for arg in command.positionals:
         usage.append(arg.name)
         rows.append((arg.name, arg.help or _metavar(arg)))
-    for flag, option in _OPTIONS[name].items():
+    for flag, option in command.flags.items():
         shown = (flag if option.convert is None
                  else f"{flag} {_metavar(option)}")
         usage.append(shown if option.required else f"[{shown}]")

@@ -6,7 +6,10 @@ Grammar (tokens separated by optional whitespace):
     product := atom ("x" atom)*
     query   := "(" product "," INT ")" ("+" "(" product "," INT ")")*
 
-The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".
+The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".  Names
+and INTs are runs of ASCII letters and digits.  The lexer's invariant: after
+each consumed token its position is past any whitespace (by str.isspace)
+and it holds the character there, '' at the end, so nothing skips twice.
 
 A bare product parses to a manifold spec, a parenthesized list to a
 RegularQuery (regime chosen by the caller, default real).  Errors carry the
@@ -36,77 +39,66 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _is_letter(ch: str) -> bool:
-    # ASCII only: str.isalpha/isdigit accept characters int() rejects.
-    return "a" <= ch <= "z" or "A" <= ch <= "Z"
-
-
-def _is_digit(ch: str) -> bool:
-    return "0" <= ch <= "9"
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_DIGITS = frozenset("0123456789")
 
 
 class _Tokens:
-    """Lexer: NAME, INT, and the one-character symbols ^ ( ) , + x."""
+    """Lexer: runs of letters or digits, and the symbols ^ ( ) , + x."""
 
     def __init__(self, text: str):
         if not isinstance(text, str):
             raise ParseError("expected a string expression", 0)
         self.text = text
-        self.pos = 0
+        self._advance(0)
 
-    def skip_space(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_space()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def at_end(self) -> bool:
-        return self.peek() == ""
+    def _advance(self, pos: int) -> None:
+        while pos < len(self.text) and self.text[pos].isspace():
+            pos += 1
+        self.pos = pos
+        self.next = self.text[pos:pos + 1]
 
     def error(self, expected: str) -> ParseError:
-        """Syntax error at the next token, naming the text found there.
-
-        The text is the run of non-space characters from the position.
-        """
-        self.skip_space()
+        """Syntax error naming the run of non-space text at the position."""
         rest = self.text[self.pos:].split(None, 1)
         got = repr(rest[0]) if rest else "end of input"
         return ParseError(f"expected {expected}, got {got}", self.pos)
 
     def take_symbol(self, symbol: str) -> None:
-        if self.peek() != symbol:
+        if self.next != symbol:
             raise self.error(repr(symbol))
-        self.pos += 1
+        self._advance(self.pos + 1)
 
-    def take_name(self) -> tuple[str, int]:
-        ch = self.peek()
-        if not _is_letter(ch):
-            raise self.error("a name")
-        start = self.pos
-        while self.pos < len(self.text) and _is_letter(self.text[self.pos]):
-            self.pos += 1
-        return self.text[start:self.pos], start
+    def take_run(self, chars: frozenset, expected: str) -> tuple[str, int]:
+        """The longest run of `chars` at the next token, and its position."""
+        text = self.text
+        start = end = self.pos
+        while end < len(text) and text[end] in chars:
+            end += 1
+        if end == start:
+            raise self.error(expected)
+        self._advance(end)
+        return text[start:end], start
 
-    def take_int(self) -> tuple[int, int]:
-        ch = self.peek()
-        if not _is_digit(ch):
-            raise self.error("an integer")
-        start = self.pos
-        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
-            self.pos += 1
-        return int(self.text[start:self.pos]), start
+
+def _take_int(tokens: _Tokens) -> tuple[int, int]:
+    digits, start = tokens.take_run(_DIGITS, "an integer")
+    try:
+        return int(digits), start
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise ParseError(f"integer too long ({len(digits)} digits)",
+                         start) from None
 
 
 def _parse_atom(tokens: _Tokens) -> ManifoldSpec:
-    name, name_pos = tokens.take_name()
+    name, name_pos = tokens.take_run(_LETTERS, "a name")
     family = _FAMILIES.get(name)
     if family is None:
-        raise ParseError(f"unknown space {name!r} (expected S, RP, CP, HP, "
-                         "or R)", name_pos)
+        *others, last = _FAMILIES
+        raise ParseError(f"unknown space {name!r} (expected "
+                         f"{', '.join(others)}, or {last})", name_pos)
     tokens.take_symbol("^")
-    m, m_pos = tokens.take_int()
+    m, m_pos = _take_int(tokens)
     try:
         return family(m)
     except ValueError as exc:
@@ -115,7 +107,7 @@ def _parse_atom(tokens: _Tokens) -> ManifoldSpec:
 
 def _parse_product(tokens: _Tokens) -> ManifoldSpec:
     factors = [_parse_atom(tokens)]
-    while tokens.peek() == "x":
+    while tokens.next == "x":
         tokens.take_symbol("x")
         factors.append(_parse_atom(tokens))
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
@@ -127,13 +119,13 @@ def _parse_query(tokens: _Tokens, regime: str) -> RegularQuery:
         tokens.take_symbol("(")
         spec = _parse_product(tokens)
         tokens.take_symbol(",")
-        points, points_pos = tokens.take_int()
+        points, points_pos = _take_int(tokens)
         if points < 2:
             raise ParseError(f"point count must be >= 2, got {points}",
                              points_pos)
         tokens.take_symbol(")")
         pieces.append((spec, points))
-        if tokens.peek() != "+":
+        if tokens.next != "+":
             break
         tokens.take_symbol("+")
     return RegularQuery(tuple(pieces), regime)
@@ -144,14 +136,14 @@ def parse_expression(text: str,
                      ) -> Union[ManifoldSpec, RegularQuery]:
     """Parse a product or a query; the whole string must be consumed."""
     tokens = _Tokens(text)
-    if tokens.at_end():
+    if not tokens.next:
         raise ParseError("empty expression", tokens.pos)
-    if tokens.peek() == "(":
+    if tokens.next == "(":
         result: Union[ManifoldSpec, RegularQuery] = _parse_query(tokens,
                                                                  regime)
     else:
         result = _parse_product(tokens)
-    if not tokens.at_end():
+    if tokens.next:
         raise tokens.error("end of input")
     return result
 

@@ -171,10 +171,11 @@ class GrassmannPresentation:
         monomials = self.ring.monomials_of_degree(degree)
         index = {mono: i for i, mono in enumerate(monomials)}
         pivots: _BitPivots = {}
-        for relation in self.relations:
-            rel_degree = relation.top_degree()
-            if rel_degree is None or rel_degree > degree:
-                continue
+        # dual_j for j = n-k+2 .. n+1 in order, none zero (w1^j is a term).
+        for rel_degree, relation in enumerate(self.relations,
+                                              self.n - self.k + 2):
+            if rel_degree > degree:
+                break
             # A monomial times a polynomial merges no terms: each bit of
             # the row is a relation term with its exponents shifted.
             for mono in self.ring.monomials_of_degree(degree - rel_degree):

@@ -283,7 +283,12 @@ def parse_map(text: str) -> ExampleMap:
                              "or sphere:M")
         if family not in _FAMILIES:
             raise ValueError(f"unknown map family {family!r}")
-        parts.append(_FAMILIES[family](int(number)))
+        try:
+            size = int(number)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise ValueError(f"map piece {family}: integer too long "
+                             f"({len(number)} digits)") from None
+        parts.append(_FAMILIES[family](size))
     return parts[0] if len(parts) == 1 else DirectSum(tuple(parts))
 
 

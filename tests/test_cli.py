@@ -15,7 +15,8 @@ from pathlib import Path
 import pytest
 
 import kregular
-from kregular import cached_presentation, evaluate_rank, parse_map
+from kregular import (cached_presentation, dual_sw, evaluate_rank,
+                      parse_manifold, parse_map)
 from kregular.cli import (COMMANDS, EVERY_COMMAND, EXIT_COUNTEREXAMPLE,
                           EXIT_OK, EXIT_USAGE, main)
 
@@ -193,6 +194,20 @@ def test_dual_sw_json(capsys):
     assert payload["manifold"] == "S^2 x RP^3"
     assert payload["dual_class"] == "1"
     assert payload["top_degree_series"] == 0
+
+
+def test_dual_sw_series_degree_is_the_joint_class_degree(capsys):
+    # The payload's series-inversion degree, read per factor, equals the
+    # top degree of the whole joint dual class.
+    rng = random.Random(2025)
+    for _ in range(60):
+        text = " x ".join(
+            f"{rng.choice(('S', 'RP', 'RP', 'CP', 'HP', 'R'))}^"
+            f"{rng.randint(2, 12)}" for _ in range(rng.randint(1, 3)))
+        code, out, _ = run_cli(capsys, "dual-sw", text, "--json")
+        assert code == EXIT_OK, text
+        assert (json.loads(out)["top_degree_series"]
+                == dual_sw(parse_manifold(text)).top_degree()), text
 
 
 # ---------------------------------------------------------------------------

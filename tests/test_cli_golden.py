@@ -152,6 +152,10 @@ GOLDEN = [
      '"tightness": null}\n'),
 ]
 
+# More digits than int() converts (sys.get_int_max_str_digits(), 4300 by
+# default).
+HUGE = "9" * 5000
+
 # (argv, a token stderr must name)
 USAGE_ERRORS = [
     ((), 'command'),  # no subcommand
@@ -172,6 +176,13 @@ USAGE_ERRORS = [
     (('bound', '-5x'), "'-5x'"),  # syntax error names the text
     (('table', '-5x'), "'-5x'"),  # ditto
     (('bound', 'RP^5 y'), "'y'"),  # trailing input names the text
+    (('bound', 'RP^' + HUGE), 'position 3'),  # integer too long
+    (('bound', '(S^2, ' + HUGE + ')'), 'position 6'),  # ditto
+    (('height', '--k', '2', '--n', HUGE), '--n'),  # ditto
+    (('verify', 'vandermonde:' + HUGE), 'map'),  # ditto
+    (('lucas', HUGE, '2', '--p', '3'), 'n:'),  # ditto
+    (('table', HUGE), 'manifold'),  # ditto
+    (('verify', 'sphere:2', '--tuple', '2,' + HUGE), '--tuple'),  # ditto
 ]
 
 
@@ -179,8 +190,10 @@ def _ids(cases, positional):
     # The first `positional` cases keep the ids pytest gave them by position
     # (argvN-...) when they were recorded; later ones take ids from their
     # argv, so appending a case renames no other.  Add new cases at the end.
-    return [None if i < positional else " ".join(case[0])
-            for i, case in enumerate(cases)]
+    # A token longer than 40 characters shows its head and its length.
+    return [None if i < positional else " ".join(
+        token if len(token) <= 40 else f"{token[:16]}...({len(token)})"
+        for token in case[0]) for i, case in enumerate(cases)]
 
 
 @pytest.mark.parametrize("argv, code, stdout", GOLDEN, ids=_ids(GOLDEN, 28))
@@ -196,3 +209,5 @@ def test_usage_error_names_the_token(capsys, argv, token):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and token in captured.err
+    # Python's own int() message names no argument.
+    assert "set_int_max_str_digits" not in captured.err

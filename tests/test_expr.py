@@ -1,6 +1,7 @@
 """Expression grammar: round trips, error positions, crash-freedom."""
 
 import random
+import re
 import string
 
 import pytest
@@ -43,13 +44,50 @@ def test_parse_query():
     assert complex_q.regime == "complex"
 
 
+ROUND_TRIPS = ("S^3 x RP^5", "HP^2", "R^2")
+QUERY_ROUND_TRIPS = ("(S^3, 2) + (R^2, 4)",)
+
+
 def test_round_trips():
-    for text in ("S^3 x RP^5", "HP^2", "R^2"):
+    for text in ROUND_TRIPS:
         spec = parse_manifold(text)
         assert render(spec) == text
         assert parse_manifold(render(spec)) == spec
-    query = parse_expression("(S^3, 2) + (R^2, 4)")
-    assert parse_expression(render_query(query)) == query
+    for text in QUERY_ROUND_TRIPS:
+        query = parse_expression(text)
+        assert parse_expression(render_query(query)) == query
+
+
+# Whitespace by str.isspace, ASCII and not: no-break, em and ideographic.
+SPACES = " \t\n\xa0\u2003\u3000"
+
+
+def _respaced(text, rng, keep=(0, 0)):
+    """(text with a whitespace run at every token boundary, offset map).
+
+    A boundary strictly inside the span `keep` gets none.  The map sends
+    each offset of `text` to the offset of the same character, or the end.
+    """
+    bounds = {0, len(text)}
+    for match in re.finditer(r"[A-Za-z]+|[0-9]+|\S", text):
+        bounds.update(match.span())
+    pieces, moved = [], []
+    for i in range(len(text) + 1):
+        if i in bounds and not keep[0] < i < keep[1]:
+            pieces.append("".join(rng.choice(SPACES)
+                                  for _ in range(rng.randint(1, 3))))
+        moved.append(sum(map(len, pieces)))
+        pieces.append(text[i:i + 1])
+    return "".join(pieces), moved
+
+
+def test_any_whitespace_between_tokens_parses_the_same():
+    rng = random.Random(25)
+    for text in ROUND_TRIPS + QUERY_ROUND_TRIPS + ("S^2xRP^3",):
+        for _ in range(20):
+            spaced, _ = _respaced(text, rng)
+            assert parse_expression(spaced) == parse_expression(text), \
+                repr(spaced)
 
 
 def test_semantic_error_positions():
@@ -81,7 +119,7 @@ def test_syntax_error_positions():
         parse_expression("S^3 x")
 
 
-@pytest.mark.parametrize("text, message", [
+SYNTAX_ERRORS = [
     ("-5x", "expected a name, got '-5x' (at position 0)"),
     ("RP5 x S^2", "expected '^', got '5' (at position 2)"),
     ("RP^", "expected an integer, got end of input (at position 3)"),
@@ -89,12 +127,37 @@ def test_syntax_error_positions():
     ("S^3 x  ", "expected a name, got end of input (at position 7)"),
     ("RP^5 y", "expected end of input, got 'y' (at position 5)"),
     ("(S^3, 2) S^2", "expected end of input, got 'S^2' (at position 9)"),
-])
+    # Names and integers are ASCII runs: other scripts stop them.
+    ("\uff33^2", "expected a name, got '\uff33^2' (at position 0)"),
+    ("S^\xb2", "expected an integer, got '\xb2' (at position 2)"),
+    ("S^\u0663", "expected an integer, got '\u0663' (at position 2)"),
+]
+
+
+@pytest.mark.parametrize("text, message", SYNTAX_ERRORS)
 def test_syntax_errors_name_the_text(text, message):
     # The text shown is the run of non-space characters at the position.
     with pytest.raises(ParseError) as err:
         parse_expression(text)
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("text, message", SYNTAX_ERRORS)
+def test_syntax_errors_through_any_whitespace(text, message):
+    # Whitespace at every token boundary, except inside the text the error
+    # names, moves the position with its token and changes nothing else.
+    head, position = re.fullmatch(r"(.*) \(at position (\d+)\)",
+                                  message).groups()
+    position = int(position)
+    got = text[position:].split(None, 1)
+    keep = (position, position + len(got[0]) if got else position)
+    rng = random.Random(text)
+    for _ in range(20):
+        spaced, moved = _respaced(text, rng, keep)
+        with pytest.raises(ParseError) as err:
+            parse_expression(spaced)
+        assert str(err.value) == f"{head} (at position {moved[position]})"
+        assert err.value.position == moved[position]
 
 
 def test_parse_manifold_rejects_queries():
