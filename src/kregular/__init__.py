@@ -26,9 +26,8 @@ _SOURCES = {
                   "chern_height_of_first_class"),
     "manifolds": ("ComplexProj", "DualClassProfile", "Euclid", "ManifoldSpec",
                   "Product", "QuatProj", "RealProj", "Sphere", "atoms",
-                  "cohomology_ring", "dual_sw", "floor_log2", "is_closed",
-                  "real_dimension", "render", "top_dual_degree",
-                  "top_dual_degree_closed_form"),
+                  "dual_sw", "floor_log2", "is_closed", "real_dimension",
+                  "render", "top_dual_degree", "top_dual_degree_closed_form"),
     "sampler": ("DirectSum", "ExampleMap", "RegularityReport", "SphereOneI",
                 "VandermondeMap", "Witness", "ambient_dim",
                 "claimed_regularity", "evaluate_rank",

@@ -93,6 +93,8 @@ def _text_bound(payload: dict) -> list:
 
 
 def _cmd_dual_sw(args) -> dict:
+    # The per-factor degree keeps its schema "1" key and text label ("series
+    # inversion"), though it is read off Lucas's theorem.
     spec = parse_manifold(args.expression)
     return {
         "schema": "1",

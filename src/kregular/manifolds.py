@@ -10,34 +10,28 @@ the family explicitly; the closed-form references in bounds are built from
 top_dual_degree_closed_form and test no family.
 
 The total Stiefel-Whitney class of a projective space is (1 + g)^(m+1) in
-the truncated one-generator ring GF(2)[g]/(g^(m+1)) with |g| = 1, 2, 4 for
-RP, CP, HP; spheres and Euclidean space have total class 1.  A class in
-that ring is held as one Python int whose bit i is the coefficient of g^i,
-and the factor's dual class is inverted on those bits, degree by degree.
-Total classes are multiplicative (Whitney product formula), so the dual
-class of a product is the product of the factors' dual classes.  The joint
-ring, with one generator per projective factor (factors with trivial class
-contribute none) cut at the total real dimension, holds that product when
-the whole dual class is asked for.  Its generators are distinct, so the
-product's terms are the combinations of the factors' exponents, each at
-most its factor's m, and no series arithmetic is needed.  The tests build
-total classes as series, invert them in the joint ring and reduce modulo
-every g^(m+1) to check the bit inversion.
+GF(2)[g]/(g^(m+1)) with |g| = 1, 2, 4 for RP, CP, HP; spheres and
+Euclidean space have total class 1.  Mod 2 the coefficient of g^i in the
+dual class (1 + g)^-(m+1) is C(m+i, i), odd exactly when i & m == 0
+(Lucas), so the dual class is read off m's binary digits, not inverted.
+Total classes are multiplicative (Whitney product formula), and the
+factors' generators are distinct, so the terms of a product's dual class
+are the combinations of one exponent per factor, each with coefficient 1.
 
 The headline quantity is the top degree of the dual class.  Over GF(2) the
 product of the factors' nonzero top terms is nonzero, so it is the sum of the
-factor top degrees, computed two ways that must agree: per-factor bit
-inversion, and the closed-form power-of-two expressions.  Floor of log2 is
-taken with int.bit_length, never floating point.
+factor top degrees, computed two ways that must agree: Lucas's theorem, and
+the closed-form power-of-two expressions.  Floor of log2 is taken with
+int.bit_length, never floating point.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from itertools import product
 from typing import ClassVar, Optional, Union
 
 from .record import Record
-from .series import GradedSeries, SeriesRing
 
 
 class Atom(Record):
@@ -124,11 +118,6 @@ def atoms(spec: ManifoldSpec) -> tuple:
     return spec.factors if isinstance(spec, Product) else (spec,)
 
 
-def _projective(spec: ManifoldSpec) -> list:
-    """Factors with a Stiefel-Whitney generator, in order."""
-    return [atom for atom in atoms(spec) if atom.letter]
-
-
 def real_dimension(spec: ManifoldSpec) -> int:
     return sum(atom.dim_per_m * atom.m for atom in atoms(spec))
 
@@ -142,54 +131,62 @@ def render(spec: ManifoldSpec) -> str:
     return " x ".join(f"{atom.prefix}^{atom.m}" for atom in atoms(spec))
 
 
-def cohomology_ring(spec: ManifoldSpec) -> SeriesRing:
-    """Joint GF(2) ring holding the dual class of `spec`.
-
-    One generator per projective factor; sphere and Euclidean factors carry
-    total class 1 and contribute no generator.  The ring is cut by degree
-    only, at the total real dimension: it does not impose g^(m+1) = 0, so
-    two specs with the same generators and dimension share one ring.
-    """
-    single = len(atoms(spec)) == 1
-    generators = [(atom.letter if single else f"{atom.letter}{i + 1}",
-                   atom.dim_per_m)
-                  for i, atom in enumerate(_projective(spec))]
-    return SeriesRing(generators, real_dimension(spec))
-
-
-def _dual_bits(atom: Atom) -> int:
-    """Dual class of one factor in GF(2)[g]/(g^(m+1)); bit i is g^i.
-
-    Builds the total class (1 + g)^(m+1) by m+1 multiplications by 1 + g,
-    then inverts it degree by degree: `check` is total * dual so far, and
-    its lowest set bit above degree 0 is the next term the dual needs.
-    """
+def _free(atom: Atom) -> int:
+    """Bits below m's top bit that m leaves clear; 0 for a trivial class."""
     if atom.letter is None:
-        return 1
-    mask = (1 << (atom.m + 1)) - 1
-    total = 1
-    for _ in range(atom.m + 1):
-        total = (total ^ (total << 1)) & mask
-    dual, check = 1, total
-    for d in range(1, atom.m + 1):
-        if check >> d & 1:
-            dual |= 1 << d
-            check ^= total << d
-    return dual
+        return 0
+    return ~atom.m & ((1 << (atom.m.bit_length() - 1)) - 1)
 
 
-def dual_sw(spec: ManifoldSpec) -> GradedSeries:
-    """Inverse of the total class, as the product of the factor duals.
-
-    Each projective factor's dual class is inverted on bits in its own
-    one-generator ring.  The joint ring's generators are distinct, so the
-    product's terms are the combinations of one exponent per factor, each
-    with coefficient 1.
+def dual_exponents(atom: Atom) -> list:
+    """Exponents i of one factor's dual class, ascending: the i <= m with
+    i & m == 0, which are the submasks of `_free(atom)`.
     """
-    exponents = [[i for i in range(bits.bit_length()) if bits >> i & 1]
-                 for bits in map(_dual_bits, _projective(spec))]
-    return GradedSeries(cohomology_ring(spec),
-                        frozenset(product(*exponents)))
+    free, sub = _free(atom), 0
+    exponents = [sub]
+    while sub != free:
+        sub = (sub - free) & free
+        exponents.append(sub)
+    return exponents
+
+
+class DualClass(Record):
+    """Generator names, and the exponent tuples of the terms in render
+    order: by degree, then by tuple.
+    """
+
+    __slots__ = ("names", "terms")
+
+    def __init__(self, names: tuple, terms: tuple):
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "terms", terms)
+
+    def render(self) -> str:
+        """ASCII string like '1 + a1^2 + a1*b2'."""
+        names = self.names
+        return " + ".join(
+            "*".join(name if e == 1 else f"{name}^{e}"
+                     for name, e in zip(names, exponents) if e) or "1"
+            for exponents in self.terms)
+
+
+def dual_sw(spec: ManifoldSpec) -> DualClass:
+    """The product of the factors' dual classes, one generator per projective
+    factor.  `product` yields terms in lexicographic order, so each degree's
+    bucket fills in render order.
+    """
+    factors = [atom for atom in atoms(spec) if atom.letter]
+    single = len(atoms(spec)) == 1
+    names = tuple(atom.letter if single else f"{atom.letter}{i + 1}"
+                  for i, atom in enumerate(factors))
+    exponents = [dual_exponents(atom) for atom in factors]
+    degrees = map(sum, product(*[[atom.dim_per_m * e for e in column]
+                                 for atom, column in zip(factors, exponents)]))
+    buckets = defaultdict(list)
+    for term, degree in zip(product(*exponents), degrees):
+        buckets[degree].append(term)
+    return DualClass(names, tuple(
+        term for degree in sorted(buckets) for term in buckets[degree]))
 
 
 class DualClassProfile(Record):
@@ -204,14 +201,9 @@ class DualClassProfile(Record):
 
 
 def top_dual_degree(spec: ManifoldSpec) -> DualClassProfile:
-    """Brute force: sum the top degrees of the factors' dual classes.
-
-    Each factor's total class is inverted on bits in its own one-generator
-    ring; every factor dual contains 1, so each has a top degree.
-    """
-    top = sum(atom.dim_per_m * (_dual_bits(atom).bit_length() - 1)
-              for atom in atoms(spec))
-    return DualClassProfile(spec, top, "series-inversion")
+    """Sum of the factors' largest Lucas exponents, `_free(atom)`."""
+    top = sum(atom.dim_per_m * _free(atom) for atom in atoms(spec))
+    return DualClassProfile(spec, top, "lucas")
 
 
 def floor_log2(m: int) -> int:

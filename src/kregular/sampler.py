@@ -296,14 +296,14 @@ def parse_map(text: str) -> ExampleMap:
 # Exact points and rank.
 
 def _plane_column(top: int, d: int, wr: int, wi: int) -> list[int]:
-    """(1, z, ..., z^top) realified and scaled by d^top, for z = w/d."""
-    column = [d ** top]
-    power_re, power_im = 1, 0
-    for j in range(top - 1, -1, -1):
-        power_re, power_im = (power_re * wr - power_im * wi,
-                              power_re * wi + power_im * wr)
-        scale = d ** j
-        column += (power_re * scale, power_im * scale)
+    """(1, z, ..., z^top) realified and scaled by d^top, for z = w/d: entry
+    j, w^j d^(top-j), is entry j-1 divided by d (exactly) and times w."""
+    re, im = d ** top, 0
+    column = [re]
+    for _ in range(top):
+        re, im = re // d, im // d
+        re, im = re * wr - im * wi, re * wi + im * wr
+        column += (re, im)
     return column
 
 

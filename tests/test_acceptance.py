@@ -239,8 +239,8 @@ def test_criterion_14_large_sw_height_builds_no_relations():
 
 @timed(0.5)
 def test_criterion_15_dual_degree_by_bit_inversion():
-    # Series inversion of these total classes takes seconds in all; the
-    # bit inversion is O(m) int operations per factor.
+    # Series inversion of these total classes takes seconds in all; Lucas's
+    # theorem reads each factor's top degree off m's binary digits.
     for family in (RealProj, ComplexProj, QuatProj):
         for m in range(2, 257):
             assert top_dual_degree(family(m)).top_degree == \

@@ -197,8 +197,9 @@ def test_dual_sw_json(capsys):
 
 
 def test_dual_sw_series_degree_is_the_joint_class_degree(capsys):
-    # The payload's series-inversion degree, read per factor, equals the
-    # top degree of the whole joint dual class.
+    # The payload's per-factor degree (labelled "series" since schema "1")
+    # equals the top degree of the whole dual class in the tests' ring.
+    from test_manifolds import as_series
     rng = random.Random(2025)
     for _ in range(60):
         text = " x ".join(
@@ -206,8 +207,34 @@ def test_dual_sw_series_degree_is_the_joint_class_degree(capsys):
             f"{rng.randint(2, 12)}" for _ in range(rng.randint(1, 3)))
         code, out, _ = run_cli(capsys, "dual-sw", text, "--json")
         assert code == EXIT_OK, text
+        spec = parse_manifold(text)
         assert (json.loads(out)["top_degree_series"]
-                == dual_sw(parse_manifold(text)).top_degree()), text
+                == as_series(dual_sw(spec), spec).top_degree()), text
+
+
+def _cli_subprocess(*argv):
+    # A subprocess with a timeout: a regression to work quadratic in m then
+    # fails the test instead of hanging the suite.
+    return subprocess.run([sys.executable, "-m", "kregular.cli", *argv],
+                          capture_output=True, text=True, timeout=20,
+                          env=_fresh_process_env())
+
+
+def test_bound_answers_a_large_projective_factor():
+    proc = _cli_subprocess("bound", "RP^2000000")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert proc.stdout.splitlines()[0] == "N >= 2097153 (Main Theorem I)"
+
+
+def test_dual_sw_lists_a_large_projective_factor():
+    # 2^27 - 10^8 - 1 = 34217727 leaves 15 binary digits set: 2^15 terms.
+    proc = _cli_subprocess("dual-sw", "RP^100000000", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["top_degree_series"] == 34217727
+    assert payload["top_degree_closed_form"] == 34217727
+    assert len(payload["dual_class"].split(" + ")) == 32768
+    assert payload["dual_class"].endswith(" + a^34217727")
 
 
 # ---------------------------------------------------------------------------

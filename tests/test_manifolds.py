@@ -1,22 +1,80 @@
 """Manifold specs and their mod-2 total and dual class computations."""
 
+import functools
 import random
+import subprocess
+import sys
 
 import pytest
 
 from kregular import (ComplexProj, Euclid, Product, QuatProj, RealProj,
-                      Sphere, atoms, cohomology_ring, dual_sw, floor_log2,
-                      is_closed, real_dimension, render, top_dual_degree,
+                      Sphere, atoms, dual_sw, floor_log2, is_closed,
+                      real_dimension, render, top_dual_degree,
                       top_dual_degree_closed_form)
-from kregular.manifolds import Atom, _dual_bits
-from kregular.series import GradedSeries
+from kregular.manifolds import Atom, dual_exponents
+from kregular.series import GradedSeries, SeriesRing
+from test_cli import _fresh_process_env
+
+
+def cohomology_ring(spec):
+    """Joint GF(2) ring holding the dual class of `spec`.
+
+    One generator per projective factor, named as `dual_sw` names them;
+    sphere and Euclidean factors carry total class 1 and contribute no
+    generator.  The ring is cut by degree only, at the total real
+    dimension: it does not impose g^(m+1) = 0, so two specs with the same
+    generators and dimension share one ring.
+    """
+    single = len(atoms(spec)) == 1
+    projective = [atom for atom in atoms(spec) if atom.letter]
+    generators = [(atom.letter if single else f"{atom.letter}{i + 1}",
+                   atom.dim_per_m)
+                  for i, atom in enumerate(projective)]
+    return SeriesRing(generators, real_dimension(spec))
+
+
+def _dual_bits(atom):
+    """Dual class of one factor in GF(2)[g]/(g^(m+1)); bit i is g^i.
+
+    The recurrence oracle for Lucas's theorem; spheres and Euclidean space
+    have dual class 1.
+    """
+    return 1 if atom.letter is None else _inverted_total(atom.m)
+
+
+@functools.lru_cache(maxsize=None)
+def _inverted_total(m):
+    """(1 + g)^-(m+1) mod g^(m+1) as bits, by a recurrence with no binomials.
+
+    Builds the total class (1 + g)^(m+1) by m+1 multiplications by 1 + g,
+    then inverts it degree by degree: `check` is total * dual so far, and
+    its lowest set bit above degree 0 is the next term the dual needs.  The
+    family only scales degrees, so the result is shared by RP, CP and HP.
+    """
+    mask = (1 << (m + 1)) - 1
+    total = 1
+    for _ in range(m + 1):
+        total = (total ^ (total << 1)) & mask
+    dual, check = 1, total
+    for d in range(1, m + 1):
+        if check >> d & 1:
+            dual |= 1 << d
+            check ^= total << d
+    return dual
+
+
+def as_series(dual, spec):
+    """`dual_sw(spec)` as an element of the tests' joint ring."""
+    ring = cohomology_ring(spec)
+    assert dual.names == ring.names
+    return GradedSeries(ring, frozenset(dual.terms))
 
 
 def total_sw(spec):
     """Total Stiefel-Whitney class of the tangent bundle, mod 2, as a series.
 
-    The oracle the bit inversion is checked against: each projective
-    factor contributes (1 + g)^(m+1) in the joint ring.
+    The oracle the dual class is checked against: each projective factor
+    contributes (1 + g)^(m+1) in the joint ring.
     """
     ring = cohomology_ring(spec)
     total = ring.one()
@@ -140,7 +198,7 @@ def test_dual_sw_examples():
 
 def test_dual_sw_product_with_sphere_factor():
     spec = Product((Sphere(2), RealProj(3)))
-    assert dual_sw(spec) == cohomology_ring(spec).one()
+    assert as_series(dual_sw(spec), spec) == cohomology_ring(spec).one()
 
 
 def test_product_ring_generator_names():
@@ -150,9 +208,11 @@ def test_product_ring_generator_names():
     single = cohomology_ring(RealProj(5))
     assert single.names == ("a",)
     # Spheres carry no generator, so numbering counts projective factors.
-    mixed = cohomology_ring(Product((RealProj(3), Sphere(2), QuatProj(2),
-                                     ComplexProj(2))))
+    mixed_spec = Product((RealProj(3), Sphere(2), QuatProj(2),
+                          ComplexProj(2)))
+    mixed = cohomology_ring(mixed_spec)
     assert mixed.names == ("a1", "d2", "b3")
+    assert dual_sw(mixed_spec).names == mixed.names
     assert mixed.degrees == (1, 4, 2)
     assert mixed.truncation == 3 + 2 + 8 + 4
     quaternionic = cohomology_ring(QuatProj(3))
@@ -174,7 +234,7 @@ def test_total_times_dual_is_one():
     for spec in specs:
         assert real_dimension(spec) <= 64
         ring = cohomology_ring(spec)
-        assert in_cohomology(total_sw(spec) * dual_sw(spec),
+        assert in_cohomology(total_sw(spec) * as_series(dual_sw(spec), spec),
                              spec) == ring.one()
 
 
@@ -183,7 +243,7 @@ def test_top_dual_degree_examples():
     assert top_dual_degree(ComplexProj(4)).top_degree == 6
     assert top_dual_degree(QuatProj(2)).top_degree == 4
     assert top_dual_degree(Sphere(7)).top_degree == 0
-    assert top_dual_degree(RealProj(5)).method == "series-inversion"
+    assert top_dual_degree(RealProj(5)).method == "lucas"
 
 
 def test_closed_form_examples():
@@ -206,46 +266,65 @@ def test_brute_force_matches_closed_form_small(family):
 
 @pytest.mark.parametrize("family", [RealProj, ComplexProj, QuatProj])
 def test_dual_sw_matches_series_inverse(family):
-    # The bit inversion against the generic series inversion of the total
+    # Lucas's exponents against the generic series inversion of the total
     # class, in the factor's own ring.
     for m in range(2, 65):
-        assert dual_sw(family(m)) == total_sw(family(m)).inverse(), m
+        spec = family(m)
+        assert as_series(dual_sw(spec), spec) == total_sw(spec).inverse(), m
 
 
 @pytest.mark.parametrize("family", [RealProj, ComplexProj, QuatProj])
 def test_dual_bits_by_lucas(family):
-    # A third method, with no series arithmetic: mod 2 the coefficient of
-    # g^i in (1 + g)^-(m+1) is C(m+i, i), which by Lucas's theorem is odd
-    # exactly when i and m share no binary digit.
-    for m in range(2, 513):
-        expected = sum(1 << i for i in range(m + 1) if i & m == 0)
-        assert _dual_bits(family(m)) == expected, m
+    # Lucas's exponents against the tests' bit recurrence, which inverts the
+    # total class with no binomial coefficients: the same terms, ascending.
+    for m in range(2, 3000):
+        bits = bin(_dual_bits(family(m)))[:1:-1]
+        assert dual_exponents(family(m)) == [
+            i for i, bit in enumerate(bits) if bit == "1"], m
+    for trivial in (Sphere(5), Euclid(3)):
+        assert _dual_bits(trivial) == 1
+        assert dual_exponents(trivial) == [0]
 
 
-def test_dual_class_makes_no_series_arithmetic(monkeypatch):
-    # Factor duals are inverted on bits and the joint class is assembled
-    # from exponent combinations; a fall-back to series arithmetic would
-    # call GradedSeries.__mul__ or inverse.
-    calls = []
-    for name in ("__mul__", "inverse"):
-        original = getattr(GradedSeries, name)
+def test_dual_class_makes_no_series_arithmetic():
+    # Factor duals are read off Lucas's theorem and the product is assembled
+    # from exponent combinations, so the module never loads series code.
+    code = "\n".join([
+        "import sys",
+        "from kregular.manifolds import (ComplexProj, Product, QuatProj,",
+        "                                RealProj, dual_sw, top_dual_degree)",
+        "spec = Product((RealProj(6), ComplexProj(5), QuatProj(2)))",
+        "assert top_dual_degree(spec).top_degree == 1 + 4 + 4",
+        "assert dual_sw(spec).terms[-1] == (1, 2, 1)",
+        "assert 'kregular.series' not in sys.modules"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_process_env())
+    assert proc.returncode == 0, proc.stderr
 
-        def counted(self, *args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, *args)
-        monkeypatch.setattr(GradedSeries, name, counted)
-    spec = Product((RealProj(6), ComplexProj(5), QuatProj(2)))
-    assert top_dual_degree(spec).top_degree == 1 + 4 + 4
-    assert dual_sw(spec).top_degree() == 1 + 4 + 4
-    assert calls == []
-    # The counter does see a series inversion.
-    total_sw(RealProj(6)).inverse()
-    assert calls
+
+def test_top_dual_degree_obeys_massey():
+    # Massey (1960): the dual class of a closed n-manifold vanishes above
+    # n - alpha(n), alpha the binary digit sum.  A check that uses neither
+    # Lucas's theorem nor the closed form.
+    def massey(spec):
+        n = real_dimension(spec)
+        return n - bin(n).count("1")
+
+    for family in (RealProj, ComplexProj, QuatProj):
+        for m in range(2, 1025):
+            spec = family(m)
+            assert top_dual_degree(spec).top_degree <= massey(spec), spec
+    rng = random.Random(1960)
+    families = (Sphere, RealProj, ComplexProj, QuatProj)
+    for _ in range(500):
+        spec = Product(tuple(rng.choice(families)(rng.randint(2, 300))
+                             for _ in range(rng.randint(1, 3))))
+        assert top_dual_degree(spec).top_degree <= massey(spec), spec
 
 
 def test_top_coefficient_is_one():
     for spec in (RealProj(6), ComplexProj(5), QuatProj(3)):
-        dual = dual_sw(spec)
+        dual = as_series(dual_sw(spec), spec)
         top = dual.top_degree()
         part = dual.homogeneous_part(top)
         assert len(part.terms) == 1
@@ -266,7 +345,7 @@ def test_product_multiplicativity_random_pairs():
         if real_dimension(spec) > 32:
             continue
         reference = in_cohomology(total_sw(spec).inverse(), spec)
-        dual = dual_sw(spec)
+        dual = as_series(dual_sw(spec), spec)
         assert dual == reference, render(spec)
         assert top_dual_degree(spec).top_degree == reference.top_degree()
         assert (in_cohomology(total_sw(spec) * dual, spec)

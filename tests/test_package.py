@@ -10,6 +10,7 @@ from kregular import (BoundReport, BundleProfile, ComplexProj, DirectSum,
                       QuatProj, RealProj, RegularityReport, RegularQuery,
                       Sphere, SphereOneI, VandermondeMap, Witness)
 from kregular.bounds import TableRow
+from kregular.manifolds import DualClass
 
 # Every name the package exported when it imported all its submodules.
 EXPORTS = {
@@ -28,9 +29,8 @@ EXPORTS = {
                   "chern_height_of_first_class"),
     "manifolds": ("ComplexProj", "DualClassProfile", "Euclid", "ManifoldSpec",
                   "Product", "QuatProj", "RealProj", "Sphere", "atoms",
-                  "cohomology_ring", "dual_sw", "floor_log2", "is_closed",
-                  "real_dimension", "render", "top_dual_degree",
-                  "top_dual_degree_closed_form"),
+                  "dual_sw", "floor_log2", "is_closed", "real_dimension",
+                  "render", "top_dual_degree", "top_dual_degree_closed_form"),
     "sampler": ("DirectSum", "ExampleMap", "RegularityReport", "SphereOneI",
                 "VandermondeMap", "Witness", "ambient_dim",
                 "claimed_regularity", "evaluate_rank",
@@ -86,6 +86,8 @@ RECORDS = [
      {"spec": RealProj(5), "top_degree": 2, "method": "closed-form"},
      "DualClassProfile(spec=RealProj(m=5), top_degree=2, "
      "method='closed-form')"),
+    (DualClass, {"names": ("a1", "b2"), "terms": ((0, 0), (1, 0), (0, 1))},
+     "DualClass(names=('a1', 'b2'), terms=((0, 0), (1, 0), (0, 1)))"),
     (RegularQuery, {"pieces": ((Sphere(3), 2),), "regime": "complex"},
      "RegularQuery(pieces=((Sphere(m=3), 2),), regime='complex')"),
     (ExistenceRecord, {"ambient_dim": 5, "source": "x"},

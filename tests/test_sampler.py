@@ -1,6 +1,7 @@
 """Exact and randomized rank checks for the explicit example maps."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -220,6 +221,23 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
         expect = gauss_rank_oracle(vandermonde_columns(pts, k))
         assert integer_rank_bareiss(columns) == expect
         assert evaluate_rank(VandermondeMap(k), (pts,)) == (expect, len(pts))
+
+
+def test_plane_column_entries_are_scaled_powers():
+    # Entry j of the column is d^(top-j) w^j, realified; here w^j is
+    # expanded by the binomial theorem, with i^k = 1, i, -1, -i.
+    rng = random.Random(4242)
+    for _ in range(400):
+        top, d = rng.randint(0, 12), rng.randint(1, 40)
+        wr, wi = rng.randint(-60, 60), rng.randint(-60, 60)
+        expected = [d ** top]
+        for j in range(1, top + 1):
+            terms = [math.comb(j, k) * wr ** (j - k) * wi ** k
+                     * (1, 1, -1, -1)[k % 4] for k in range(j + 1)]
+            expected += (d ** (top - j) * sum(terms[0::2]),
+                         d ** (top - j) * sum(terms[1::2]))
+        assert sampler._plane_column(top, d, wr, wi) == expected, \
+            (top, d, wr, wi)
 
 
 def test_integer_sphere_columns_lie_on_the_sphere():
