@@ -11,14 +11,13 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _SOURCES = {
-    "bounds": ("BoundReport", "ExistenceRecord", "RegularQuery",
-               "bound_cited", "bound_disjoint", "bound_product_2regular",
-               "handel_disjoint_closed_form", "main_theorem_1_closed_form",
-               "main_theorem_2_closed_form", "projective_3regular_upper",
-               "projective_table_matches", "upper_existence",
-               "upper_existence_piece"),
-    "bundles": ("COMPLEX", "REAL", "BundleProfile", "UnsupportedBundleError",
-                "lambda_top"),
+    "bounds": ("BoundReport", "RegularQuery", "bound_disjoint",
+               "bound_product_2regular", "handel_disjoint_closed_form",
+               "main_theorem_1_closed_form", "main_theorem_2_closed_form",
+               "upper_existence", "upper_existence_piece"),
+    "bundles": ("COMPLEX", "REAL", "BundleProfile", "ExistenceRecord",
+                "UnsupportedBundleError", "lambda_top",
+                "projective_3regular_upper", "projective_table_matches"),
     "expr": ("ParseError", "parse_expression", "parse_manifold",
              "render_query"),
     "fields": ("digit_sum_base_p", "is_prime", "lucas_binom_mod_p"),

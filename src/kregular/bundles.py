@@ -1,25 +1,34 @@
-"""Top nonvanishing degrees for configuration-space bundles.
+"""The piece rules: one table of what bounds and builds each kind of piece.
 
-A BundleProfile records, for a base manifold and a point count, the largest
-degree in which the relevant characteristic class of the associated
-configuration bundle survives, the ambient dimension that forces on a piece
-of a k-regular map, and the rule that produced both.  Only rules backed by a
-computation or a cited identity are implemented; anything else raises
-UnsupportedBundleError rather than guessing.
+A piece is a manifold spec with a point count.  Each row of `PIECE_RULES`
+states one fact about a family of pieces in one regime: its lower bound (a
+BundleProfile: the top degree of the configuration bundle's class and the
+ambient dimension that forces), its construction (an ExistenceRecord), the
+refusal for a near miss, and its theorem.  Everything else reads the table,
+so a new bound or construction is one more row; a piece no row covers
+raises UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Callable, Optional
 
-from .fields import is_prime
+from .fields import digit_sum_base_p, is_prime
 from .grassmann import chern_height_of_first_class
-from .manifolds import (ComplexProj, Euclid, ManifoldSpec, Sphere, is_closed,
-                        real_dimension, render, top_dual_degree)
+from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, Product,
+                        RealProj, Sphere, is_closed, real_dimension, render,
+                        top_dual_degree)
 from .record import Record
 
 REAL = "real"
 COMPLEX = "complex"
+
+MAIN_THEOREM_1 = "Main Theorem I"
+MAIN_THEOREM_2 = "Main Theorem II"
+DISJOINT_REAL = "disjoint union lower bound (real)"
+DISJOINT_COMPLEX = "disjoint union lower bound (complex)"
+BCLZ_2015 = "Blagojevic-Cohen-Luck-Ziegler (2015)"
+COMPLEX_TWO_POINT = "complex two-point lower bound"
 
 
 class UnsupportedBundleError(ValueError):
@@ -30,18 +39,16 @@ class BundleProfile(Record):
     """Top degree data for the k-point bundle over `spec`.
 
     `top_degree` is exact unless `is_lower_bound` is set, in which case the
-    true top degree is only known to be >= it.  It is None for a piece of a
-    cited closed-form bound, which quotes the ambient dimension but no class
-    degree.  `contribution` is the ambient dimension the piece forces.
-    `source` names the rule.
+    true top degree is only known to be >= it.  `contribution` is the
+    ambient dimension the piece forces.  `source` names the rule.
     """
 
     __slots__ = ("spec", "points", "regime", "top_degree", "contribution",
                  "is_lower_bound", "source")
 
     def __init__(self, spec: ManifoldSpec, points: int, regime: str,
-                 top_degree: Optional[int], contribution: int,
-                 is_lower_bound: bool, source: str):
+                 top_degree: int, contribution: int, is_lower_bound: bool,
+                 source: str):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "regime", regime)
@@ -51,67 +58,242 @@ class BundleProfile(Record):
         object.__setattr__(self, "source", source)
 
 
+class ExistenceRecord(Record):
+    """A construction: a k-regular map into R^(ambient_dim) exists."""
+
+    __slots__ = ("ambient_dim", "source")
+
+    def __init__(self, ambient_dim: int, source: str):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "source", source)
+
+
+def _is_power_of_two(n: int) -> bool:
+    return n > 0 and n & (n - 1) == 0
+
+
+# ---------------------------------------------------------------------------
+# 3-regular maps of real projective spaces.
+
+class TableRow(Record):
+    __slots__ = ("label", "matches", "ambient")
+
+    def __init__(self, label: str, matches: Callable[[int], bool],
+                 ambient: Callable[[int], int]):
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "ambient", ambient)
+
+
+PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (
+    TableRow("m = 8q+3 or 8q+5 (q > 0)",
+             lambda m: m % 8 in (3, 5) and m // 8 > 0,
+             lambda m: 2 * m - min(5, digit_sum_base_p(m // 8, 2))),
+    TableRow("m = 8q+1 (q > 0)",
+             lambda m: m % 8 == 1 and m // 8 > 0,
+             lambda m: 2 * m - min(7, digit_sum_base_p(m // 8, 2)) + 2),
+    TableRow("m = 32q+7 (q > 0)",
+             lambda m: m % 32 == 7 and m // 32 > 0,
+             lambda m: 2 * m - 6),
+    TableRow("m = 8q+7 (q > 1)",
+             lambda m: m % 8 == 7 and m // 8 > 1,
+             lambda m: 2 * m - 5),
+    TableRow("m = 3 mod 8, m >= 19",
+             lambda m: m % 8 == 3 and m >= 19,
+             lambda m: 2 * m - 4),
+    TableRow("m = 1 mod 4, m != 2^i + 1",
+             lambda m: m % 4 == 1 and not _is_power_of_two(m - 1),
+             lambda m: 2 * m - 2),
+    TableRow("m = 4q or 4q+2, q > 0 and not a power of two",
+             lambda m: m % 4 in (0, 2) and m // 4 > 0
+             and not _is_power_of_two(m // 4),
+             lambda m: 2 * m - 1),
+    TableRow("m = 2^j + 1 (j >= 2)",
+             lambda m: m - 1 >= 4 and _is_power_of_two(m - 1),
+             lambda m: 2 * m - 1),
+    TableRow("m = 2^j + 2 (j >= 3)",
+             lambda m: m - 2 >= 8 and _is_power_of_two(m - 2),
+             lambda m: 2 * m),
+)
+
+
+def projective_table_matches(m: int) -> list[tuple[TableRow, int]]:
+    """All table rows covering RP^m, with their ambient dimensions."""
+    return [(row, row.ambient(m)) for row in PROJECTIVE_3REGULAR_TABLE
+            if row.matches(m)]
+
+
+def projective_3regular_upper(m: int) -> Optional[ExistenceRecord]:
+    """Smallest tabled ambient dimension for a 3-regular map of RP^m."""
+    hits = projective_table_matches(m)
+    if not hits:
+        return None
+    row, ambient = min(hits, key=lambda pair: pair[1])
+    return ExistenceRecord(ambient,
+                           f"3-regular projective construction, {row.label}")
+
+
+# ---------------------------------------------------------------------------
+# The rules.
+
+class PieceRule(Record):
+    """One family of pieces in one regime: its bound, construction, theorem.
+
+    (spec, k) is of the family when type(spec) is in `kinds` and spec
+    passes `where` (if set), and matches when `points(k)` holds too.  A
+    family member that does not match raises `refusal` if the rule has one.
+    `lower` and `construct` map (spec, k) to a BundleProfile and to an
+    ExistenceRecord or None.  `theorem` labels the piece alone; `union`, if
+    set, labels a union whose pieces' rules all share it.
+    """
+
+    __slots__ = ("regime", "kinds", "points", "where", "refusal", "lower",
+                 "construct", "theorem", "union")
+
+    def __init__(self, regime: str, kinds: tuple,
+                 points: Callable[[int], bool],
+                 where: Optional[Callable[[ManifoldSpec], bool]] = None,
+                 refusal: Optional[str] = None,
+                 lower: Optional[Callable] = None,
+                 construct: Optional[Callable] = None,
+                 theorem: Optional[str] = None, union: Optional[str] = None):
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "kinds", kinds)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "where", where)
+        object.__setattr__(self, "refusal", refusal)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "construct", construct)
+        object.__setattr__(self, "theorem", theorem)
+        object.__setattr__(self, "union", union)
+
+
+def _plane_profile(spec, k):
+    return BundleProfile(spec, k, REAL, k - 1, 2 * k - 1, False,
+                         "plane bundle with power-of-two points "
+                         "(Cohen-Handel 1978): top class in degree k-1")
+
+
+def _closed_profile(spec, k):
+    degree = real_dimension(spec) + top_dual_degree(spec).top_degree
+    return BundleProfile(spec, k, REAL, degree, degree + 2, False,
+                         "two-point bundle over a closed manifold: dimension "
+                         "plus top dual class degree")
+
+
+def _complex_plane_profile(spec, p):
+    degree = (spec.m + 1) // 2 * (p - 1)
+    return BundleProfile(spec, p, COMPLEX, degree, degree + 1, True,
+                         "complex p-point classes over R^m survive to degree "
+                         "floor((m+1)/2)*(p-1) (Blagojevic-Cohen-Luck-Ziegler "
+                         "2015)")
+
+
+def _complex_sphere_profile(spec, k):
+    degree = spec.m // 2
+    return BundleProfile(spec, k, COMPLEX, degree, degree + 2, False,
+                         "complex two-point bundle over a sphere: top degree "
+                         "floor(m/2)")
+
+
+def _complex_cp_profile(spec, k):
+    # The height of c1 in H*(G_2(C^(m+1)); QQ), the box size 2(m-1).
+    height = chern_height_of_first_class(2, spec.m)
+    return BundleProfile(spec, k, COMPLEX, height, height + 2, True,
+                         "complex two-point bundle over CP^m: top degree >= "
+                         "2m-2 (ring height of the first class)")
+
+
+def _projective_construction(spec, k):
+    record = projective_3regular_upper(spec.m)
+    if record is None or k == 3:
+        return record
+    return ExistenceRecord(record.ambient_dim,
+                           record.source + " (restricted to 2-regular)")
+
+
+def _is_plane(spec):
+    return spec.m == 2
+
+
+# Closedness is class data of each atom family.
+_CLOSED_FAMILIES = tuple(kind for kind in Atom.__subclasses__()
+                         if kind.closed)
+
+PIECE_RULES: tuple[PieceRule, ...] = (
+    # Real lower rules.  Main Theorem II's planes need 2^j points; Main
+    # Theorem I covers a closed spec at two points, and a single sphere or
+    # projective factor there is a Main Theorem II piece too.
+    PieceRule(REAL, (Euclid,), _is_power_of_two, where=_is_plane,
+              refusal="plane rule needs a power-of-two point count",
+              lower=_plane_profile, theorem=MAIN_THEOREM_2,
+              union=MAIN_THEOREM_2),
+    PieceRule(REAL, _CLOSED_FAMILIES, lambda k: k == 2,
+              lower=_closed_profile, theorem=MAIN_THEOREM_1,
+              union=MAIN_THEOREM_2),
+    PieceRule(REAL, (Product,), lambda k: k == 2, where=is_closed,
+              lower=_closed_profile, theorem=MAIN_THEOREM_1),
+    # Real constructions.
+    PieceRule(REAL, (Euclid,), lambda k: k >= 2, where=_is_plane,
+              construct=lambda spec, k: ExistenceRecord(
+                  2 * k - 1, "monomial curve in the plane (Cohen-Handel "
+                             "1978)")),
+    PieceRule(REAL, (Sphere,), lambda k: k in (2, 3),
+              construct=lambda spec, k: ExistenceRecord(
+                  spec.m + 2, "sphere (1, x) embedding (3-regular)")),
+    PieceRule(REAL, (RealProj,), lambda k: k in (2, 3),
+              construct=_projective_construction),
+    # Complex lower rules.
+    PieceRule(COMPLEX, (Euclid,), lambda p: p % 2 == 1 and is_prime(p),
+              refusal="complex plane pieces need an odd prime point count",
+              lower=_complex_plane_profile, theorem=BCLZ_2015),
+    PieceRule(COMPLEX, (Sphere,), lambda k: k == 2,
+              lower=_complex_sphere_profile, theorem=COMPLEX_TWO_POINT),
+    PieceRule(COMPLEX, (ComplexProj,), lambda k: k == 2,
+              where=lambda spec: spec.m >= 4, lower=_complex_cp_profile,
+              theorem=COMPLEX_TWO_POINT),
+)
+
+
+def _by_kind(part: str) -> dict:
+    """regime -> spec class -> the rules with `part`, in table order."""
+    index: dict = {REAL: {}, COMPLEX: {}}
+    for rule in PIECE_RULES:
+        if getattr(rule, part) is not None:
+            for kind in rule.kinds:
+                index[rule.regime].setdefault(kind, []).append(rule)
+    return index
+
+
+_LOWER_RULES = _by_kind("lower")
+CONSTRUCTION_RULES = _by_kind("construct")
+# The message for a piece no lower rule of the regime covers.
+_NO_RULE = {REAL: "has no real-regime rule (closed specs need exactly two "
+                  "points)",
+            COMPLEX: "has no complex-regime rule"}
+
+
+def piece_rule(spec: ManifoldSpec, points: int,
+               regime: str = REAL) -> PieceRule:
+    """The lower rule covering (spec, points) in `regime`, else a refusal."""
+    if not isinstance(points, int) or points < 2:
+        raise ValueError(
+            f"point count must be an integer >= 2, got {points!r}")
+    by_kind = _LOWER_RULES.get(regime)
+    if by_kind is None:
+        raise ValueError(f"unknown regime {regime!r}")
+    for rule in by_kind.get(type(spec), ()):
+        if rule.where is None or rule.where(spec):
+            if rule.points(points):
+                return rule
+            if rule.refusal is not None:
+                raise UnsupportedBundleError(
+                    f"({render(spec)}, {points}): {rule.refusal}")
+    raise UnsupportedBundleError(
+        f"({render(spec)}, {points}) {_NO_RULE[regime]}")
+
+
 def lambda_top(spec: ManifoldSpec, points: int = 2,
                regime: str = REAL) -> BundleProfile:
-    """Top degree d of the k-point bundle class, or a certified lower bound.
-
-    The rules, each with the contribution its piece makes to a bound:
-
-    - real (R^2, k), k a power of two: d = k-1, contributes d + k;
-    - real (M, 2), M closed: d = dim M + top dual class degree, contributes
-      d + 2;
-    - complex (S^m, 2): d = floor(m/2), contributes d + 2;
-    - complex (CP^m, 2), m >= 4: d >= 2m-2, the height of c1 in
-      H*(G_2(C^(m+1)); QQ) (the box size 2(m-1)), contributes d + 2;
-    - complex (R^m, p), p an odd prime: d >= floor((m+1)/2)*(p-1),
-      contributes d + 1.
-
-    Everything else raises.
-    """
-    if not isinstance(points, int) or points < 2:
-        raise ValueError(f"point count must be an integer >= 2, got {points!r}")
-    if regime == REAL:
-        if isinstance(spec, Euclid) and spec.m == 2:
-            if points & (points - 1) == 0:
-                return BundleProfile(
-                    spec, points, regime, points - 1, 2 * points - 1, False,
-                    "plane bundle with power-of-two points (Cohen-Handel "
-                    "1978): top class in degree k-1")
-            raise UnsupportedBundleError(
-                f"({render(spec)}, {points}): plane rule needs a "
-                "power-of-two point count")
-        if points == 2 and is_closed(spec):
-            degree = real_dimension(spec) + top_dual_degree(spec).top_degree
-            return BundleProfile(
-                spec, points, regime, degree, degree + 2, False,
-                "two-point bundle over a closed manifold: dimension plus "
-                "top dual class degree")
-        raise UnsupportedBundleError(
-            f"({render(spec)}, {points}) has no real-regime rule "
-            "(closed specs need exactly two points)")
-    if regime == COMPLEX:
-        if isinstance(spec, Euclid):
-            if not (points % 2 == 1 and is_prime(points)):
-                raise UnsupportedBundleError(
-                    f"({render(spec)}, {points}): complex plane pieces "
-                    "need an odd prime point count")
-            degree = (spec.m + 1) // 2 * (points - 1)
-            return BundleProfile(
-                spec, points, regime, degree, degree + 1, True,
-                "complex p-point classes over R^m survive to degree "
-                "floor((m+1)/2)*(p-1) (Blagojevic-Cohen-Luck-Ziegler 2015)")
-        if isinstance(spec, Sphere) and points == 2:
-            degree = spec.m // 2
-            return BundleProfile(
-                spec, points, regime, degree, degree + 2, False,
-                "complex two-point bundle over a sphere: top degree "
-                "floor(m/2)")
-        if isinstance(spec, ComplexProj) and points == 2 and spec.m >= 4:
-            height = chern_height_of_first_class(2, spec.m)
-            return BundleProfile(
-                spec, points, regime, height, height + 2, True,
-                "complex two-point bundle over CP^m: top degree >= 2m-2 "
-                "(ring height of the first class)")
-        raise UnsupportedBundleError(
-            f"({render(spec)}, {points}) has no complex-regime rule")
-    raise ValueError(f"unknown regime {regime!r}")
+    """The piece's BundleProfile, from the lower rule that matches it."""
+    return piece_rule(spec, points, regime).lower(spec, points)

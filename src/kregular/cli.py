@@ -29,7 +29,8 @@ import sys
 from types import SimpleNamespace
 from typing import Callable, Optional, Sequence
 
-from .bounds import RegularQuery, bound_disjoint, projective_table_matches
+from .bounds import RegularQuery, bound_disjoint
+from .bundles import projective_table_matches
 from .expr import parse_expression, parse_manifold, render_query
 from .fields import lucas_binom_mod_p
 from .grassmann import cached_presentation, chern_height_of_first_class

@@ -4,9 +4,9 @@ Specs cover spheres, the three projective families, Euclidean space, and
 finite products of those.  Each family is one subclass of Atom, and the
 facts that differ by family (prefix, closedness, dimension scale, generator
 letter) live there as class data and nowhere else; every other module reads
-them from the atom.  Only rules that depend on family, point count and
-regime together (bundles.lambda_top and bounds.upper_existence_piece) test
-the family explicitly; the closed-form references in bounds are built from
+them from the atom.  Only the piece rules, which depend on family, point
+count and regime together (bundles.PIECE_RULES), test the family
+explicitly; the closed-form references in bounds are built from
 top_dual_degree_closed_form and test no family.
 
 The total Stiefel-Whitney class of a projective space is (1 + g)^(m+1) in

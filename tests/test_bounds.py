@@ -1,4 +1,4 @@
-"""Bound calculators: the two main sums, cited formulas, and existence data."""
+"""Bound calculators: the two main sums, soundness, and existence data."""
 
 import random
 
@@ -6,15 +6,16 @@ import pytest
 
 from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
                       Product, QuatProj, RealProj, RegularQuery, Sphere,
-                      UnsupportedBundleError, bound_cited,
-                      bound_disjoint, bound_product_2regular,
-                      handel_disjoint_closed_form, lambda_top,
-                      main_theorem_1_closed_form, main_theorem_2_closed_form,
-                      projective_3regular_upper, projective_table_matches,
-                      real_dimension, top_dual_degree, upper_existence,
+                      UnsupportedBundleError, bound_disjoint,
+                      bound_product_2regular, handel_disjoint_closed_form,
+                      lambda_top, main_theorem_1_closed_form,
+                      main_theorem_2_closed_form, projective_3regular_upper,
+                      projective_table_matches, real_dimension,
+                      top_dual_degree, upper_existence,
                       upper_existence_piece)
-from kregular.bounds import (BCLZ_2015, DISJOINT_COMPLEX, DISJOINT_REAL,
-                             MAIN_THEOREM_1, MAIN_THEOREM_2)
+from kregular.bundles import (BCLZ_2015, DISJOINT_COMPLEX, DISJOINT_REAL,
+                              MAIN_THEOREM_1, MAIN_THEOREM_2,
+                              PROJECTIVE_3REGULAR_TABLE)
 
 
 def test_query_validation():
@@ -240,78 +241,56 @@ def test_complex_cp_piece_is_marked_lower_bound():
 
 
 # ---------------------------------------------------------------------------
-# Cited formulas.
+# Soundness: no construction beats a lower bound.
 
-def test_cited_real_euclid():
-    report = bound_cited("real-euclid", m=2, k=4)
-    assert report.bound == 7
-    assert "Blagojevic-Luck-Ziegler" in report.theorem
-    # alpha(3) = 2, so 4(3-2) + 2.
-    assert bound_cited("real-euclid", m=4, k=3).bound == 6
-
-
-@pytest.mark.parametrize("m", [0, 3, 6, 12])
-def test_cited_real_euclid_needs_a_power_of_two(m):
-    # Chisholm's proof covers R^m for m a power of two only.
-    with pytest.raises(ValueError):
-        bound_cited("real-euclid", m=m, k=4)
-
-
-def test_cited_complex_euclid():
-    assert bound_cited("complex-euclid-odd-prime", m=3, p=3).bound == 5
-
-
-def test_cited_plane_kinds_share_the_odd_prime_error():
-    # Every plane kind reaches lambda_top's rule, so all fail alike.
-    kinds = (("complex-euclid-odd-prime", {"m": 3}),
-             ("complex-stacked-planes", {"n": 2, "m": 3}),
-             ("complex-disjoint-planes", {"ms": (3,)}))
-    for kind, params in kinds:
-        for p in (2, 9):
-            with pytest.raises(UnsupportedBundleError) as err:
-                bound_cited(kind, p=p, **params)
-            assert str(err.value) == (f"(R^3, {p}): complex plane pieces "
-                                      "need an odd prime point count")
+def _answered_pieces(regime):
+    """Every (spec, k) of a small grid that the regime's rules bound."""
+    families = (Sphere, RealProj, ComplexProj, QuatProj)
+    specs = [Euclid(m) for m in range(1, 5)]
+    specs += [family(m) for family in families for m in range(2, 13)]
+    specs += [Product((Sphere(2), RealProj(3))),
+              Product((ComplexProj(2), QuatProj(2), RealProj(5)))]
+    pieces = []
+    for spec in specs:
+        for points in range(2, 10):
+            try:
+                lambda_top(spec, points, regime)
+            except UnsupportedBundleError:
+                continue
+            pieces.append((spec, points))
+    return pieces
 
 
-def test_cited_prime_power():
-    # alpha_3(4) = 2, so 9(4-2) + 2.
-    assert bound_cited("complex-prime-power", m=9, k=4, p=3).bound == 20
-    with pytest.raises(ValueError):
-        bound_cited("complex-prime-power", m=6, k=4, p=3)
-    with pytest.raises(ValueError):
-        bound_cited("complex-prime-power", m=9, k=4, p=4)
+@pytest.mark.parametrize("regime", [REAL, COMPLEX])
+def test_no_construction_lies_below_its_bound(regime):
+    pool = _answered_pieces(regime)
+    rng = random.Random(29)
+    queries = [(piece,) for piece in pool]
+    queries += [tuple(rng.choice(pool) for _ in range(rng.randint(2, 3)))
+                for _ in range(300)]
+    for pieces in queries:
+        report = bound_disjoint(RegularQuery(pieces, regime))
+        if report.construction is not None:
+            assert report.construction.ambient_dim >= report.bound, pieces
+        for spec, points in pieces:
+            upper = upper_existence_piece(spec, points)
+            if regime == REAL and upper is not None:
+                assert upper.ambient_dim >= lambda_top(
+                    spec, points, regime).contribution, (spec, points)
 
 
-def test_cited_stacked_planes():
-    assert bound_cited("complex-stacked-planes", n=2, m=3, p=3).bound == 10
-
-
-def test_cited_disjoint_planes():
-    report = bound_cited("complex-disjoint-planes", ms=(3, 3), p=3)
-    assert report.bound == 10
-    assert len(report.breakdown) == 2
-    with pytest.raises(ValueError):
-        bound_cited("complex-disjoint-planes", ms=(), p=3)
-
-
-@pytest.mark.parametrize("kind, params", [
-    ("real-euclid", {"m": 2, "k": 4}),
-    ("complex-prime-power", {"m": 9, "k": 4, "p": 3}),
-    ("complex-stacked-planes", {"n": 2, "m": 3, "p": 3}),
-])
-def test_cited_piece_carries_no_top_degree(kind, params):
-    # A cited formula quotes the ambient dimension, not a class degree.
-    report = bound_cited(kind, **params)
-    (piece,) = report.breakdown
-    assert piece.top_degree is None
-    assert piece.contribution == report.bound
-
-
-def test_cited_unknown_kind():
-    with pytest.raises(ValueError) as err:
-        bound_cited("real-sphere")
-    assert "real-euclid" in str(err.value)
+def test_projective_table_rows_respect_main_theorem_1():
+    # A 3-regular map is 2-regular, so no row may beat the product bound;
+    # the rows meet it exactly at m = 2^j + 1.
+    meets = set()
+    for m in range(2, 300):
+        bound = main_theorem_1_closed_form(RealProj(m))
+        for row in PROJECTIVE_3REGULAR_TABLE:
+            if row.matches(m):
+                assert row.ambient(m) >= bound, (m, row.label)
+                if row.ambient(m) == bound:
+                    meets.add(m)
+    assert meets == {2 ** j + 1 for j in range(2, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +318,7 @@ def test_table_sample_rows():
 
 
 def test_sphere_bound_is_tight():
-    for m in range(2, 17):
+    for m in range(2, 300):
         report = bound_product_2regular(Sphere(m))
         assert report.construction is not None
         assert report.tight

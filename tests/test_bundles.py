@@ -43,8 +43,11 @@ def test_complex_plane_odd_prime_points():
     assert profile.contribution == 5
     assert profile.is_lower_bound
     assert "Blagojevic-Cohen-Luck-Ziegler" in profile.source
-    with pytest.raises(UnsupportedBundleError):
-        lambda_top(Euclid(3), 4, COMPLEX)
+    for p in (2, 4, 9):
+        with pytest.raises(UnsupportedBundleError) as err:
+            lambda_top(Euclid(3), p, COMPLEX)
+        assert str(err.value) == (f"(R^3, {p}): complex plane pieces need "
+                                  "an odd prime point count")
 
 
 def test_unsupported_combinations_refuse():

@@ -150,6 +150,49 @@ GOLDEN = [
      '"contribution": 4, "lower_bound_only": false, "source": "complex '
      'two-point bundle over a sphere: top degree floor(m/2)"}], '
      '"tightness": null}\n'),
+    (('bound', '(S^2 x RP^3, 2) + (R^2, 2)'), 0,
+     'N >= 10 (disjoint union lower bound (real))\n'
+     '  S^2 x RP^3, k=2: top degree = 5, contributes 7 [two-point bundle '
+     'over a closed manifold: dimension plus top dual class degree]\n'
+     '  R^2, k=2: top degree = 1, contributes 3 [plane bundle with '
+     'power-of-two points (Cohen-Handel 1978): top class in degree k-1]\n'),
+    (('bound', '(RP^9, 2) + (R^2, 8)'), 0,
+     'N >= 32 (Main Theorem II)\n'
+     '  RP^9, k=2: top degree = 15, contributes 17 [two-point bundle over a '
+     'closed manifold: dimension plus top dual class degree]\n'
+     '  R^2, k=8: top degree = 7, contributes 15 [plane bundle with '
+     'power-of-two points (Cohen-Handel 1978): top class in degree k-1]\n'
+     'tight: construction in R^32 [coordinate direct sum of piece '
+     'constructions]\n'),
+    (('bound', '(RP^9, 2) + (R^2, 8)', '--json'), 0,
+     '{"schema": "1", "query": "(RP^9, 2) + (R^2, 8)", "regime": "real", '
+     '"bound": 32, "theorem": "Main Theorem II", "breakdown": [{"piece": '
+     '"RP^9", "points": 2, "top_degree": 15, "contribution": 17, '
+     '"lower_bound_only": false, "source": "two-point bundle over a closed '
+     'manifold: dimension plus top dual class degree"}, {"piece": "R^2", '
+     '"points": 8, "top_degree": 7, "contribution": 15, "lower_bound_only": '
+     'false, "source": "plane bundle with power-of-two points (Cohen-Handel '
+     '1978): top class in degree k-1"}], "tightness": {"ambient_dim": 32, '
+     '"source": "coordinate direct sum of piece constructions", "tight": '
+     'true}}\n'),
+    (('bound', 'RP^9'), 0,
+     'N >= 17 (Main Theorem I)\n'
+     '  RP^9, k=2: top degree = 15, contributes 17 [two-point bundle over a '
+     'closed manifold: dimension plus top dual class degree]\n'
+     'tight: construction in R^17 [3-regular projective construction, '
+     'm = 2^j + 1 (j >= 2) (restricted to 2-regular)]\n'),
+    (('bound', '(R^3, 5)', '--regime', 'complex'), 0,
+     'N >= 9 (Blagojevic-Cohen-Luck-Ziegler (2015))\n'
+     '  R^3, k=5: top degree >= 8, contributes 9 [complex p-point classes '
+     'over R^m survive to degree floor((m+1)/2)*(p-1) '
+     '(Blagojevic-Cohen-Luck-Ziegler 2015)]\n'),
+    (('bound', '(R^3, 3) + (S^6, 2)', '--regime', 'complex'), 0,
+     'N >= 10 (disjoint union lower bound (complex))\n'
+     '  R^3, k=3: top degree >= 4, contributes 5 [complex p-point classes '
+     'over R^m survive to degree floor((m+1)/2)*(p-1) '
+     '(Blagojevic-Cohen-Luck-Ziegler 2015)]\n'
+     '  S^6, k=2: top degree = 3, contributes 5 [complex two-point bundle '
+     'over a sphere: top degree floor(m/2)]\n'),
 ]
 
 # More digits than int() converts (sys.get_int_max_str_digits(), 4300 by
@@ -183,6 +226,20 @@ USAGE_ERRORS = [
     (('lucas', HUGE, '2', '--p', '3'), 'n:'),  # ditto
     (('table', HUGE), 'manifold'),  # ditto
     (('verify', 'sphere:2', '--tuple', '2,' + HUGE), '--tuple'),  # ditto
+    # Refusals of the piece rules: the whole message is the token.
+    (('bound', '(S^4, 3)'), 'error: (S^4, 3) has no real-regime rule '
+     '(closed specs need exactly two points)\n'),
+    (('bound', '(R^2, 3)'), 'error: (R^2, 3): plane rule needs a '
+     'power-of-two point count\n'),
+    (('bound', 'R^3'), 'error: (R^3, 2) has no real-regime rule (closed '
+     'specs need exactly two points)\n'),
+    (('bound', '(R^3, 4)', '--regime', 'complex'),
+     'error: (R^3, 4): complex plane pieces need an odd prime point '
+     'count\n'),
+    (('bound', '(CP^3, 2)', '--regime', 'complex'),
+     'error: (CP^3, 2) has no complex-regime rule\n'),
+    (('bound', '(RP^5, 2)', '--regime', 'complex'),
+     'error: (RP^5, 2) has no complex-regime rule\n'),
 ]
 
 

@@ -9,19 +9,18 @@ from kregular import (BoundReport, BundleProfile, ComplexProj, DirectSum,
                       DualClassProfile, Euclid, ExistenceRecord, Product,
                       QuatProj, RealProj, RegularityReport, RegularQuery,
                       Sphere, SphereOneI, VandermondeMap, Witness)
-from kregular.bounds import TableRow
+from kregular.bundles import PieceRule, TableRow
 from kregular.manifolds import DualClass
 
 # Every name the package exported when it imported all its submodules.
 EXPORTS = {
-    "bounds": ("BoundReport", "ExistenceRecord", "RegularQuery",
-               "bound_cited", "bound_disjoint", "bound_product_2regular",
-               "handel_disjoint_closed_form", "main_theorem_1_closed_form",
-               "main_theorem_2_closed_form", "projective_3regular_upper",
-               "projective_table_matches", "upper_existence",
-               "upper_existence_piece"),
-    "bundles": ("COMPLEX", "REAL", "BundleProfile", "UnsupportedBundleError",
-                "lambda_top"),
+    "bounds": ("BoundReport", "RegularQuery", "bound_disjoint",
+               "bound_product_2regular", "handel_disjoint_closed_form",
+               "main_theorem_1_closed_form", "main_theorem_2_closed_form",
+               "upper_existence", "upper_existence_piece"),
+    "bundles": ("COMPLEX", "REAL", "BundleProfile", "ExistenceRecord",
+                "UnsupportedBundleError", "lambda_top",
+                "projective_3regular_upper", "projective_table_matches"),
     "expr": ("ParseError", "parse_expression", "parse_manifold",
              "render_query"),
     "fields": ("digit_sum_base_p", "is_prime", "lucas_binom_mod_p"),
@@ -105,6 +104,13 @@ RECORDS = [
                 "ambient": _double},
      f"TableRow(label='m = 2', matches={_matches_two!r}, "
      f"ambient={_double!r})"),
+    (PieceRule, {"regime": "real", "kinds": (Sphere,),
+                 "points": _matches_two, "where": None, "refusal": "r",
+                 "lower": None, "construct": _double, "theorem": "t",
+                 "union": None},
+     f"PieceRule(regime='real', kinds=({Sphere!r},), "
+     f"points={_matches_two!r}, where=None, refusal='r', lower=None, "
+     f"construct={_double!r}, theorem='t', union=None)"),
     (VandermondeMap, {"k": 3}, "VandermondeMap(k=3)"),
     (SphereOneI, {"m": 2}, "SphereOneI(m=2)"),
     (DirectSum, {"parts": (VandermondeMap(2), SphereOneI(3))},
