@@ -7,28 +7,41 @@ count, name and grid of sample points; `sample`, which draws a part's points
 and returns their integer columns; the integer column of a given point; and
 how a witness point is read back off its column and reads as text.  The rest
 of this module reads those, and `parse_map` finds a family by name in
-`_FAMILIES`.  Every rank is exact.  Each point gives one integer column, its
-map value times a positive integer, which leaves the rank unchanged, and a
-direct sum's rank is the sum of its block ranks.  A block's t columns are
-ranked as a t-row integer matrix, one row per point, by fraction-free
-Bareiss elimination taken one coordinate at a time; it stops as soon as
-every point's row holds a pivot, so a full-rank trial never touches the
-coordinates past its last pivot (t = k points against 2k-1 coordinates for
-`vandermonde:k`, 3 against m+2 for `sphere:m`).
+`_FAMILIES`.  Every verdict is exact, and a trial does only the work its
+verdict needs.  A direct sum's columns are independent exactly when each
+part's are, so the parts are checked one at a time and the first deficient
+part decides.  A part whose tuple size exceeds its `dim` has dependent
+columns in every trial, so the count decides: every trial violates, only
+the first three trials are drawn, for the witnesses, and nothing is ranked.
 
-Sampling is reproducible: trial i draws from random.Random(seed * 1000003
-+ i), so verdicts and witnesses are independent of trial order and identical
-across runs.  The parts of a trial draw one after another, each in one loop
-of its family's `sample`.  For every point the loop draws the numerators and
-denominators as ints, off exactly the bits that random.randint would
-consume (getrandbits of the range's bit length, drawn again while the value
-is out of range); it keys the point, skips it if the part already holds that
-key, and builds the column of a kept point from those ints.  The key is
-exact: every denominator divides 840, so a * 840 // b is equal for two draws
-exactly when a/b is, and the points of a part are pairwise distinct.  Only
-the points of a kept witness become Fractions.  The draws of a part range
-over a finite grid, and a tuple size above its part's grid raises
-ValueError.
+Each point gives one integer column, its map value (or a prefix of it)
+times a positive integer, which leaves the rank unchanged.  A part's t
+columns are ranked as a t-row integer matrix, one row per point, by
+fraction-free Bareiss elimination taken one coordinate at a time.  A sphere
+column is the whole (1, x).  A plane column is a rescaled prefix, (1, z,
+..., z^j) realified and scaled by D^j, with j >= 1 the fewest powers that
+give at least t coordinates (at most k-1, the whole column).  A prefix has
+rank no greater than the whole rows, so a full-rank prefix certifies the
+trial; a deficient prefix shorter than `dim` is ranked again on the whole
+columns of its points, built by `point_column`.  The prefix holds the
+smallest powers, so its entries are about half as long as the whole
+column's.
+
+Sampling is reproducible: trial i draws from a generator seeded with seed *
+1000003 + i, so verdicts and witnesses are independent of trial order and
+identical across runs.  One random.Random is reseeded for each trial, which
+gives the same stream as a new generator per trial.  The parts of a trial
+draw one after another, each in one loop of its family's `sample`.  For
+every point the loop draws the numerators and denominators as ints, off
+exactly the bits that random.randint would consume (getrandbits of the
+range's bit length, drawn again while the value is out of range); it keys
+the point, skips it if the part already holds that key, and builds the
+column of a kept point from those ints.  The key is exact: every
+denominator divides 840, so a * 840 // b is equal for two draws exactly
+when a/b is, and the points of a part are pairwise distinct.  Only the
+points of a kept witness or of a deficient plane prefix become Fractions.
+The draws of a part range over a finite grid, and a tuple size above its
+part's grid raises ValueError.
 """
 
 from __future__ import annotations
@@ -89,15 +102,17 @@ class VandermondeMap(Record):
         return _grid_size(_PLANE_BOUND, 1) ** 2
 
     def sample(self, bits, count: int) -> list[list[int]]:
-        """The columns of count pairwise distinct drawn points.
+        """The rescaled column prefixes of count pairwise distinct points.
 
         The key (x, y) is 840 z, so with G = gcd(x, y, 840) the point is
         z = w/D for the least common denominator D = 840 // G and
-        w = x // G + i y // G.
+        w = x // G + i y // G.  Each column is (1, z, ..., z^j) realified
+        and scaled by D^j, for the fewest powers j >= 1 that give at least
+        count coordinates (j = k-1 gives the whole column).
         """
         span = 2 * _PLANE_BOUND + 1
         width, den_width = span.bit_length(), _MAX_DEN.bit_length()
-        top = self.k - 1
+        top = max(1, min(self.k - 1, count // 2))
         columns: list[list[int]] = []
         seen = set()
         while len(columns) < count:
@@ -332,7 +347,10 @@ def integer_rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     Sylvester update, also when its pivot-column entry is zero, so each
     division by the previous pivot is exact and every entry equals the one
     right-looking elimination computes.  Elimination stops once every row
-    holds a pivot: later columns are never read.  The rows are not changed.
+    holds a pivot: later columns are never read, so a full-rank sample
+    reads about as many coordinates as it has points (3 points against the
+    m+2 coordinates of `sphere:m`; the sampler cuts plane columns to about
+    t coordinates itself).  The rows are not changed.
     """
     height = len(rows)
     # Per pivot: the row swapped into its place, its lead, and its column.
@@ -373,6 +391,23 @@ def _grid_size(bound: int, m: int) -> int:
     return sum(_MOBIUS[e] * (2 * (bound // e) + 1) ** m
                for d in range(1, _MAX_DEN + 1)
                for e in range(1, d + 1) if d % e == 0)
+
+
+def _full_rank(part, columns: Sequence[Sequence[int]]) -> bool:
+    """Whether one trial's points of one part have independent columns.
+
+    columns are the part's sampled columns, each a positive multiple of a
+    prefix of its point's column.  A prefix of full rank certifies the full
+    columns; a deficient prefix shorter than `dim` is ranked again on the
+    full columns of its points.
+    """
+    count = len(columns)
+    if integer_rank_bareiss(columns) == count:
+        return True
+    if len(columns[0]) == part.dim:
+        return False
+    return integer_rank_bareiss([part.point_column(part.point(column))
+                                 for column in columns]) == count
 
 
 class Witness(Record):
@@ -429,10 +464,10 @@ def sample_check_regular(example: ExampleMap,
     three witnesses are kept, re-checkable with evaluate_rank.  Sizes above
     the claimed regularity are allowed.  expected_violation is set only when
     some part's tuple size exceeds that part's ambient dimension, its `dim`:
-    its columns are then dependent, so every trial must violate.  Between
-    the claim and the dimension a violation is possible but not certain.  A
-    size above the number of distinct points its part can draw raises
-    ValueError.
+    its columns are then dependent, so every trial violates, and only the
+    witnesses' trials are drawn.  Between the claim and the dimension a
+    violation is possible but not certain.  A size above the number of
+    distinct points its part can draw raises ValueError.
     """
     parts = map_parts(example)
     if tuple_sizes is None:
@@ -455,18 +490,26 @@ def sample_check_regular(example: ExampleMap,
     if not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
 
-    wanted = sum(sizes)
+    expected_violation = any(size > part.dim
+                             for part, size in zip(parts, sizes))
+    # An over-full part's columns are dependent in every trial, so every
+    # trial violates: only the witnesses' trials are drawn, and none ranked.
+    drawn = min(trials, _MAX_WITNESSES) if expected_violation else trials
     violations = 0
     witnesses: list[Witness] = []
-    for trial in range(trials):
-        bits = random.Random(seed * _SEED_STRIDE + trial).getrandbits
+    rng = random.Random()
+    bits = rng.getrandbits
+    for trial in range(drawn):
+        rng.seed(seed * _SEED_STRIDE + trial)
         columns = [part.sample(bits, size) for part, size in zip(parts, sizes)]
-        if sum(map(integer_rank_bareiss, columns)) < wanted:
+        if expected_violation or not all(map(_full_rank, parts, columns)):
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(Witness(trial, tuple(
                     tuple(map(part.point, part_columns))
                     for part, part_columns in zip(parts, columns))))
+    if expected_violation:
+        violations = trials
     return RegularityReport(
         example=example,
         tuple_sizes=sizes,
@@ -475,6 +518,5 @@ def sample_check_regular(example: ExampleMap,
         violations=violations,
         witnesses=tuple(witnesses),
         verdict="counterexample" if violations else "no-violation-found",
-        expected_violation=any(size > part.dim
-                               for part, size in zip(parts, sizes)),
+        expected_violation=expected_violation,
     )

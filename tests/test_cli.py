@@ -237,6 +237,21 @@ def test_dual_sw_lists_a_large_projective_factor():
     assert payload["dual_class"].endswith(" + a^34217727")
 
 
+def test_verify_counts_an_over_full_part():
+    # Nine points of S^6 in R^8 are dependent in every trial: the count is
+    # the verdict, and only the witnesses' trials are drawn.
+    argv = ("verify", "sphere:6", "--tuple", "9", "--json")
+    many = _cli_subprocess(*argv, "--trials", "200000")
+    assert many.returncode == EXIT_COUNTEREXAMPLE, many.stderr
+    payload = json.loads(many.stdout)
+    assert payload["violations"] == 200000
+    assert payload["expected_violation"]
+    few = _cli_subprocess(*argv, "--trials", "3")
+    assert few.returncode == EXIT_COUNTEREXAMPLE, few.stderr
+    assert payload["witnesses"] == json.loads(few.stdout)["witnesses"]
+    assert len(payload["witnesses"]) == 3
+
+
 # ---------------------------------------------------------------------------
 # height
 

@@ -313,15 +313,25 @@ def test_integer_draws_match_the_fraction_drawer():
                 assert points == tuple(fraction_points(oracle, part, size))
                 assert rng.getstate() == oracle.getstate()
                 # Every entry of a drawn column, not only those the point
-                # is read from, is a positive multiple of the column of
-                # the exact point; a plane column is that column itself.
+                # is read from, is a positive multiple of the same prefix
+                # of the exact point's column.  A plane column is
+                # (1, z, ..., z^j) realified and scaled by D^j, the fewest
+                # powers j >= 1 that give size coordinates.
                 for column, point in zip(columns, points):
-                    exact = part.point_column(point)
+                    exact = part.point_column(point)[:len(column)]
                     assert column[0] > 0
                     assert ([column[0] * c for c in exact]
                             == [exact[0] * c for c in column])
                     if isinstance(part, VandermondeMap):
-                        assert column == exact
+                        j = max(1, min(part.k - 1, size // 2))
+                        re, im = point
+                        d = math.lcm(re.denominator, im.denominator)
+                        assert column == sampler._plane_column(
+                            j, d, re.numerator * (d // re.denominator),
+                            im.numerator * (d // im.denominator))
+                        assert len(column) >= min(size, part.dim)
+                    else:
+                        assert len(column) == part.dim
 
 
 def test_sum_trial_matches_the_fraction_drawer():
@@ -398,6 +408,95 @@ def test_draw_keys_match_fraction_equality():
         points = {sphere.point(column) for column in columns}
         assert len(points) == len(columns) == size
         assert sphere.grid_size == size
+
+
+def test_plane_prefix_falls_back_to_the_full_column():
+    # Real points have Im z^j = 0, so the prefix (1, z, z^2) of four of them
+    # on vandermonde:4 has rank 3, while their full columns have rank 4.
+    part = VandermondeMap(4)
+    zero = ((8, 64), (4, 0))
+    for count in (4, 5):
+        reals = [((8, a + 64), (4, 0)) + zero for a in range(count)]
+        columns = part.sample(
+            grid_bits(v for draw in reals for v in draw), count)
+        assert [part.point(c) for c in columns] == [
+            (Fraction(a), Fraction(0)) for a in range(count)]
+        assert all(len(column) == 5 for column in columns)
+        assert integer_rank_bareiss(columns) == 3
+        full = [part.point_column(part.point(c)) for c in columns]
+        assert integer_rank_bareiss(full) == gauss_rank_oracle(full) == 4
+        # Four points: independent.  Five: a violation on the full column
+        # too, whose four nonzero coordinates hold at most rank 4.
+        assert sampler._full_rank(part, columns) == (count == 4)
+
+
+def test_sphere_columns_are_never_ranked_twice(monkeypatch):
+    # Sphere columns are full length, so a deficient rank is final.
+    def refuse(self, value):
+        raise AssertionError("a full-length column was ranked again")
+
+    monkeypatch.setattr(SphereOneI, "point_column", refuse)
+    part = SphereOneI(2)
+    columns = part.sample(random.Random(3).getrandbits, 5)
+    assert not sampler._full_rank(part, columns)
+    assert sampler._full_rank(part, columns[:3])
+
+
+def oracle_report(example, sizes, trials, seed):
+    """sample_check_regular's report, the long way: a fresh generator per
+    trial, every trial drawn by the Fraction drawer, and every part ranked
+    on the full columns of its points."""
+    parts = sampler.map_parts(example)
+    violations = 0
+    witnesses = []
+    for trial in range(trials):
+        rng = random.Random(seed * 1_000_003 + trial)
+        points = tuple(tuple(fraction_points(rng, part, size))
+                       for part, size in zip(parts, sizes))
+        rank = sum(integer_rank_bareiss([part.point_column(p) for p in pts])
+                   for part, pts in zip(parts, points))
+        if rank < sum(sizes):
+            violations += 1
+            if len(witnesses) < 3:
+                witnesses.append(sampler.Witness(trial, points))
+    return (violations, tuple(witnesses),
+            "counterexample" if violations else "no-violation-found",
+            any(size > part.dim for part, size in zip(parts, sizes)))
+
+
+def report_fields(report):
+    return (report.violations, report.witnesses, report.verdict,
+            report.expected_violation)
+
+
+def test_report_matches_the_full_column_oracle():
+    # Tuple sizes run from 1 to dim+2: below, at and above the claim, up to
+    # and past the ambient dimension.
+    examples = ([VandermondeMap(k) for k in range(2, 9)]
+                + [SphereOneI(m) for m in range(2, 7)])
+    for part in examples:
+        for size in range(1, part.dim + 3):
+            for seed in (0, 5, 11):
+                report = sample_check_regular(part, size, trials=4,
+                                              seed=seed)
+                assert (report_fields(report)
+                        == oracle_report(part, (size,), 4, seed)), \
+                    (part, size, seed)
+
+
+def test_sum_report_matches_the_full_column_oracle():
+    for text in ("vandermonde:2+sphere:2", "sphere:3+vandermonde:3",
+                 "vandermonde:2+vandermonde:3"):
+        example = parse_map(text)
+        first, second = example.parts
+        for sizes in itertools.product(range(1, first.dim + 3),
+                                       range(1, second.dim + 3)):
+            for seed in (1, 8):
+                report = sample_check_regular(example, sizes, trials=3,
+                                              seed=seed)
+                assert (report_fields(report)
+                        == oracle_report(example, sizes, 3, seed)), \
+                    (text, sizes, seed)
 
 
 def test_tuple_larger_than_the_grid_is_refused():
