@@ -15,8 +15,8 @@ from typing import Optional, Sequence
 from .bundles import (COMPLEX, CONSTRUCTION_RULES, DISJOINT_COMPLEX,
                       DISJOINT_REAL, MAIN_THEOREM_2, REAL, ExistenceRecord,
                       lambda_top, piece_rule)
-from .manifolds import (ManifoldSpec, is_closed, real_dimension, render,
-                        top_dual_degree_closed_form)
+from .manifolds import (Atom, ManifoldSpec, Product, is_closed,
+                        real_dimension, render, top_dual_degree_closed_form)
 from .record import Record
 
 
@@ -32,6 +32,8 @@ class RegularQuery(Record):
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
+            if not isinstance(spec, (Atom, Product)):
+                raise ValueError(f"not a manifold spec: {spec!r}")
             if not isinstance(points, int) or points < 2:
                 raise ValueError(
                     f"piece ({render(spec)}, {points!r}): point count must "
@@ -49,13 +51,7 @@ class BoundReport(Record):
     """
 
     __slots__ = ("bound", "theorem", "breakdown", "construction")
-
-    def __init__(self, bound: int, theorem: str, breakdown: tuple,
-                 construction: Optional[ExistenceRecord] = None):
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "breakdown", breakdown)
-        object.__setattr__(self, "construction", construction)
+    _defaults = {"construction": None}
 
     @property
     def tight(self) -> bool:

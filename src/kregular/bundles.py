@@ -11,7 +11,7 @@ raises UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .fields import digit_sum_base_p, is_prime
 from .grassmann import chern_height_of_first_class
@@ -46,26 +46,11 @@ class BundleProfile(Record):
     __slots__ = ("spec", "points", "regime", "top_degree", "contribution",
                  "is_lower_bound", "source")
 
-    def __init__(self, spec: ManifoldSpec, points: int, regime: str,
-                 top_degree: int, contribution: int, is_lower_bound: bool,
-                 source: str):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "top_degree", top_degree)
-        object.__setattr__(self, "contribution", contribution)
-        object.__setattr__(self, "is_lower_bound", is_lower_bound)
-        object.__setattr__(self, "source", source)
-
 
 class ExistenceRecord(Record):
     """A construction: a k-regular map into R^(ambient_dim) exists."""
 
     __slots__ = ("ambient_dim", "source")
-
-    def __init__(self, ambient_dim: int, source: str):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "source", source)
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -77,12 +62,6 @@ def _is_power_of_two(n: int) -> bool:
 
 class TableRow(Record):
     __slots__ = ("label", "matches", "ambient")
-
-    def __init__(self, label: str, matches: Callable[[int], bool],
-                 ambient: Callable[[int], int]):
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "ambient", ambient)
 
 
 PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (
@@ -149,23 +128,8 @@ class PieceRule(Record):
 
     __slots__ = ("regime", "kinds", "points", "where", "refusal", "lower",
                  "construct", "theorem", "union")
-
-    def __init__(self, regime: str, kinds: tuple,
-                 points: Callable[[int], bool],
-                 where: Optional[Callable[[ManifoldSpec], bool]] = None,
-                 refusal: Optional[str] = None,
-                 lower: Optional[Callable] = None,
-                 construct: Optional[Callable] = None,
-                 theorem: Optional[str] = None, union: Optional[str] = None):
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "kinds", kinds)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "where", where)
-        object.__setattr__(self, "refusal", refusal)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "construct", construct)
-        object.__setattr__(self, "theorem", theorem)
-        object.__setattr__(self, "union", union)
+    _defaults = dict.fromkeys(("where", "refusal", "lower", "construct",
+                               "theorem", "union"))
 
 
 def _plane_profile(spec, k):

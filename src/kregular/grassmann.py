@@ -39,11 +39,13 @@ from functools import cached_property, lru_cache
 from operator import add
 from typing import Union
 
+from .record import Record
 from .series import GradedSeries, SeriesRing
 
 
 def _require_box(k: int, n: int) -> None:
-    if not (isinstance(k, int) and isinstance(n, int) and 1 <= k <= n):
+    if isinstance(k, bool) or isinstance(n, bool) or not (
+            isinstance(k, int) and isinstance(n, int) and 1 <= k <= n):
         raise ValueError(f"need integers 1 <= k <= n, got k={k}, n={n}")
 
 
@@ -189,13 +191,8 @@ class GrassmannPresentation:
         return _DegreeData(tuple(monomials), pivots, basis)
 
 
-class _DegreeData:
+class _DegreeData(Record):
     __slots__ = ("monomials", "pivots", "basis")
-
-    def __init__(self, monomials, pivots, basis):
-        self.monomials = monomials
-        self.pivots = pivots
-        self.basis = basis
 
 
 # Pivots map each lead bit (1 << column) to its row of column bits.

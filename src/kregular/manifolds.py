@@ -157,10 +157,6 @@ class DualClass(Record):
 
     __slots__ = ("names", "terms")
 
-    def __init__(self, names: tuple, terms: tuple):
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "terms", terms)
-
     def render(self) -> str:
         """ASCII string like '1 + a1^2 + a1*b2'."""
         names = self.names
@@ -193,11 +189,6 @@ class DualClassProfile(Record):
     """Top nonvanishing degree of the dual class, with the method used."""
 
     __slots__ = ("spec", "top_degree", "method")
-
-    def __init__(self, spec: ManifoldSpec, top_degree: int, method: str):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "top_degree", top_degree)
-        object.__setattr__(self, "method", method)
 
 
 def top_dual_degree(spec: ManifoldSpec) -> DualClassProfile:

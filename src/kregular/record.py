@@ -1,16 +1,31 @@
 """Immutable value records: the shared base of every result and spec class.
 
-A record class lists its fields in `__slots__` and sets them in `__init__`
-through `object.__setattr__`.  It gets value semantics from the base:
-instances are equal only to instances of the very same class with equal
+A record class declares its fields once, in `__slots__`, and its trailing
+fields may take defaults from the class's `_defaults`.  A class that writes
+no `__init__` and inherits none gets one generated when it is defined, as
+`collections.namedtuple` does; a class that checks its input writes its own.
+Instances are equal only to instances of the very same class with equal
 fields (so `Sphere(3) != RealProj(3)`, and a record never equals a tuple),
 hash as the tuple of their fields, read as `Name(field=value, ...)`, and
-refuse assignment and deletion.  Plain slotted classes cost a fraction of a
-millisecond to define, where dataclasses cost the import of `inspect` and a
-code generation per class.
+refuse assignment and deletion.  This is not `dataclasses`, which imports
+`inspect`: `import kregular.cli` must load neither (tests/test_cli.py).
 """
 
 from __future__ import annotations
+
+
+def _constructor(fields: tuple, defaults: dict):
+    """An `__init__` that sets `fields` from its arguments, in order."""
+    tail = fields[len(fields) - len(defaults):]
+    if set(tail) != set(defaults):
+        raise TypeError(f"only trailing fields may have defaults: {defaults}")
+    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
+    namespace = {"_set": object.__setattr__}
+    exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}",
+         namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(map(defaults.get, tail))
+    return init
 
 
 class Record:
@@ -19,10 +34,15 @@ class Record:
     __slots__ = ()
     # Field names in definition order, base class fields first.
     _fields: tuple = ()
+    # Defaults of trailing fields, for a generated constructor.
+    _defaults: dict = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        if cls.__init__ is object.__init__:
+            cls.__init__ = _constructor(cls._fields, cls._defaults)
+            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

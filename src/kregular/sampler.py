@@ -415,26 +415,10 @@ class Witness(Record):
 
     __slots__ = ("trial", "points")
 
-    def __init__(self, trial: int, points: tuple):
-        object.__setattr__(self, "trial", trial)
-        object.__setattr__(self, "points", points)
-
 
 class RegularityReport(Record):
     __slots__ = ("example", "tuple_sizes", "trials", "seed", "violations",
                  "witnesses", "verdict", "expected_violation")
-
-    def __init__(self, example: ExampleMap, tuple_sizes: tuple[int, ...],
-                 trials: int, seed: int, violations: int, witnesses: tuple,
-                 verdict: str, expected_violation: bool):
-        object.__setattr__(self, "example", example)
-        object.__setattr__(self, "tuple_sizes", tuple_sizes)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "witnesses", witnesses)
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "expected_violation", expected_violation)
 
 
 def evaluate_rank(example: ExampleMap, points_per_part: Sequence
@@ -481,14 +465,17 @@ def sample_check_regular(example: ExampleMap,
     if len(sizes) != len(parts):
         raise ValueError(f"need {len(parts)} tuple sizes, got {len(sizes)}")
     for part, size in zip(parts, sizes):
-        if not isinstance(size, int) or size < 1:
-            raise ValueError(f"tuple sizes must be positive, got {size!r}")
+        if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+            raise ValueError(
+                f"tuple sizes must be positive integers, got {size!r}")
         if size > part.grid_size:
             raise ValueError(f"tuple size {size} exceeds the "
                              f"{part.grid_size} distinct sample points of "
                              f"{part}")
-    if not isinstance(trials, int) or trials < 1:
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
 
     expected_violation = any(size > part.dim
                              for part, size in zip(parts, sizes))

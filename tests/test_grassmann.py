@@ -22,6 +22,13 @@ def test_constructor_validation():
     # The Chern height checks the same box, with the same message.
     with pytest.raises(ValueError, match=r"1 <= k <= n, got k=4, n=3"):
         chern_height_of_first_class(4, 3)
+    # A bool is not a dimension, though it is an int.
+    with pytest.raises(ValueError, match=r"got k=True, n=3"):
+        GrassmannPresentation(True, 3)
+    with pytest.raises(ValueError, match=r"got k=1, n=True"):
+        GrassmannPresentation(1, True)
+    with pytest.raises(ValueError, match=r"got k=True, n=2"):
+        chern_height_of_first_class(True, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Package surface: lazy exports, and the value semantics of the records."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -11,6 +12,7 @@ from kregular import (BoundReport, BundleProfile, ComplexProj, DirectSum,
                       Sphere, SphereOneI, VandermondeMap, Witness)
 from kregular.bundles import PieceRule, TableRow
 from kregular.manifolds import DualClass
+from kregular.record import Record
 
 # Every name the package exported when it imported all its submodules.
 EXPORTS = {
@@ -149,6 +151,33 @@ def test_record_value_semantics(cls, fields, shown):
     assert cls(**fields) == record
 
 
+@pytest.mark.parametrize("cls, fields, shown", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_signature_lists_its_fields(cls, fields, shown):
+    parameters = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in parameters) == cls._fields
+    defaults = {p.name: p.default for p in parameters
+                if p.default is not p.empty}
+    # RegularQuery validates its input, so it writes its own constructor
+    # and keeps its default there.
+    assert defaults == ({"regime": "real"} if cls is RegularQuery
+                        else cls._defaults)
+
+
+@pytest.mark.parametrize("cls, fields, shown", RECORDS,
+                         ids=[cls.__name__ for cls, _, _ in RECORDS])
+def test_record_constructor_refuses_bad_arguments(cls, fields, shown):
+    values = tuple(fields.values())
+    first = cls._fields[0]
+    missing = {name: value for name, value in fields.items()
+               if name != first}
+    for args, named in (((), missing), (values + (None,), {}),
+                        ((), {**fields, "bogus": 1}),
+                        (values, {first: values[0]})):
+        with pytest.raises(TypeError):
+            cls(*args, **named)
+
+
 def test_records_of_different_classes_differ():
     records = [cls(**fields) for cls, fields, _ in RECORDS]
     assert all(a != b for i, a in enumerate(records)
@@ -169,6 +198,24 @@ def test_record_defaults():
     assert BoundReport(7, "t", ()).construction is None
     assert not BoundReport(7, "t", ()).tight
     assert BoundReport(7, "t", (), ExistenceRecord(7, "y")).tight
+    rule = PieceRule("real", (Sphere,), _matches_two)
+    optional = ("where", "refusal", "lower", "construct", "theorem", "union")
+    assert all(getattr(rule, name) is None for name in optional)
+    assert rule == PieceRule("real", (Sphere,), _matches_two,
+                             *[None] * len(optional))
+    assert PieceRule("real", (Sphere,), _matches_two,
+                     theorem="t").theorem == "t"
+
+
+def test_record_defaults_must_trail():
+    with pytest.raises(TypeError, match="only trailing fields"):
+        class Leading(Record):
+            __slots__ = ("a", "b")
+            _defaults = {"a": None}
+    with pytest.raises(TypeError, match="only trailing fields"):
+        class Unknown(Record):
+            __slots__ = ("a",)
+            _defaults = {"b": None}
 
 
 def test_record_validation_is_unchanged():
@@ -177,7 +224,8 @@ def test_record_validation_is_unchanged():
             ((), "real", "a query needs at least one piece"),
             (((Sphere(3), 1),), "real",
              "piece (S^3, 1): point count must be an integer >= 2"),
-            (((Sphere(3), 2),), "octonionic", "unknown regime 'octonionic'")):
+            (((Sphere(3), 2),), "octonionic", "unknown regime 'octonionic'"),
+            (((3, 2),), "real", "not a manifold spec: 3")):
         with pytest.raises(ValueError) as info:
             RegularQuery(pieces, regime)
         assert str(info.value) == message

@@ -633,3 +633,27 @@ def test_sampling_validation():
         sample_check_regular(direct, tuple_sizes=(2, 2, 2))
     with pytest.raises(ValueError):
         evaluate_rank(direct, ((0, 1),))
+
+
+@pytest.mark.parametrize("named, message", [
+    ({"tuple_sizes": True}, "tuple sizes must be positive integers, got True"),
+    ({"tuple_sizes": (2.0,)},
+     "tuple sizes must be positive integers, got 2.0"),
+    ({"trials": True}, "trials must be a positive integer"),
+    ({"trials": 2.0}, "trials must be a positive integer"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": "x"}, "seed must be an integer, got 'x'"),
+    ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+], ids=["bool-size", "float-size", "bool-trials", "float-trials",
+        "bool-seed", "str-seed", "float-seed"])
+def test_sampling_refuses_bools_and_non_int_seeds(named, message):
+    with pytest.raises(ValueError) as info:
+        sample_check_regular(VandermondeMap(2), **named)
+    assert str(info.value) == message
+
+
+def test_negative_seeds_stay_valid():
+    report = sample_check_regular(VandermondeMap(3), trials=4, seed=-5)
+    assert (report.seed, report.trials, report.violations) == (-5, 4, 0)
+    assert report == sample_check_regular(VandermondeMap(3), trials=4,
+                                          seed=-5)
