@@ -3,7 +3,7 @@
 Each piece's lower bound and construction come from its rows of
 bundles.PIECE_RULES.  A disjoint union forces the sum of its pieces'
 contributions and has the coordinate direct sum of their constructions;
-the report's theorem label comes from the rules that fired.  The
+the report's theorem label is read off the pieces' profiles.  The
 closed-form power-of-two evaluations of the main theorems do their own
 arithmetic, so tests can compare them with the bundle computations.
 """
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .bundles import (COMPLEX, CONSTRUCTION_RULES, DISJOINT_COMPLEX,
                       DISJOINT_REAL, MAIN_THEOREM_2, REAL, ExistenceRecord,
-                      lambda_top, piece_rule)
+                      lambda_top)
 from .manifolds import (Atom, ManifoldSpec, Product, is_closed,
                         real_dimension, render, top_dual_degree_closed_form)
 from .record import Record
@@ -87,19 +87,17 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
     """Sum of the pieces' contributions, in either regime.
 
     An unsupported piece raises with the piece named.  A lone piece takes
-    its rule's theorem, a union the theorem all its rules share, else the
-    regime's general disjoint-union bound.  Only the real regime has
-    constructions, so only it can be tight.
+    its profile's theorem, a union the union label all its profiles carry,
+    else the regime's general disjoint-union bound.  Only the real regime
+    has constructions, so only it can be tight.
     """
     regime = query.regime
-    rules = [piece_rule(spec, points, regime)
-             for spec, points in query.pieces]
     breakdown = tuple([lambda_top(spec, points, regime)
                        for spec, points in query.pieces])
-    if len(rules) == 1:
-        theorem = rules[0].theorem
+    if len(breakdown) == 1:
+        theorem = breakdown[0].theorem
     else:
-        unions = {rule.union for rule in rules}
+        unions = {piece.union for piece in breakdown}
         if len(unions) == 1 and None not in unions:
             theorem = unions.pop()
         else:
@@ -119,7 +117,7 @@ def main_theorem_2_closed_form(
     total = 0
     for spec, points in pieces:
         try:
-            union = piece_rule(spec, points, REAL).union
+            union = lambda_top(spec, points, REAL).union
         except ValueError:  # no rule, or a point count below two
             union = None
         if union != MAIN_THEOREM_2:

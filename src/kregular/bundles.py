@@ -1,12 +1,13 @@
 """The piece rules: one table of what bounds and builds each kind of piece.
 
 A piece is a manifold spec with a point count.  Each row of `PIECE_RULES`
-states one fact about a family of pieces in one regime: its lower bound (a
-BundleProfile: the top degree of the configuration bundle's class and the
-ambient dimension that forces), its construction (an ExistenceRecord), the
-refusal for a near miss, and its theorem.  Everything else reads the table,
-so a new bound or construction is one more row; a piece no row covers
-raises UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
+states one fact about a family of pieces in one regime: its lower bound (the
+top degree of the configuration bundle's class and the ambient dimension
+that forces), its construction (an ExistenceRecord), the refusal for a near
+miss, and its theorem.  `lambda_top` is the one lookup of a piece's lower
+rule: its BundleProfile carries the bound and the rule's theorem labels.
+A new bound or construction is one more row; a piece no row covers raises
+UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
 """
 
 from __future__ import annotations
@@ -36,15 +37,17 @@ class UnsupportedBundleError(ValueError):
 
 
 class BundleProfile(Record):
-    """Top degree data for the k-point bundle over `spec`.
+    """Top degree data for the k-point bundle over `spec`, and its theorem.
 
     `top_degree` is exact unless `is_lower_bound` is set, in which case the
     true top degree is only known to be >= it.  `contribution` is the
     ambient dimension the piece forces.  `source` names the rule.
+    `theorem` labels the piece alone; `union`, if set, labels a union whose
+    pieces all carry it.
     """
 
     __slots__ = ("spec", "points", "regime", "top_degree", "contribution",
-                 "is_lower_bound", "source")
+                 "is_lower_bound", "source", "theorem", "union")
 
 
 class ExistenceRecord(Record):
@@ -121,9 +124,10 @@ class PieceRule(Record):
     (spec, k) is of the family when type(spec) is in `kinds` and spec
     passes `where` (if set), and matches when `points(k)` holds too.  A
     family member that does not match raises `refusal` if the rule has one.
-    `lower` and `construct` map (spec, k) to a BundleProfile and to an
-    ExistenceRecord or None.  `theorem` labels the piece alone; `union`, if
-    set, labels a union whose pieces' rules all share it.
+    `lower` maps (spec, k) to (top_degree, contribution, is_lower_bound,
+    source), which lambda_top completes to a BundleProfile with the rule's
+    `theorem` and `union`; `construct` maps (spec, k) to an ExistenceRecord
+    or None.
     """
 
     __slots__ = ("regime", "kinds", "points", "where", "refusal", "lower",
@@ -133,39 +137,37 @@ class PieceRule(Record):
 
 
 def _plane_profile(spec, k):
-    return BundleProfile(spec, k, REAL, k - 1, 2 * k - 1, False,
-                         "plane bundle with power-of-two points "
-                         "(Cohen-Handel 1978): top class in degree k-1")
+    return (k - 1, 2 * k - 1, False,
+            "plane bundle with power-of-two points (Cohen-Handel 1978): top "
+            "class in degree k-1")
 
 
 def _closed_profile(spec, k):
     degree = real_dimension(spec) + top_dual_degree(spec).top_degree
-    return BundleProfile(spec, k, REAL, degree, degree + 2, False,
-                         "two-point bundle over a closed manifold: dimension "
-                         "plus top dual class degree")
+    return (degree, degree + 2, False,
+            "two-point bundle over a closed manifold: dimension plus top "
+            "dual class degree")
 
 
 def _complex_plane_profile(spec, p):
     degree = (spec.m + 1) // 2 * (p - 1)
-    return BundleProfile(spec, p, COMPLEX, degree, degree + 1, True,
-                         "complex p-point classes over R^m survive to degree "
-                         "floor((m+1)/2)*(p-1) (Blagojevic-Cohen-Luck-Ziegler "
-                         "2015)")
+    return (degree, degree + 1, True,
+            "complex p-point classes over R^m survive to degree "
+            "floor((m+1)/2)*(p-1) (Blagojevic-Cohen-Luck-Ziegler 2015)")
 
 
 def _complex_sphere_profile(spec, k):
     degree = spec.m // 2
-    return BundleProfile(spec, k, COMPLEX, degree, degree + 2, False,
-                         "complex two-point bundle over a sphere: top degree "
-                         "floor(m/2)")
+    return (degree, degree + 2, False,
+            "complex two-point bundle over a sphere: top degree floor(m/2)")
 
 
 def _complex_cp_profile(spec, k):
     # The height of c1 in H*(G_2(C^(m+1)); QQ), the box size 2(m-1).
     height = chern_height_of_first_class(2, spec.m)
-    return BundleProfile(spec, k, COMPLEX, height, height + 2, True,
-                         "complex two-point bundle over CP^m: top degree >= "
-                         "2m-2 (ring height of the first class)")
+    return (height, height + 2, True,
+            "complex two-point bundle over CP^m: top degree >= 2m-2 (ring "
+            "height of the first class)")
 
 
 def _projective_construction(spec, k):
@@ -237,9 +239,9 @@ _NO_RULE = {REAL: "has no real-regime rule (closed specs need exactly two "
             COMPLEX: "has no complex-regime rule"}
 
 
-def piece_rule(spec: ManifoldSpec, points: int,
-               regime: str = REAL) -> PieceRule:
-    """The lower rule covering (spec, points) in `regime`, else a refusal."""
+def lambda_top(spec: ManifoldSpec, points: int = 2,
+               regime: str = REAL) -> BundleProfile:
+    """BundleProfile from the lower rule covering the piece, else a refusal."""
     if not isinstance(points, int) or points < 2:
         raise ValueError(
             f"point count must be an integer >= 2, got {points!r}")
@@ -249,15 +251,11 @@ def piece_rule(spec: ManifoldSpec, points: int,
     for rule in by_kind.get(type(spec), ()):
         if rule.where is None or rule.where(spec):
             if rule.points(points):
-                return rule
+                return BundleProfile(spec, points, regime,
+                                     *rule.lower(spec, points),
+                                     rule.theorem, rule.union)
             if rule.refusal is not None:
                 raise UnsupportedBundleError(
                     f"({render(spec)}, {points}): {rule.refusal}")
     raise UnsupportedBundleError(
         f"({render(spec)}, {points}) {_NO_RULE[regime]}")
-
-
-def lambda_top(spec: ManifoldSpec, points: int = 2,
-               regime: str = REAL) -> BundleProfile:
-    """The piece's BundleProfile, from the lower rule that matches it."""
-    return piece_rule(spec, points, regime).lower(spec, points)

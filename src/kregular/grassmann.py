@@ -231,13 +231,15 @@ def _rref_insert(pivots: _BitPivots, row: int) -> None:
         pivots[lead] = row
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def cached_presentation(k: int, n: int, /) -> GrassmannPresentation:
     """One shared presentation per (k, n), for the 256 most recent keys.
 
     The arguments are positional only, so each key has one spelling in the
-    cache.  The bound keeps a long-running process that answers many keys
-    from holding every presentation it ever built.
+    cache, and the cache is typed, so (True, 3) and (1.0, 3) miss the
+    (1, 3) entry and reach the constructor's check.  The bound keeps a
+    long-running process that answers many keys from holding every
+    presentation it ever built.
     """
     return GrassmannPresentation(k, n)
 

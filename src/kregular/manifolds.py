@@ -107,6 +107,10 @@ class Product(Record):
                 raise ValueError(f"not a manifold spec: {factor!r}")
         if not flat:
             raise ValueError("empty product")
+        # A lone factor is spelled only as its atom, so a spec has one form.
+        if len(flat) == 1:
+            raise ValueError(f"a product needs at least two factors, got "
+                             f"{render(flat[0])} alone")
         object.__setattr__(self, "factors", tuple(flat))
 
 

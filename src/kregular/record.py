@@ -6,8 +6,9 @@ no `__init__` and inherits none gets one generated when it is defined, as
 `collections.namedtuple` does; a class that checks its input writes its own.
 Instances are equal only to instances of the very same class with equal
 fields (so `Sphere(3) != RealProj(3)`, and a record never equals a tuple),
-hash as the tuple of their fields, read as `Name(field=value, ...)`, and
-refuse assignment and deletion.  This is not `dataclasses`, which imports
+hash as the tuple of their fields, read as `Name(field=value, ...)`,
+refuse assignment and deletion, and copy and pickle through their
+constructor.  This is not `dataclasses`, which imports
 `inspect`: `import kregular.cli` must load neither (tests/test_cli.py).
 """
 
@@ -59,6 +60,11 @@ class Record:
         shown = ", ".join(f"{name}={getattr(self, name)!r}"
                           for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def __reduce__(self):
+        # Copies and pickles rebuild through the constructor, which checks
+        # the fields again; the default would restore them by setattr.
+        return type(self), self._values()
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -13,8 +13,8 @@ from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
                       projective_table_matches, real_dimension,
                       top_dual_degree, upper_existence,
                       upper_existence_piece)
-from kregular.bundles import (BCLZ_2015, DISJOINT_COMPLEX, DISJOINT_REAL,
-                              MAIN_THEOREM_1, MAIN_THEOREM_2,
+from kregular.bundles import (BCLZ_2015, COMPLEX_TWO_POINT, DISJOINT_COMPLEX,
+                              DISJOINT_REAL, MAIN_THEOREM_1, MAIN_THEOREM_2,
                               PROJECTIVE_3REGULAR_TABLE)
 
 
@@ -277,6 +277,34 @@ def test_no_construction_lies_below_its_bound(regime):
             if regime == REAL and upper is not None:
                 assert upper.ambient_dim >= lambda_top(
                     spec, points, regime).contribution, (spec, points)
+
+
+def _expected_labels(spec, regime):
+    """The (theorem, union) labels a piece's profile carries, by family."""
+    if regime == REAL:
+        if isinstance(spec, Euclid):
+            return MAIN_THEOREM_2, MAIN_THEOREM_2
+        if isinstance(spec, Product):
+            return MAIN_THEOREM_1, None
+        return MAIN_THEOREM_1, MAIN_THEOREM_2
+    if isinstance(spec, Euclid):
+        return BCLZ_2015, None
+    assert isinstance(spec, (Sphere, ComplexProj)), spec
+    return COMPLEX_TWO_POINT, None
+
+
+@pytest.mark.parametrize("regime", [REAL, COMPLEX])
+def test_profiles_carry_their_theorem_labels(regime):
+    disjoint = DISJOINT_REAL if regime == REAL else DISJOINT_COMPLEX
+    for spec, points in _answered_pieces(regime):
+        profile = lambda_top(spec, points, regime)
+        theorem, union = _expected_labels(spec, regime)
+        assert (profile.theorem, profile.union) == (theorem, union), (
+            spec, points)
+        assert bound_disjoint(RegularQuery(((spec, points),),
+                                           regime)).theorem == theorem
+        twice = bound_disjoint(RegularQuery(((spec, points),) * 2, regime))
+        assert twice.theorem == (union or disjoint), (spec, points)
 
 
 def test_projective_table_rows_respect_main_theorem_1():

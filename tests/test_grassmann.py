@@ -420,6 +420,12 @@ def test_cached_presentation_has_one_spelling():
         cached_presentation(2, n=3)
     with pytest.raises(TypeError):
         cached_presentation(2)
+    # The cache is typed: a cached (1, 3) does not answer a bool or a
+    # float key, which the box check refuses.
+    cached_presentation(1, 3)
+    for k in (True, 1.0):
+        with pytest.raises(ValueError, match=rf"got k={k}, n=3"):
+            cached_presentation(k, 3)
     first = cached_presentation(2, 4)
     before = cached_presentation.cache_info()
     assert cached_presentation(2, 4) is first

@@ -317,8 +317,9 @@ def test_top_dual_degree_obeys_massey():
     rng = random.Random(1960)
     families = (Sphere, RealProj, ComplexProj, QuatProj)
     for _ in range(500):
-        spec = Product(tuple(rng.choice(families)(rng.randint(2, 300))
-                             for _ in range(rng.randint(1, 3))))
+        factors = tuple(rng.choice(families)(rng.randint(2, 300))
+                        for _ in range(rng.randint(1, 3)))
+        spec = factors[0] if len(factors) == 1 else Product(factors)
         assert top_dual_degree(spec).top_degree <= massey(spec), spec
 
 

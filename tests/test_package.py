@@ -1,7 +1,9 @@
 """Package surface: lazy exports, and the value semantics of the records."""
 
+import copy
 import importlib
 import inspect
+import pickle
 
 import pytest
 
@@ -99,9 +101,11 @@ RECORDS = [
      "construction=ExistenceRecord(ambient_dim=9, source='y'))"),
     (BundleProfile, {"spec": Euclid(2), "points": 2, "regime": "real",
                      "top_degree": 1, "contribution": 3,
-                     "is_lower_bound": False, "source": "s"},
+                     "is_lower_bound": False, "source": "s",
+                     "theorem": "t", "union": None},
      "BundleProfile(spec=Euclid(m=2), points=2, regime='real', "
-     "top_degree=1, contribution=3, is_lower_bound=False, source='s')"),
+     "top_degree=1, contribution=3, is_lower_bound=False, source='s', "
+     "theorem='t', union=None)"),
     (TableRow, {"label": "m = 2", "matches": _matches_two,
                 "ambient": _double},
      f"TableRow(label='m = 2', matches={_matches_two!r}, "
@@ -149,6 +153,10 @@ def test_record_value_semantics(cls, fields, shown):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert cls(**fields) == record
+    # Copies and pickles rebuild through the constructor.
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert copied == record and type(copied) is cls
 
 
 @pytest.mark.parametrize("cls, fields, shown", RECORDS,
@@ -188,7 +196,6 @@ def test_records_of_different_classes_differ():
     assert all(a != b for i, a in enumerate(same_m) for b in same_m[i + 1:])
     assert ExistenceRecord(5, "x") != (5, "x")
     assert Witness(5, "x") != ExistenceRecord(5, "x")
-    assert Product((Sphere(2),)) != Sphere(2)
 
 
 def test_record_defaults():
@@ -231,6 +238,8 @@ def test_record_validation_is_unchanged():
         assert str(info.value) == message
     assert RegularQuery([[Sphere(3), 2]]).pieces == ((Sphere(3), 2),)
     for factors, message in (((), "empty product"),
+                             ((Sphere(2),), "a product needs at least two "
+                                            "factors, got S^2 alone"),
                              ((Sphere(2), 3), "not a manifold spec: 3")):
         with pytest.raises(ValueError) as info:
             Product(factors)
