@@ -20,6 +20,11 @@ from .manifolds import (Atom, ManifoldSpec, Product, is_closed,
 from .record import Record
 
 
+def _require_spec(spec) -> None:
+    if not isinstance(spec, (Atom, Product)):
+        raise ValueError(f"not a manifold spec: {spec!r}")
+
+
 class RegularQuery(Record):
     """Pieces (spec, point count) asked about together, with a regime."""
 
@@ -32,8 +37,7 @@ class RegularQuery(Record):
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
-            if not isinstance(spec, (Atom, Product)):
-                raise ValueError(f"not a manifold spec: {spec!r}")
+            _require_spec(spec)
             if not isinstance(points, int) or points < 2:
                 raise ValueError(
                     f"piece ({render(spec)}, {points!r}): point count must "
@@ -60,6 +64,7 @@ class BoundReport(Record):
 
 
 def _require_closed_product(spec: ManifoldSpec, context: str) -> None:
+    _require_spec(spec)
     if not is_closed(spec):
         raise ValueError(f"{context} needs closed factors, got "
                          f"{render(spec)}")
@@ -116,6 +121,7 @@ def main_theorem_2_closed_form(
     """
     total = 0
     for spec, points in pieces:
+        _require_spec(spec)
         try:
             union = lambda_top(spec, points, REAL).union
         except ValueError:  # no rule, or a point count below two

@@ -257,5 +257,7 @@ def lambda_top(spec: ManifoldSpec, points: int = 2,
             if rule.refusal is not None:
                 raise UnsupportedBundleError(
                     f"({render(spec)}, {points}): {rule.refusal}")
+    if not isinstance(spec, (Atom, Product)):
+        raise ValueError(f"not a manifold spec: {spec!r}")
     raise UnsupportedBundleError(
         f"({render(spec)}, {points}) {_NO_RULE[regime]}")

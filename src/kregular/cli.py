@@ -15,8 +15,9 @@ after the subcommand; the last of a repeated option wins.
 
 Each subcommand's handler returns one payload dict, and `main` alone writes
 it: --json prints it as one deterministic JSON object, and otherwise the
-subcommand's text renderer turns the same payload into lines.  The text
-therefore shows nothing the JSON lacks.
+subcommand's text renderer turns the same payload into lines (strings).
+The text therefore shows nothing the JSON lacks.  The lines go out in one
+write.
 
 Exit codes: 0 success, 1 usage/parse/semantic errors, 3 a randomized check
 found a counterexample (the payload's verdict); 2 is unused.
@@ -283,13 +284,13 @@ COMMANDS = {
         (_arg("expression", help="manifold like 'S^2 x RP^3'"),)),
     "height": _command(
         "height of the first class in H*(G_k(F^(n+1)))", _cmd_height,
-        lambda payload: [payload["height"]], (),
+        lambda payload: [str(payload["height"])], (),
         (_arg("k", int, required=True),
          _arg("n", int, required=True),
          _arg("regime", choices=("complex", "real"), default="complex"))),
     "lucas": _command(
         "binomial coefficient mod p", _cmd_lucas,
-        lambda payload: [payload["binomial_mod_p"]],
+        lambda payload: [str(payload["binomial_mod_p"])],
         (_arg("n", int), _arg("k", int)),
         (_arg("p", int, required=True),)),
     "verify": _command(
@@ -468,8 +469,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         code = (EXIT_COUNTEREXAMPLE
                 if payload.get("verdict") == "counterexample" else EXIT_OK)
     try:
-        for line in lines:
-            print(line)
+        # One write for the whole output; the empty tail ends the last line.
+        sys.stdout.write("\n".join([*lines, ""]))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout, as `| head` does, and wants no more.

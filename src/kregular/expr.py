@@ -7,9 +7,13 @@ Grammar (tokens separated by optional whitespace):
     query   := "(" product "," INT ")" ("+" "(" product "," INT ")")*
 
 The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".  Names
-and INTs are runs of ASCII letters and digits.  The lexer's invariant: after
-each consumed token its position is past any whitespace (by str.isspace)
-and it holds the character there, '' at the end, so nothing skips twice.
+and INTs are runs of ASCII letters and digits.  The lexer is one
+`re.findall` per text, into runs of letters, runs of digits and single
+non-space characters (regex whitespace is exactly str.isspace).  The
+parser walks that list.  After an atom, a token that starts with "x" gives
+up its "x" as the separator, and the rest is the next name.  Token
+positions are looked up again, with `finditer`, only to report an error;
+end of input is at len(text).
 
 A bare product parses to a manifold spec, a parenthesized list to a
 RegularQuery (regime chosen by the caller, default real).  Errors carry the
@@ -21,6 +25,7 @@ strings this parser accepts back.
 
 from __future__ import annotations
 
+import re
 from typing import Union
 
 from .bounds import RegularQuery
@@ -41,74 +46,91 @@ class ParseError(ValueError):
 
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _DIGITS = frozenset("0123456789")
+_TOKEN = re.compile(r"[A-Za-z]+|[0-9]+|\S")
 
 
 class _Tokens:
-    """Lexer: runs of letters or digits, and the symbols ^ ( ) , + x."""
+    """The text's tokens, walked by index `i`; '' past the end."""
+
+    __slots__ = ("text", "items", "i")
 
     def __init__(self, text: str):
         if not isinstance(text, str):
             raise ParseError("expected a string expression", 0)
         self.text = text
-        self._advance(0)
+        self.items = _TOKEN.findall(text)
+        self.items.append("")
+        self.i = 0
 
-    def _advance(self, pos: int) -> None:
-        while pos < len(self.text) and self.text[pos].isspace():
-            pos += 1
-        self.pos = pos
-        self.next = self.text[pos:pos + 1]
+    def position(self, index: int) -> int:
+        """Character position of token `index`, or len(text) past the end."""
+        for at, match in enumerate(_TOKEN.finditer(self.text)):
+            if at == index:
+                # A name that gave up its leading "x" starts one later.
+                return match.end() - len(self.items[index])
+        return len(self.text)
 
     def error(self, expected: str) -> ParseError:
-        """Syntax error naming the run of non-space text at the position."""
-        rest = self.text[self.pos:].split(None, 1)
+        """Syntax error naming the run of non-space text at the next token."""
+        position = self.position(self.i)
+        rest = self.text[position:].split(None, 1)
         got = repr(rest[0]) if rest else "end of input"
-        return ParseError(f"expected {expected}, got {got}", self.pos)
+        return ParseError(f"expected {expected}, got {got}", position)
 
     def take_symbol(self, symbol: str) -> None:
-        if self.next != symbol:
+        if self.items[self.i] != symbol:
             raise self.error(repr(symbol))
-        self._advance(self.pos + 1)
+        self.i += 1
 
-    def take_run(self, chars: frozenset, expected: str) -> tuple[str, int]:
-        """The longest run of `chars` at the next token, and its position."""
-        text = self.text
-        start = end = self.pos
-        while end < len(text) and text[end] in chars:
-            end += 1
-        if end == start:
-            raise self.error(expected)
-        self._advance(end)
-        return text[start:end], start
+    def take_separator(self) -> bool:
+        """Take a product's "x", which may be the head of the next name."""
+        token = self.items[self.i]
+        if token[:1] != "x":
+            return False
+        if token == "x":
+            self.i += 1
+        else:
+            self.items[self.i] = token[1:]
+        return True
 
 
 def _take_int(tokens: _Tokens) -> tuple[int, int]:
-    digits, start = tokens.take_run(_DIGITS, "an integer")
+    """An integer token's value and index."""
+    index = tokens.i
+    digits = tokens.items[index]
+    if digits[:1] not in _DIGITS:
+        raise tokens.error("an integer")
+    tokens.i = index + 1
     try:
-        return int(digits), start
+        return int(digits), index
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ParseError(f"integer too long ({len(digits)} digits)",
-                         start) from None
+                         tokens.position(index)) from None
 
 
 def _parse_atom(tokens: _Tokens) -> ManifoldSpec:
-    name, name_pos = tokens.take_run(_LETTERS, "a name")
+    index = tokens.i
+    name = tokens.items[index]
     family = _FAMILIES.get(name)
     if family is None:
+        if name[:1] not in _LETTERS:
+            raise tokens.error("a name")
         *others, last = _FAMILIES
         raise ParseError(f"unknown space {name!r} (expected "
-                         f"{', '.join(others)}, or {last})", name_pos)
+                         f"{', '.join(others)}, or {last})",
+                         tokens.position(index))
+    tokens.i = index + 1
     tokens.take_symbol("^")
-    m, m_pos = _take_int(tokens)
+    m, m_index = _take_int(tokens)
     try:
         return family(m)
     except ValueError as exc:
-        raise ParseError(str(exc), m_pos) from None
+        raise ParseError(str(exc), tokens.position(m_index)) from None
 
 
 def _parse_product(tokens: _Tokens) -> ManifoldSpec:
     factors = [_parse_atom(tokens)]
-    while tokens.next == "x":
-        tokens.take_symbol("x")
+    while tokens.take_separator():
         factors.append(_parse_atom(tokens))
     return factors[0] if len(factors) == 1 else Product(tuple(factors))
 
@@ -119,15 +141,15 @@ def _parse_query(tokens: _Tokens, regime: str) -> RegularQuery:
         tokens.take_symbol("(")
         spec = _parse_product(tokens)
         tokens.take_symbol(",")
-        points, points_pos = _take_int(tokens)
+        points, points_index = _take_int(tokens)
         if points < 2:
             raise ParseError(f"point count must be >= 2, got {points}",
-                             points_pos)
+                             tokens.position(points_index))
         tokens.take_symbol(")")
         pieces.append((spec, points))
-        if tokens.next != "+":
+        if tokens.items[tokens.i] != "+":
             break
-        tokens.take_symbol("+")
+        tokens.i += 1
     return RegularQuery(tuple(pieces), regime)
 
 
@@ -136,14 +158,15 @@ def parse_expression(text: str,
                      ) -> Union[ManifoldSpec, RegularQuery]:
     """Parse a product or a query; the whole string must be consumed."""
     tokens = _Tokens(text)
-    if not tokens.next:
-        raise ParseError("empty expression", tokens.pos)
-    if tokens.next == "(":
+    first = tokens.items[0]
+    if not first:
+        raise ParseError("empty expression", len(text))
+    if first == "(":
         result: Union[ManifoldSpec, RegularQuery] = _parse_query(tokens,
                                                                  regime)
     else:
         result = _parse_product(tokens)
-    if tokens.next:
+    if tokens.items[tokens.i]:
         raise tokens.error("end of input")
     return result
 

@@ -162,12 +162,31 @@ class DualClass(Record):
     __slots__ = ("names", "terms")
 
     def render(self) -> str:
-        """ASCII string like '1 + a1^2 + a1*b2'."""
-        names = self.names
-        return " + ".join(
-            "*".join(name if e == 1 else f"{name}^{e}"
-                     for name, e in zip(names, exponents) if e) or "1"
-            for exponents in self.terms)
+        """ASCII string like '1 + a1^2 + a1*b2'.
+
+        Each generator's powers are spelled once, in a table per factor,
+        and a term joins its factors' entries; exponent 0 spells as '' and
+        is left out.  This keeps string formatting out of the per-term
+        work, which is most of the time for a class of millions of terms.
+        """
+        get = dict.__getitem__
+        powers = [_Powers(name) for name in self.names]
+        return " + ".join(["*".join(filter(None, map(get, powers, term)))
+                           or "1" for term in self.terms])
+
+
+class _Powers(dict):
+    """One generator's exponent -> text table, filled as exponents occur."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        name = self.name
+        text = self[e] = "" if e == 0 else name if e == 1 else f"{name}^{e}"
+        return text
 
 
 def dual_sw(spec: ManifoldSpec) -> DualClass:

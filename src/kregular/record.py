@@ -2,8 +2,12 @@
 
 A record class declares its fields once, in `__slots__`, and its trailing
 fields may take defaults from the class's `_defaults`.  A class that writes
-no `__init__` and inherits none gets one generated when it is defined, as
-`collections.namedtuple` does; a class that checks its input writes its own.
+no `__init__`, and inherits none or only a generated one, gets one generated
+when it is defined, as `collections.namedtuple` does; a class that checks
+its input writes its own.  A generated constructor sets each field through
+the `__set__` of its slot's member descriptor, looked up once per class
+(inherited slots too), which skips the attribute lookup that
+`object.__setattr__(self, name, value)` makes per field.
 Instances are equal only to instances of the very same class with equal
 fields (so `Sphere(3) != RealProj(3)`, and a record never equals a tuple),
 hash as the tuple of their fields, read as `Name(field=value, ...)`,
@@ -15,17 +19,26 @@ constructor.  This is not `dataclasses`, which imports
 from __future__ import annotations
 
 
-def _constructor(fields: tuple, defaults: dict):
-    """An `__init__` that sets `fields` from its arguments, in order."""
+# The constructors `_constructor` made, so a subclass that adds fields gets
+# its own instead of inheriting one that leaves them unset.
+_GENERATED: set = set()
+
+
+def _constructor(cls: type):
+    """An `__init__` that sets `cls._fields` from its arguments, in order."""
+    fields, defaults = cls._fields, cls._defaults
     tail = fields[len(fields) - len(defaults):]
     if set(tail) != set(defaults):
         raise TypeError(f"only trailing fields may have defaults: {defaults}")
-    body = "".join(f"\n    _set(self, {name!r}, {name})" for name in fields)
-    namespace = {"_set": object.__setattr__}
+    body = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
+    namespace = {f"_set_{name}": getattr(cls, name).__set__
+                 for name in fields}
     exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}",
          namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(map(defaults.get, tail))
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    _GENERATED.add(init)
     return init
 
 
@@ -41,9 +54,8 @@ class Record:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
-        if cls.__init__ is object.__init__:
-            cls.__init__ = _constructor(cls._fields, cls._defaults)
-            cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        if cls.__init__ is object.__init__ or cls.__init__ in _GENERATED:
+            cls.__init__ = _constructor(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -140,6 +140,24 @@ def test_main_theorem_2_closed_form_rejects_foreign_pieces():
         main_theorem_2_closed_form(((Sphere(3), 3),))
 
 
+@pytest.mark.parametrize("call", [
+    lambda spec: lambda_top(spec),
+    lambda spec: lambda_top(spec, 4, COMPLEX),
+    lambda spec: main_theorem_2_closed_form(((spec, 2),)),
+    lambda spec: main_theorem_1_closed_form(spec),
+    lambda spec: handel_disjoint_closed_form((spec,)),
+    lambda spec: bound_product_2regular(spec),
+    lambda spec: RegularQuery(((spec, 2),)),
+], ids=["lambda_top", "lambda_top_complex", "main_theorem_2",
+        "main_theorem_1", "handel", "product_2regular", "query"])
+def test_entry_points_refuse_a_string_spec(call):
+    # A spec given as text is refused by name, as RegularQuery refuses it.
+    with pytest.raises(ValueError) as err:
+        call("S^2")
+    assert type(err.value) is ValueError
+    assert str(err.value) == "not a manifold spec: 'S^2'"
+
+
 def test_adding_a_piece_strictly_increases_the_bound():
     rng = random.Random(13)
     base_pieces = [(Sphere(4), 2), (Euclid(2), 4)]

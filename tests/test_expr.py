@@ -160,6 +160,29 @@ def test_syntax_errors_through_any_whitespace(text, message):
         assert err.value.position == moved[position]
 
 
+_UNKNOWN = "(expected S, RP, CP, HP, or R)"
+# Where a token lexer could differ from a character scan: an "x" glued to
+# the next name, a name that starts with "x", and a long integer.
+TOKEN_EDGES = [
+    ("S^2xx^3", f"unknown space 'x' {_UNKNOWN} (at position 4)"),
+    ("S^2 x xRP^3", f"unknown space 'xRP' {_UNKNOWN} (at position 6)"),
+    ("(S^2, 3xRP)", "expected ')', got 'xRP)' (at position 7)"),
+    ("xS^2", f"unknown space 'xS' {_UNKNOWN} (at position 0)"),
+    ("S^2xRP^1",
+     "RP^m needs an integer dimension >= 2, got 1 (at position 7)"),
+    ("(S^2 x RP^3, 2) + (R^2, " + "9" * 5000 + ")",
+     "integer too long (5000 digits) (at position 24)"),
+]
+
+
+@pytest.mark.parametrize("text, message", TOKEN_EDGES,
+                         ids=[text[:24] for text, _ in TOKEN_EDGES])
+def test_token_edge_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == message
+
+
 def test_parse_manifold_rejects_queries():
     with pytest.raises(ParseError):
         parse_manifold("(S^3, 2)")

@@ -323,6 +323,19 @@ def test_top_dual_degree_obeys_massey():
         assert top_dual_degree(spec).top_degree <= massey(spec), spec
 
 
+def test_large_dual_class_renders_term_by_term():
+    # Of the 65 * 33 * 17 exponent tuples, the 64 * 32 * 16 with an odd
+    # coefficient (Lucas) are the terms.
+    dual = dual_sw(Product((RealProj(64), ComplexProj(32), QuatProj(16))))
+    assert dual.names == ("a1", "b2", "d3") and len(dual.terms) == 32768
+    naive = []
+    for term in dual.terms:
+        factors = [name if e == 1 else f"{name}^{e}"
+                   for name, e in zip(dual.names, term) if e]
+        naive.append("*".join(factors) or "1")
+    assert dual.render() == " + ".join(naive)
+
+
 def test_top_coefficient_is_one():
     for spec in (RealProj(6), ComplexProj(5), QuatProj(3)):
         dual = as_series(dual_sw(spec), spec)
@@ -348,6 +361,8 @@ def test_product_multiplicativity_random_pairs():
         reference = in_cohomology(total_sw(spec).inverse(), spec)
         dual = as_series(dual_sw(spec), spec)
         assert dual == reference, render(spec)
+        # GradedSeries.render orders its own terms: an independent renderer.
+        assert dual_sw(spec).render() == reference.render(), render(spec)
         assert top_dual_degree(spec).top_degree == reference.top_degree()
         assert (in_cohomology(total_sw(spec) * dual, spec)
                 == cohomology_ring(spec).one())

@@ -214,6 +214,35 @@ def test_record_defaults():
                      theorem="t").theorem == "t"
 
 
+class _Base(Record):
+    __slots__ = ("a",)
+
+
+class _Extended(_Base):
+    __slots__ = ("b",)
+    _defaults = {"b": 0}
+
+
+def test_record_subclass_sets_inherited_and_new_fields():
+    # The subclass's generated constructor sets the base's slot through the
+    # inherited member descriptor and its own through its own.
+    assert _Extended._fields == ("a", "b")
+    assert tuple(inspect.signature(_Extended).parameters) == ("a", "b")
+    record = _Extended(1, 2)
+    assert (record.a, record.b) == (1, 2)
+    assert _Extended(1).b == 0
+    assert _Base(1).a == 1 and not hasattr(_Base(1), "b")
+    assert record != _Base(1)
+    assert repr(record) == "_Extended(a=1, b=2)"
+    for name in ("a", "b"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
+    for copied in (copy.copy(record), copy.deepcopy(record),
+                   pickle.loads(pickle.dumps(record))):
+        assert copied == record and type(copied) is _Extended
+        assert (copied.a, copied.b) == (1, 2)
+
+
 def test_record_defaults_must_trail():
     with pytest.raises(TypeError, match="only trailing fields"):
         class Leading(Record):
