@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 # Public name -> the submodule that defines it.
 _SOURCES = {
     "bounds": ("BoundReport", "RegularQuery", "bound_disjoint",
-               "bound_product_2regular", "handel_disjoint_closed_form",
-               "main_theorem_1_closed_form", "main_theorem_2_closed_form",
-               "upper_existence", "upper_existence_piece"),
+               "bound_product_2regular", "main_theorem_1_closed_form",
+               "main_theorem_2_closed_form", "upper_existence",
+               "upper_existence_piece"),
     "bundles": ("COMPLEX", "REAL", "BundleProfile", "ExistenceRecord",
                 "UnsupportedBundleError", "lambda_top",
                 "projective_3regular_upper", "projective_table_matches"),
@@ -29,9 +29,8 @@ _SOURCES = {
                   "render", "top_dual_degree", "top_dual_degree_closed_form"),
     "sampler": ("DirectSum", "ExampleMap", "RegularityReport", "SphereOneI",
                 "VandermondeMap", "Witness", "ambient_dim",
-                "claimed_regularity", "evaluate_rank",
-                "integer_rank_bareiss", "parse_map", "render_map",
-                "sample_check_regular"),
+                "claimed_regularity", "integer_rank_bareiss", "parse_map",
+                "render_map", "sample_check_regular"),
     "series": ("GradedSeries", "NonInvertibleError", "RingMismatchError",
                "SeriesRing"),
 }

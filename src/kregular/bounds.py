@@ -135,11 +135,6 @@ def main_theorem_2_closed_form(
     return total
 
 
-def handel_disjoint_closed_form(specs: Sequence[ManifoldSpec]) -> int:
-    """Two points per closed piece: the pieces' product bounds, summed."""
-    return sum(map(main_theorem_1_closed_form, specs))
-
-
 def upper_existence_piece(spec: ManifoldSpec,
                           points: int) -> Optional[ExistenceRecord]:
     """Smallest real-regime construction for one piece, or None."""

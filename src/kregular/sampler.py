@@ -4,15 +4,15 @@ Two map families and their direct sums: `VandermondeMap`, the monomial curve
 on the plane, and `SphereOneI`, the sphere embedding x -> (1, x).  A family
 class holds all that differs by family: its ambient dimension, claimed point
 count, name and grid of sample points; `sample`, which draws a part's points
-and returns their integer columns; the integer column of a given point; and
-how a witness point is read back off its column and reads as text.  The rest
-of this module reads those, and `parse_map` finds a family by name in
-`_FAMILIES`.  Every verdict is exact, and a trial does only the work its
-verdict needs.  A direct sum's columns are independent exactly when each
-part's are, so the parts are checked one at a time and the first deficient
-part decides.  A part whose tuple size exceeds its `dim` has dependent
-columns in every trial, so the count decides: every trial violates, only
-the first three trials are drawn, for the witnesses, and nothing is ranked.
+and returns their integer columns; and how a witness point is read back off
+its column and reads as text.  The rest of this module reads those, and
+`parse_map` finds a family by name in `_FAMILIES`.  Every verdict is exact,
+and a trial does only the work its verdict needs.  A direct sum's columns
+are independent exactly when each part's are, so the parts are checked one
+at a time and the first deficient part decides.  A part whose tuple size
+exceeds its `dim` has dependent columns in every trial, so the count
+decides: every trial violates, only the first three trials are drawn, for
+the witnesses, and nothing is ranked.
 
 Each point gives one integer column, its map value (or a prefix of it)
 times a positive integer, which leaves the rank unchanged.  A part's t
@@ -23,9 +23,9 @@ column is the whole (1, x).  A plane column is a rescaled prefix, (1, z,
 give at least t coordinates (at most k-1, the whole column).  A prefix has
 rank no greater than the whole rows, so a full-rank prefix certifies the
 trial; a deficient prefix shorter than `dim` is ranked again on the whole
-columns of its points, built by `point_column`.  The prefix holds the
-smallest powers, so its entries are about half as long as the whole
-column's.
+columns of its points, which `whole_column` reads off the prefixes.  The
+prefix holds the smallest powers, so its entries are about half as long as
+the whole column's.
 
 Sampling is reproducible: trial i draws from a generator seeded with seed *
 1000003 + i, so verdicts and witnesses are independent of trial order and
@@ -39,7 +39,7 @@ the point, skips it if the part already holds that key, and builds the
 column of a kept point from those ints.  The key is exact: every
 denominator divides 840, so a * 840 // b is equal for two draws exactly
 when a/b is, and the points of a part are pairwise distinct.  Only the
-points of a kept witness or of a deficient plane prefix become Fractions.
+points of a kept witness become Fractions.
 The draws of a part range over a finite grid, and a tuple size above its
 part's grid raises ValueError.
 """
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Sequence, Union
 
 from .record import Record
@@ -59,12 +59,10 @@ _MAX_WITNESSES = 3
 _PLANE_BOUND = 64
 _SPHERE_BOUND = 8
 _MAX_DEN = 8
-# lcm(1, ..., _MAX_DEN), so a * _KEY_SCALE // b is exact for every drawn b.
+# The least common multiple of 1.._MAX_DEN: a * _KEY_SCALE // b is exact.
 _KEY_SCALE = 840
 # The Moebius function mu(e) for 0 < e <= _MAX_DEN.
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
-
-Gaussian = tuple[Fraction, Fraction]
 
 
 class VandermondeMap(Record):
@@ -72,8 +70,8 @@ class VandermondeMap(Record):
 
     Points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64] and
     b, e in [1, 8], drawn in the order a, b, c, e: 663^2 = 439,569 distinct
-    points, keyed by (a * 840 // b, c * 840 // e).  With D the lcm of the two
-    denominators in lowest terms and z = w/D, the column (1, z, ...,
+    points, keyed by (a * 840 // b, c * 840 // e).  With D the least common
+    denominator of the two coordinates and z = w/D, the column (1, z, ...,
     z^(k-1)) scaled by D^(k-1) becomes (D^(k-1), D^(k-2) w, ..., w^(k-1)),
     and z is its second and third entries over its first.
     """
@@ -140,18 +138,20 @@ class VandermondeMap(Record):
         return columns
 
     @staticmethod
-    def point(column: Sequence[int]) -> Gaussian:
+    def point(column: Sequence[int]) -> tuple[Fraction, Fraction]:
         """The point z whose column this is."""
         return (Fraction(column[1], column[0]),
                 Fraction(column[2], column[0]))
 
-    def point_column(self, value) -> list[int]:
-        """The column of an int, Fraction or (re, im) pair of them."""
-        re, im = as_gaussian(value)
-        d = lcm(re.denominator, im.denominator)
-        return _plane_column(self.k - 1, d,
-                             re.numerator * (d // re.denominator),
-                             im.numerator * (d // im.denominator))
+    def whole_column(self, column: Sequence[int]) -> list[int]:
+        """The whole column of the point whose sampled column this is.
+
+        A column prefix starts D^j, D^(j-1) wr, D^(j-1) wi, and
+        gcd(D, wr, wi) = 1, so the gcd of those three entries is D^(j-1).
+        """
+        g = gcd(column[0], column[1], column[2])
+        return _plane_column(self.k - 1, column[0] // g, column[1] // g,
+                             column[2] // g)
 
     @staticmethod
     def render_point(point: Sequence[str]) -> str:
@@ -167,9 +167,7 @@ class SphereOneI(Record):
     keyed by a * 840 // d (stereographic projection is injective): 1929
     distinct points of S^2, 36,111 of S^3, and so on.  Its column is
     (|a|^2 + d^2, 2ad, |a|^2 - d^2), that is (1, x) times |a|^2 + d^2, and
-    x is its other entries over its first.  A point given as Fractions, as
-    `evaluate_rank` takes them, gets (1, x) times the lcm of its
-    denominators instead.
+    x is its other entries over its first.
     """
 
     __slots__ = ("m",)
@@ -230,18 +228,6 @@ class SphereOneI(Record):
         """The point x whose column this is."""
         scale = column[0]
         return tuple([Fraction(c, scale) for c in column[1:]])
-
-    def point_column(self, value) -> list[int]:
-        """The column of m+1 ints or Fractions of squared norm exactly 1."""
-        m = self.m
-        if not (isinstance(value, (tuple, list)) and len(value) == m + 1
-                and all(_is_exact(c) for c in value)):
-            raise ValueError(f"not an exact point of S^{m}: {value!r}")
-        x = tuple(Fraction(c) for c in value)
-        if sum(c * c for c in x) != 1:
-            raise ValueError(f"{value!r} is not on S^{m}")
-        d = lcm(*(c.denominator for c in x))
-        return [d] + [c.numerator * (d // c.denominator) for c in x]
 
     @staticmethod
     def render_point(point: Sequence[str]) -> str:
@@ -322,20 +308,6 @@ def _plane_column(top: int, d: int, wr: int, wi: int) -> list[int]:
     return column
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
-def as_gaussian(value) -> Gaussian:
-    """Coerce an int, Fraction, or (re, im) pair to a Gaussian rational."""
-    if isinstance(value, tuple) and len(value) == 2 \
-            and all(_is_exact(c) for c in value):
-        return (Fraction(value[0]), Fraction(value[1]))
-    if _is_exact(value):
-        return (Fraction(value), Fraction(0))
-    raise ValueError(f"not an exact plane point: {value!r}")
-
-
 def integer_rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination, by columns.
 
@@ -406,7 +378,7 @@ def _full_rank(part, columns: Sequence[Sequence[int]]) -> bool:
         return True
     if len(columns[0]) == part.dim:
         return False
-    return integer_rank_bareiss([part.point_column(part.point(column))
+    return integer_rank_bareiss([part.whole_column(column)
                                  for column in columns]) == count
 
 
@@ -421,22 +393,6 @@ class RegularityReport(Record):
                  "witnesses", "verdict", "expected_violation")
 
 
-def evaluate_rank(example: ExampleMap, points_per_part: Sequence
-                  ) -> tuple[int, int]:
-    """(rank, requested rank) for explicit point tuples; re-checks witnesses.
-
-    Plane points are ints, Fractions or (re, im) pairs of them; a point of
-    S^m is m+1 ints or Fractions with squared norm exactly 1.  Anything else,
-    floats included, raises ValueError.
-    """
-    parts = map_parts(example)
-    if len(points_per_part) != len(parts):
-        raise ValueError(f"need point tuples for {len(parts)} parts")
-    rank = sum(integer_rank_bareiss([part.point_column(p) for p in pts])
-               for part, pts in zip(parts, points_per_part))
-    return rank, sum(len(pts) for pts in points_per_part)
-
-
 def sample_check_regular(example: ExampleMap,
                          tuple_sizes: Union[int, Sequence[int], None] = None,
                          trials: int = 1000,
@@ -445,7 +401,7 @@ def sample_check_regular(example: ExampleMap,
 
     tuple_sizes defaults to the claimed regularity (one entry per part).
     A rank below the requested total is counted as a violation and up to
-    three witnesses are kept, re-checkable with evaluate_rank.  Sizes above
+    three witnesses are kept, their points as exact Fractions.  Sizes above
     the claimed regularity are allowed.  expected_violation is set only when
     some part's tuple size exceeds that part's ambient dimension, its `dim`:
     its columns are then dependent, so every trial violates, and only the

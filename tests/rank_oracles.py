@@ -2,7 +2,9 @@
 
 Nothing in the package calls these: each is an independent way to the rank
 or the regularity of a point tuple, or to a Chern height, kept beside the
-tests that use it.
+tests that use it.  The map columns here are the tests' own, built from
+exact points as Fractions; the sampler builds its integer columns without
+them.
 """
 
 from fractions import Fraction
@@ -10,8 +12,9 @@ from math import lcm
 from operator import add
 from typing import Sequence
 
-from kregular.sampler import (Gaussian, VandermondeMap, as_gaussian,
-                              integer_rank_bareiss)
+from kregular.sampler import VandermondeMap, integer_rank_bareiss, map_parts
+
+Gaussian = tuple[Fraction, Fraction]
 
 
 def gauss_rank_oracle(rows):
@@ -106,19 +109,67 @@ def chern_height_by_rank(k: int, n: int) -> int:
         t += 1
 
 
+def _is_exact(value) -> bool:
+    return isinstance(value, (int, Fraction))
+
+
+def as_gaussian(value) -> Gaussian:
+    """Coerce an int, Fraction, or (re, im) pair to a Gaussian rational."""
+    if isinstance(value, tuple) and len(value) == 2 \
+            and all(_is_exact(c) for c in value):
+        return (Fraction(value[0]), Fraction(value[1]))
+    if _is_exact(value):
+        return (Fraction(value), Fraction(0))
+    raise ValueError(f"not an exact plane point: {value!r}")
+
+
+def plane_column(point, k: int) -> list[Fraction]:
+    """(1, z, ..., z^(k-1)) realified, unscaled, for a plane point z."""
+    z = as_gaussian(point)
+    power = (Fraction(1), Fraction(0))
+    column = [power[0]]
+    for _ in range(1, k):
+        power = _gm_mul(power, z)
+        column += power
+    return column
+
+
+def sphere_column(point) -> list[Fraction]:
+    """(1, x) for an exact point x of a sphere."""
+    if not all(_is_exact(c) for c in point) \
+            or sum(Fraction(c) ** 2 for c in point) != 1:
+        raise ValueError(f"not an exact point of a sphere: {point!r}")
+    return [Fraction(1)] + [Fraction(c) for c in point]
+
+
+def part_columns(part, points: Sequence) -> list[list[Fraction]]:
+    """The Fraction columns of one map part at the given points."""
+    if isinstance(part, VandermondeMap):
+        return [plane_column(z, part.k) for z in points]
+    return [sphere_column(x) for x in points]
+
+
+def witness_rank(example, points_per_part: Sequence) -> tuple[int, int]:
+    """(rank, requested rank) of explicit point tuples, one per map part.
+
+    Each part's Fraction columns are ranked by plain Gaussian elimination,
+    so a reported witness is re-checked without the sampler's columns or
+    its Bareiss rank.
+    """
+    parts = map_parts(example)
+    if len(points_per_part) != len(parts):
+        raise ValueError(f"need point tuples for {len(parts)} parts")
+    rank = sum(gauss_rank_oracle(part_columns(part, points))
+               for part, points in zip(parts, points_per_part))
+    return rank, sum(len(points) for points in points_per_part)
+
+
 def vandermonde_columns(points: Sequence, k: int) -> list[list[Fraction]]:
     """Unscaled realified evaluation matrix, (2k-1) rows by len(points).
 
     Ranked independently, it is a reference for the integer columns.
     """
-    pts = [as_gaussian(p) for p in points]
-    rows: list[list[Fraction]] = [[Fraction(1)] * len(pts)]
-    powers = [(Fraction(1), Fraction(0))] * len(pts)
-    for _ in range(1, k):
-        powers = [_gm_mul(p, z) for p, z in zip(powers, pts)]
-        rows.append([p[0] for p in powers])
-        rows.append([p[1] for p in powers])
-    return rows
+    return [list(row) for row in zip(*(plane_column(z, k) for z in points))]
 
 
 def vandermonde_rank_exact(points: Sequence, k: int) -> int:
@@ -128,13 +179,14 @@ def vandermonde_rank_exact(points: Sequence, k: int) -> int:
     distinct points gives a square complex Vandermonde matrix with nonzero
     determinant, and complex independence implies real independence.
     """
-    part = VandermondeMap(k)
+    if k < 2:
+        raise ValueError(f"need k >= 2, got {k!r}")
     pts = [as_gaussian(p) for p in points]
     for i in range(len(pts)):
         for j in range(i + 1, len(pts)):
             if pts[i] == pts[j]:
                 raise ValueError(f"points {i} and {j} coincide")
-    return integer_rank_bareiss([part.point_column(z) for z in pts])
+    return rational_rank([plane_column(z, k) for z in pts])
 
 
 def vandermonde_determinant(points: Sequence) -> Gaussian:

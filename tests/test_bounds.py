@@ -7,8 +7,8 @@ import pytest
 from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
                       Product, QuatProj, RealProj, RegularQuery, Sphere,
                       UnsupportedBundleError, bound_disjoint,
-                      bound_product_2regular, handel_disjoint_closed_form,
-                      lambda_top, main_theorem_1_closed_form,
+                      bound_product_2regular, lambda_top,
+                      main_theorem_1_closed_form,
                       main_theorem_2_closed_form, projective_3regular_upper,
                       projective_table_matches, real_dimension,
                       top_dual_degree, upper_existence,
@@ -145,7 +145,7 @@ def test_main_theorem_2_closed_form_rejects_foreign_pieces():
     lambda spec: lambda_top(spec, 4, COMPLEX),
     lambda spec: main_theorem_2_closed_form(((spec, 2),)),
     lambda spec: main_theorem_1_closed_form(spec),
-    lambda spec: handel_disjoint_closed_form((spec,)),
+    lambda spec: sum(map(main_theorem_1_closed_form, (spec,))),
     lambda spec: bound_product_2regular(spec),
     lambda spec: RegularQuery(((spec, 2),)),
 ], ids=["lambda_top", "lambda_top_complex", "main_theorem_2",
@@ -171,14 +171,14 @@ def test_adding_a_piece_strictly_increases_the_bound():
 
 def test_handel_closed_form():
     specs = (Sphere(3), RealProj(5))
-    total = handel_disjoint_closed_form(specs)
+    total = sum(map(main_theorem_1_closed_form, specs))
     by_parts = sum(real_dimension(s) + top_dual_degree(s).top_degree
                    for s in specs) + 2 * len(specs)
     assert total == by_parts
     query = RegularQuery(tuple((s, 2) for s in specs), REAL)
     assert bound_disjoint(query).bound == total
     with pytest.raises(ValueError):
-        handel_disjoint_closed_form((Euclid(2),))
+        main_theorem_1_closed_form(Euclid(2))
 
 
 # ---------------------------------------------------------------------------

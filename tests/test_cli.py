@@ -15,10 +15,10 @@ from pathlib import Path
 import pytest
 
 import kregular
-from kregular import (cached_presentation, dual_sw, evaluate_rank,
-                      parse_manifold, parse_map)
+from kregular import cached_presentation, dual_sw, parse_manifold, parse_map
 from kregular.cli import (COMMANDS, EVERY_COMMAND, EXIT_COUNTEREXAMPLE,
                           EXIT_OK, EXIT_USAGE, main)
+from rank_oracles import witness_rank
 
 
 def run_cli(capsys, *argv):
@@ -383,7 +383,7 @@ def test_verify_mixed_witnesses_recheck_exactly(capsys):
     for witness in witnesses:
         points = [[tuple(Fraction(c) for c in point) for point in part]
                   for part in witness["points"]]
-        rank, wanted = evaluate_rank(parse_map(text), points)
+        rank, wanted = witness_rank(parse_map(text), points)
         assert wanted == 12 and rank < wanted
     code, out, _ = run_cli(capsys, "verify", text, "--tuple", "9,3",
                            "--trials", "1")

@@ -19,9 +19,9 @@ from kregular.record import Record
 # Every name the package exported when it imported all its submodules.
 EXPORTS = {
     "bounds": ("BoundReport", "RegularQuery", "bound_disjoint",
-               "bound_product_2regular", "handel_disjoint_closed_form",
-               "main_theorem_1_closed_form", "main_theorem_2_closed_form",
-               "upper_existence", "upper_existence_piece"),
+               "bound_product_2regular", "main_theorem_1_closed_form",
+               "main_theorem_2_closed_form", "upper_existence",
+               "upper_existence_piece"),
     "bundles": ("COMPLEX", "REAL", "BundleProfile", "ExistenceRecord",
                 "UnsupportedBundleError", "lambda_top",
                 "projective_3regular_upper", "projective_table_matches"),
@@ -36,9 +36,8 @@ EXPORTS = {
                   "render", "top_dual_degree", "top_dual_degree_closed_form"),
     "sampler": ("DirectSum", "ExampleMap", "RegularityReport", "SphereOneI",
                 "VandermondeMap", "Witness", "ambient_dim",
-                "claimed_regularity", "evaluate_rank",
-                "integer_rank_bareiss", "parse_map", "render_map",
-                "sample_check_regular"),
+                "claimed_regularity", "integer_rank_bareiss", "parse_map",
+                "render_map", "sample_check_regular"),
     "series": ("GradedSeries", "NonInvertibleError", "RingMismatchError",
                "SeriesRing"),
 }

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kregular import (DirectSum, SphereOneI, VandermondeMap, ambient_dim,
-                      claimed_regularity, evaluate_rank,
-                      integer_rank_bareiss, parse_map, render_map,
-                      sample_check_regular)
+                      claimed_regularity, integer_rank_bareiss, parse_map,
+                      render_map, sample_check_regular)
 from kregular import sampler
-from rank_oracles import (gauss_rank_oracle, rational_rank,
-                          vandermonde_columns, vandermonde_determinant,
-                          vandermonde_rank_exact)
+from rank_oracles import (gauss_rank_oracle, part_columns, plane_column,
+                          rational_rank, sphere_column, vandermonde_columns,
+                          vandermonde_determinant, vandermonde_rank_exact,
+                          witness_rank)
 
 
 def test_map_validation():
@@ -137,8 +137,8 @@ def test_bareiss_stops_at_full_row_rank():
                                  [0, 1, 2, 3, x, x],
                                  [0, 2, 4, 7, x, x]]) == 3
     # A full-rank plane tuple: its first t coordinates already have rank t.
-    part = VandermondeMap(6)
-    columns = [part.point_column(z) for z in (0, 1, (0, 1), (2, 1))]
+    columns = [[int(c) for c in plane_column(z, 6)]
+               for z in (0, 1, (0, 1), (2, 1))]
     assert gauss_rank_oracle([col[:4] for col in columns]) == 4
     assert integer_rank_bareiss([col[:4] + [x] * (len(col) - 4)
                                  for col in columns]) == 4
@@ -208,6 +208,15 @@ def test_determinant_agrees_with_rank():
             assert vandermonde_rank_exact(pts, k) == k
 
 
+def scaled_plane_column(top, point):
+    """The sampler's column of a plane point given as Fractions: (1, z, ...,
+    z^top) realified and scaled by D^top, D the least common denominator."""
+    re, im = point
+    d = math.lcm(re.denominator, im.denominator)
+    return sampler._plane_column(top, d, re.numerator * (d // re.denominator),
+                                 im.numerator * (d // im.denominator))
+
+
 def test_integer_vandermonde_rank_matches_fraction_oracle():
     # Small ranges make coincident points, and so rank drops, common.
     rng = random.Random(23)
@@ -216,11 +225,10 @@ def test_integer_vandermonde_rank_matches_fraction_oracle():
         pts = [(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
                 Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
                for _ in range(rng.randint(1, 2 * k + 1))]
-        columns = [VandermondeMap(k).point_column(z) for z in pts]
+        columns = [scaled_plane_column(k - 1, z) for z in pts]
         assert all(isinstance(c, int) for col in columns for c in col)
         expect = gauss_rank_oracle(vandermonde_columns(pts, k))
         assert integer_rank_bareiss(columns) == expect
-        assert evaluate_rank(VandermondeMap(k), (pts,)) == (expect, len(pts))
 
 
 def test_plane_column_entries_are_scaled_powers():
@@ -250,17 +258,14 @@ def test_integer_sphere_columns_lie_on_the_sphere():
         oracle = fraction_sphere_points(random.Random(29 + m), m, 40)
         assert list(pts) == oracle
         assert len(set(pts)) == len(pts)
-        # A drawn point's column and a Fraction point's column are positive
-        # multiples of the same (1, x).
-        for column, x in zip(columns + [part.point_column(x) for x in pts],
-                             pts + pts):
+        # A drawn point's column is a positive multiple of (1, x).
+        for column, x in zip(columns, pts):
             assert len(column) == m + 2 and column[0] > 0
             assert column[0] ** 2 == sum(c * c for c in column[1:])
             assert [Fraction(c, column[0]) for c in column[1:]] == list(x)
         triple = pts[:3]
         assert (integer_rank_bareiss(columns[:3])
-                == integer_rank_bareiss([part.point_column(x)
-                                         for x in triple])
+                == rational_rank([sphere_column(x) for x in triple])
                 == gauss_rank_oracle([[1, *x] for x in triple]) == 3)
 
 
@@ -317,18 +322,14 @@ def test_integer_draws_match_the_fraction_drawer():
                 # of the exact point's column.  A plane column is
                 # (1, z, ..., z^j) realified and scaled by D^j, the fewest
                 # powers j >= 1 that give size coordinates.
-                for column, point in zip(columns, points):
-                    exact = part.point_column(point)[:len(column)]
+                for column, point, exact in zip(
+                        columns, points, part_columns(part, points)):
                     assert column[0] > 0
-                    assert ([column[0] * c for c in exact]
+                    assert ([column[0] * c for c in exact[:len(column)]]
                             == [exact[0] * c for c in column])
                     if isinstance(part, VandermondeMap):
                         j = max(1, min(part.k - 1, size // 2))
-                        re, im = point
-                        d = math.lcm(re.denominator, im.denominator)
-                        assert column == sampler._plane_column(
-                            j, d, re.numerator * (d // re.denominator),
-                            im.numerator * (d // im.denominator))
+                        assert column == scaled_plane_column(j, point)
                         assert len(column) >= min(size, part.dim)
                     else:
                         assert len(column) == part.dim
@@ -423,29 +424,51 @@ def test_plane_prefix_falls_back_to_the_full_column():
             (Fraction(a), Fraction(0)) for a in range(count)]
         assert all(len(column) == 5 for column in columns)
         assert integer_rank_bareiss(columns) == 3
-        full = [part.point_column(part.point(c)) for c in columns]
+        full = [part.whole_column(c) for c in columns]
         assert integer_rank_bareiss(full) == gauss_rank_oracle(full) == 4
         # Four points: independent.  Five: a violation on the full column
         # too, whose four nonzero coordinates hold at most rank 4.
         assert sampler._full_rank(part, columns) == (count == 4)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 11), st.data())
+def test_whole_column_is_a_multiple_of_the_fraction_column(k, data):
+    # Read off any sampled prefix, the whole column is the point's own
+    # (1, z, ..., z^(k-1)), realified, times D^(k-1), D its least common
+    # denominator.
+    part = VandermondeMap(k)
+    size = data.draw(st.integers(1, part.dim), label="size")
+    seed = data.draw(st.integers(0, 2 ** 32), label="seed")
+    for column in part.sample(random.Random(seed).getrandbits, size):
+        whole = part.whole_column(column)
+        re, im = point = part.point(column)
+        scale = math.lcm(re.denominator, im.denominator) ** (k - 1)
+        assert whole == [scale * c for c in plane_column(point, k)]
+        assert ([whole[0] * c for c in column]
+                == [column[0] * c for c in whole[:len(column)]])
+
+
 def test_sphere_columns_are_never_ranked_twice(monkeypatch):
     # Sphere columns are full length, so a deficient rank is final.
-    def refuse(self, value):
-        raise AssertionError("a full-length column was ranked again")
+    ranked = []
 
-    monkeypatch.setattr(SphereOneI, "point_column", refuse)
+    def counting_rank(rows):
+        ranked.append(len(rows))
+        return integer_rank_bareiss(rows)
+
+    monkeypatch.setattr(sampler, "integer_rank_bareiss", counting_rank)
     part = SphereOneI(2)
     columns = part.sample(random.Random(3).getrandbits, 5)
     assert not sampler._full_rank(part, columns)
     assert sampler._full_rank(part, columns[:3])
+    assert ranked == [5, 3]
 
 
 def oracle_report(example, sizes, trials, seed):
     """sample_check_regular's report, the long way: a fresh generator per
     trial, every trial drawn by the Fraction drawer, and every part ranked
-    on the full columns of its points."""
+    on the tests' own full Fraction columns of its points."""
     parts = sampler.map_parts(example)
     violations = 0
     witnesses = []
@@ -453,7 +476,7 @@ def oracle_report(example, sizes, trials, seed):
         rng = random.Random(seed * 1_000_003 + trial)
         points = tuple(tuple(fraction_points(rng, part, size))
                        for part, size in zip(parts, sizes))
-        rank = sum(integer_rank_bareiss([part.point_column(p) for p in pts])
+        rank = sum(rational_rank(part_columns(part, pts))
                    for part, pts in zip(parts, points))
         if rank < sum(sizes):
             violations += 1
@@ -559,7 +582,7 @@ def test_witnesses_reproduce_rank_deficiency():
                                   seed=3)
     assert report.witnesses
     for witness in report.witnesses:
-        rank, wanted = evaluate_rank(report.example, witness.points)
+        rank, wanted = witness_rank(report.example, witness.points)
         assert rank < wanted
 
 
@@ -591,24 +614,8 @@ def test_mixed_direct_sum_witnesses_recheck_exactly():
     report = sample_check_regular(example, (9, 5), trials=10, seed=4)
     assert report.violations == 10
     for witness in report.witnesses:
-        rank, wanted = evaluate_rank(example, witness.points)
+        rank, wanted = witness_rank(example, witness.points)
         assert wanted == 14 and rank < wanted
-
-
-def test_evaluate_rank_rejects_inexact_points():
-    sphere = SphereOneI(2)
-    on_sphere = (Fraction(3, 5), Fraction(4, 5), 0)
-    assert evaluate_rank(sphere, ((on_sphere, (0, 0, 1)),)) == (2, 2)
-    with pytest.raises(ValueError):
-        evaluate_rank(sphere, (((0.6, 0.8, 0.0),),))
-    with pytest.raises(ValueError):
-        evaluate_rank(sphere, (((1, 1, 0),),))
-    with pytest.raises(ValueError):
-        evaluate_rank(sphere, (((1, 0),),))
-    with pytest.raises(ValueError):
-        evaluate_rank(VandermondeMap(2), ((0.5, 1),))
-    with pytest.raises(ValueError):
-        evaluate_rank(VandermondeMap(2), (((0.5, 0), 1),))
 
 
 def test_reports_are_reproducible():
@@ -631,8 +638,6 @@ def test_sampling_validation():
         sample_check_regular(direct, tuple_sizes=3)
     with pytest.raises(ValueError):
         sample_check_regular(direct, tuple_sizes=(2, 2, 2))
-    with pytest.raises(ValueError):
-        evaluate_rank(direct, ((0, 1),))
 
 
 @pytest.mark.parametrize("named, message", [
