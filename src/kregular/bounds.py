@@ -12,17 +12,12 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .bundles import (COMPLEX, CONSTRUCTION_RULES, DISJOINT_COMPLEX,
-                      DISJOINT_REAL, MAIN_THEOREM_2, REAL, ExistenceRecord,
+from .bundles import (COMPLEX, DISJOINT_COMPLEX, DISJOINT_REAL,
+                      MAIN_THEOREM_2, REAL, ExistenceRecord, family_rules,
                       lambda_top)
-from .manifolds import (Atom, ManifoldSpec, Product, is_closed,
-                        real_dimension, render, top_dual_degree_closed_form)
+from .manifolds import (ManifoldSpec, is_closed, real_dimension, render,
+                        require_spec, top_dual_degree_closed_form)
 from .record import Record
-
-
-def _require_spec(spec) -> None:
-    if not isinstance(spec, (Atom, Product)):
-        raise ValueError(f"not a manifold spec: {spec!r}")
 
 
 class RegularQuery(Record):
@@ -37,7 +32,7 @@ class RegularQuery(Record):
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
-            _require_spec(spec)
+            require_spec(spec)
             if not isinstance(points, int) or points < 2:
                 raise ValueError(
                     f"piece ({render(spec)}, {points!r}): point count must "
@@ -64,7 +59,7 @@ class BoundReport(Record):
 
 
 def _require_closed_product(spec: ManifoldSpec, context: str) -> None:
-    _require_spec(spec)
+    require_spec(spec)
     if not is_closed(spec):
         raise ValueError(f"{context} needs closed factors, got "
                          f"{render(spec)}")
@@ -93,8 +88,8 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
 
     An unsupported piece raises with the piece named.  A lone piece takes
     its profile's theorem, a union the union label all its profiles carry,
-    else the regime's general disjoint-union bound.  Only the real regime
-    has constructions, so only it can be tight.
+    else the regime's general disjoint-union bound.  The report is tight
+    when upper_existence's construction meets the bound, in either regime.
     """
     regime = query.regime
     breakdown = tuple([lambda_top(spec, points, regime)
@@ -121,7 +116,7 @@ def main_theorem_2_closed_form(
     """
     total = 0
     for spec, points in pieces:
-        _require_spec(spec)
+        require_spec(spec)
         try:
             union = lambda_top(spec, points, REAL).union
         except ValueError:  # no rule, or a point count below two
@@ -135,26 +130,20 @@ def main_theorem_2_closed_form(
     return total
 
 
-def upper_existence_piece(spec: ManifoldSpec,
-                          points: int) -> Optional[ExistenceRecord]:
-    """Smallest real-regime construction for one piece, or None."""
-    best = None
-    for rule in CONSTRUCTION_RULES[REAL].get(type(spec), ()):
-        if (rule.where is None or rule.where(spec)) and rule.points(points):
-            record = rule.construct(spec, points)
-            if record is not None and (best is None or record.ambient_dim
-                                       < best.ambient_dim):
-                best = record
-    return best
+def upper_existence_piece(spec: ManifoldSpec, points: int,
+                          regime: str = REAL) -> Optional[ExistenceRecord]:
+    """Smallest construction of the piece's rules in `regime`, or None."""
+    rules = family_rules(spec, points, regime, "construct")
+    records = [record for rule in rules if rule.points(points)
+               and (record := rule.construct(spec, points)) is not None]
+    return min(records, key=lambda record: record.ambient_dim, default=None)
 
 
 def upper_existence(query: RegularQuery) -> Optional[ExistenceRecord]:
     """Direct sum of per-piece constructions when every piece has one."""
-    if query.regime != REAL:
-        return None
     records = []
     for spec, points in query.pieces:
-        record = upper_existence_piece(spec, points)
+        record = upper_existence_piece(spec, points, query.regime)
         if record is None:
             return None
         records.append(record)

@@ -4,9 +4,11 @@ A piece is a manifold spec with a point count.  Each row of `PIECE_RULES`
 states one fact about a family of pieces in one regime: its lower bound (the
 top degree of the configuration bundle's class and the ambient dimension
 that forces), its construction (an ExistenceRecord), the refusal for a near
-miss, and its theorem.  `lambda_top` is the one lookup of a piece's lower
-rule: its BundleProfile carries the bound and the rule's theorem labels.
-A new bound or construction is one more row; a piece no row covers raises
+miss, and its theorem.  `family_rules` is the one checked lookup of a
+piece's rows, for either part in either regime: `lambda_top` completes the
+lower row to a BundleProfile (the bound and the rule's theorem labels), and
+bounds.upper_existence_piece takes the smallest construction.  A new bound
+or construction is one more row; a piece no lower row covers raises
 UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
 """
 
@@ -18,7 +20,7 @@ from .fields import digit_sum_base_p, is_prime
 from .grassmann import chern_height_of_first_class
 from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, Product,
                         RealProj, Sphere, is_closed, real_dimension, render,
-                        top_dual_degree)
+                        require_spec, top_dual_degree)
 from .record import Record
 
 REAL = "real"
@@ -221,43 +223,47 @@ PIECE_RULES: tuple[PieceRule, ...] = (
 )
 
 
-def _by_kind(part: str) -> dict:
-    """regime -> spec class -> the rules with `part`, in table order."""
-    index: dict = {REAL: {}, COMPLEX: {}}
-    for rule in PIECE_RULES:
-        if getattr(rule, part) is not None:
-            for kind in rule.kinds:
-                index[rule.regime].setdefault(kind, []).append(rule)
-    return index
-
-
-_LOWER_RULES = _by_kind("lower")
-CONSTRUCTION_RULES = _by_kind("construct")
+# regime -> spec class -> its rules, in table order.
+_BY_KIND: dict = {REAL: {}, COMPLEX: {}}
+for _rule in PIECE_RULES:
+    for _kind in _rule.kinds:
+        _BY_KIND[_rule.regime].setdefault(_kind, []).append(_rule)
 # The message for a piece no lower rule of the regime covers.
 _NO_RULE = {REAL: "has no real-regime rule (closed specs need exactly two "
                   "points)",
             COMPLEX: "has no complex-regime rule"}
 
 
-def lambda_top(spec: ManifoldSpec, points: int = 2,
-               regime: str = REAL) -> BundleProfile:
-    """BundleProfile from the lower rule covering the piece, else a refusal."""
+def family_rules(spec: ManifoldSpec, points: int, regime: str,
+                 part: str) -> list:
+    """The rules with `part` ("lower" or "construct") whose family holds
+    `spec`, in table order; the piece matches those whose `points` holds.
+    Refuses point counts other than integers >= 2, unknown regimes, non-specs.
+    """
     if not isinstance(points, int) or points < 2:
         raise ValueError(
             f"point count must be an integer >= 2, got {points!r}")
-    by_kind = _LOWER_RULES.get(regime)
+    by_kind = _BY_KIND.get(regime)
     if by_kind is None:
         raise ValueError(f"unknown regime {regime!r}")
-    for rule in by_kind.get(type(spec), ()):
-        if rule.where is None or rule.where(spec):
-            if rule.points(points):
-                return BundleProfile(spec, points, regime,
-                                     *rule.lower(spec, points),
-                                     rule.theorem, rule.union)
-            if rule.refusal is not None:
-                raise UnsupportedBundleError(
-                    f"({render(spec)}, {points}): {rule.refusal}")
-    if not isinstance(spec, (Atom, Product)):
-        raise ValueError(f"not a manifold spec: {spec!r}")
+    rules = by_kind.get(type(spec))
+    if rules is None:
+        require_spec(spec)
+        return []
+    return [rule for rule in rules if getattr(rule, part) is not None
+            and (rule.where is None or rule.where(spec))]
+
+
+def lambda_top(spec: ManifoldSpec, points: int = 2,
+               regime: str = REAL) -> BundleProfile:
+    """BundleProfile from the lower rule covering the piece, else a refusal."""
+    for rule in family_rules(spec, points, regime, "lower"):
+        if rule.points(points):
+            return BundleProfile(spec, points, regime,
+                                 *rule.lower(spec, points),
+                                 rule.theorem, rule.union)
+        if rule.refusal is not None:
+            raise UnsupportedBundleError(
+                f"({render(spec)}, {points}): {rule.refusal}")
     raise UnsupportedBundleError(
         f"({render(spec)}, {points}) {_NO_RULE[regime]}")

@@ -117,6 +117,11 @@ class Product(Record):
 ManifoldSpec = Union[Atom, Product]
 
 
+def require_spec(spec) -> None:
+    if not isinstance(spec, (Atom, Product)):
+        raise ValueError(f"not a manifold spec: {spec!r}")
+
+
 def atoms(spec: ManifoldSpec) -> tuple:
     """Flat factor list; a non-product spec is its own single atom."""
     return spec.factors if isinstance(spec, Product) else (spec,)

@@ -13,9 +13,11 @@ from kregular import (COMPLEX, REAL, BoundReport, ComplexProj, Euclid,
                       projective_table_matches, real_dimension,
                       top_dual_degree, upper_existence,
                       upper_existence_piece)
+from kregular import bundles
 from kregular.bundles import (BCLZ_2015, COMPLEX_TWO_POINT, DISJOINT_COMPLEX,
                               DISJOINT_REAL, MAIN_THEOREM_1, MAIN_THEOREM_2,
-                              PROJECTIVE_3REGULAR_TABLE)
+                              PIECE_RULES, PROJECTIVE_3REGULAR_TABLE,
+                              ExistenceRecord, PieceRule)
 
 
 def test_query_validation():
@@ -148,14 +150,34 @@ def test_main_theorem_2_closed_form_rejects_foreign_pieces():
     lambda spec: sum(map(main_theorem_1_closed_form, (spec,))),
     lambda spec: bound_product_2regular(spec),
     lambda spec: RegularQuery(((spec, 2),)),
+    lambda spec: upper_existence_piece(spec, 2),
 ], ids=["lambda_top", "lambda_top_complex", "main_theorem_2",
-        "main_theorem_1", "handel", "product_2regular", "query"])
+        "main_theorem_1", "handel", "product_2regular", "query",
+        "upper_existence_piece"])
 def test_entry_points_refuse_a_string_spec(call):
     # A spec given as text is refused by name, as RegularQuery refuses it.
     with pytest.raises(ValueError) as err:
         call("S^2")
     assert type(err.value) is ValueError
     assert str(err.value) == "not a manifold spec: 'S^2'"
+
+
+@pytest.mark.parametrize("points, regime, message", [
+    (2.5, REAL, "point count must be an integer >= 2, got 2.5"),
+    (1, REAL, "point count must be an integer >= 2, got 1"),
+    (-1, REAL, "point count must be an integer >= 2, got -1"),
+    (True, REAL, "point count must be an integer >= 2, got True"),
+    ("2", REAL, "point count must be an integer >= 2, got '2'"),
+    (2, "octonionic", "unknown regime 'octonionic'"),
+], ids=["float", "one", "negative", "bool", "text", "regime"])
+def test_bound_and_construction_lookups_refuse_alike(points, regime,
+                                                     message):
+    # One checked lookup serves both parts, so both refuse with one text.
+    for lookup in (lambda_top, upper_existence_piece):
+        with pytest.raises(ValueError) as err:
+            lookup(Euclid(2), points, regime)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message, lookup
 
 
 def test_adding_a_piece_strictly_increases_the_bound():
@@ -291,10 +313,68 @@ def test_no_construction_lies_below_its_bound(regime):
         if report.construction is not None:
             assert report.construction.ambient_dim >= report.bound, pieces
         for spec, points in pieces:
-            upper = upper_existence_piece(spec, points)
-            if regime == REAL and upper is not None:
+            upper = upper_existence_piece(spec, points, regime)
+            if upper is not None:
                 assert upper.ambient_dim >= lambda_top(
                     spec, points, regime).contribution, (spec, points)
+
+
+def _table_construction(spec, points, regime):
+    """Smallest-ambient record of the PIECE_RULES rows that build the
+    piece, read row by row.
+    """
+    records = []
+    for rule in PIECE_RULES:
+        if (rule.regime == regime and type(spec) in rule.kinds
+                and rule.construct is not None
+                and (rule.where is None or rule.where(spec))
+                and rule.points(points)):
+            record = rule.construct(spec, points)
+            if record is not None:
+                records.append(record)
+    return min(records, key=lambda record: record.ambient_dim, default=None)
+
+
+# Pieces with a construction row but no lower rule.
+_CONSTRUCTION_ONLY = (
+    [(Euclid(2), k) for k in (3, 5, 6, 7)]
+    + [(family(m), 3) for family in (Sphere, RealProj) for m in range(2, 13)])
+
+
+@pytest.mark.parametrize("regime", [REAL, COMPLEX])
+def test_construction_lookup_matches_the_table(regime):
+    answered = _answered_pieces(regime)
+    for spec, points in answered + _CONSTRUCTION_ONLY:
+        assert upper_existence_piece(spec, points, regime) == \
+            _table_construction(spec, points, regime), (spec, points)
+    for piece in answered:
+        assert bound_disjoint(RegularQuery((piece,), regime)).construction \
+            == _table_construction(*piece, regime), piece
+    rng = random.Random(31)
+    for _ in range(200):
+        pieces = tuple(rng.choice(answered) for _ in range(rng.randint(2, 3)))
+        records = [_table_construction(*piece, regime) for piece in pieces]
+        expected = None if None in records else ExistenceRecord(
+            sum(record.ambient_dim for record in records),
+            "coordinate direct sum of piece constructions")
+        assert bound_disjoint(RegularQuery(pieces, regime)).construction \
+            == expected, pieces
+
+
+def test_a_complex_construction_row_is_read_like_a_real_one(monkeypatch):
+    # A row appended to the index in the complex regime reaches reports:
+    # x -> (1, x) packed into C^(floor(m/2) + 2) meets the sphere bound.
+    row = PieceRule(COMPLEX, (Sphere,), lambda k: k == 2,
+                    construct=lambda spec, k: ExistenceRecord(
+                        spec.m // 2 + 2, "packed sphere"))
+    spheres = bundles._BY_KIND[COMPLEX]
+    monkeypatch.setitem(spheres, Sphere, spheres[Sphere] + [row])
+    report = bound_disjoint(RegularQuery(((Sphere(5), 2),), COMPLEX))
+    assert report.construction == ExistenceRecord(4, "packed sphere")
+    assert report.tight
+    union = bound_disjoint(RegularQuery(((Sphere(5), 2), (Sphere(6), 2)),
+                                        COMPLEX))
+    assert union.construction.ambient_dim == union.bound == 4 + 5
 
 
 def _expected_labels(spec, regime):
