@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .bundles import (COMPLEX, DISJOINT_COMPLEX, DISJOINT_REAL,
-                      MAIN_THEOREM_2, REAL, ExistenceRecord, family_rules,
-                      lambda_top)
+                      MAIN_THEOREM_2, REAL, ExistenceRecord, lambda_top,
+                      require_piece, resolve)
 from .manifolds import (ManifoldSpec, is_closed, real_dimension, render,
                         require_spec, top_dual_degree_closed_form)
 from .record import Record
@@ -26,17 +26,11 @@ class RegularQuery(Record):
     __slots__ = ("pieces", "regime")
 
     def __init__(self, pieces: tuple, regime: str = REAL):
-        if regime not in (REAL, COMPLEX):
-            raise ValueError(f"unknown regime {regime!r}")
         pieces = tuple((spec, points) for spec, points in pieces)
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
-            require_spec(spec)
-            if not isinstance(points, int) or points < 2:
-                raise ValueError(
-                    f"piece ({render(spec)}, {points!r}): point count must "
-                    "be an integer >= 2")
+            require_piece(spec, points, regime)
         object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "regime", regime)
 
@@ -86,14 +80,21 @@ def main_theorem_1_closed_form(spec: ManifoldSpec) -> int:
 def bound_disjoint(query: RegularQuery) -> BoundReport:
     """Sum of the pieces' contributions, in either regime.
 
-    An unsupported piece raises with the piece named.  A lone piece takes
-    its profile's theorem, a union the union label all its profiles carry,
-    else the regime's general disjoint-union bound.  The report is tight
-    when upper_existence's construction meets the bound, in either regime.
+    Each piece is resolved once; the first unsupported one raises with the
+    piece named.  A lone piece takes its profile's theorem, a union the
+    union label all its profiles carry, else the regime's general bound.
+    The report is tight when the pieces' direct sum meets the bound.
     """
+    if not isinstance(query, RegularQuery):
+        raise ValueError(f"not a regular query: {query!r}")
     regime = query.regime
-    breakdown = tuple([lambda_top(spec, points, regime)
-                       for spec, points in query.pieces])
+    breakdown, records = [], []
+    for spec, points in query.pieces:
+        profile, record = resolve(spec, points, regime)
+        if isinstance(profile, ValueError):
+            raise profile
+        breakdown.append(profile)
+        records.append(record)
     if len(breakdown) == 1:
         theorem = breakdown[0].theorem
     else:
@@ -103,7 +104,7 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
         else:
             theorem = DISJOINT_COMPLEX if regime == COMPLEX else DISJOINT_REAL
     bound = sum(piece.contribution for piece in breakdown)
-    return BoundReport(bound, theorem, breakdown, upper_existence(query))
+    return BoundReport(bound, theorem, tuple(breakdown), _direct_sum(records))
 
 
 def main_theorem_2_closed_form(
@@ -133,22 +134,22 @@ def main_theorem_2_closed_form(
 def upper_existence_piece(spec: ManifoldSpec, points: int,
                           regime: str = REAL) -> Optional[ExistenceRecord]:
     """Smallest construction of the piece's rules in `regime`, or None."""
-    rules = family_rules(spec, points, regime, "construct")
-    records = [record for rule in rules if rule.points(points)
-               and (record := rule.construct(spec, points)) is not None]
-    return min(records, key=lambda record: record.ambient_dim, default=None)
+    require_piece(spec, points, regime)
+    return resolve(spec, points, regime)[1]
 
 
 def upper_existence(query: RegularQuery) -> Optional[ExistenceRecord]:
     """Direct sum of per-piece constructions when every piece has one."""
-    records = []
-    for spec, points in query.pieces:
-        record = upper_existence_piece(spec, points, query.regime)
-        if record is None:
-            return None
-        records.append(record)
+    return _direct_sum([resolve(spec, points, query.regime)[1]
+                        for spec, points in query.pieces])
+
+
+def _direct_sum(records: list) -> Optional[ExistenceRecord]:
+    """The pieces' coordinate direct sum, or None if one has none."""
     if len(records) == 1:
         return records[0]
+    if None in records:
+        return None
     total = sum(record.ambient_dim for record in records)
     return ExistenceRecord(total, "coordinate direct sum of piece "
                                   "constructions")

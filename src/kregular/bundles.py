@@ -4,12 +4,11 @@ A piece is a manifold spec with a point count.  Each row of `PIECE_RULES`
 states one fact about a family of pieces in one regime: its lower bound (the
 top degree of the configuration bundle's class and the ambient dimension
 that forces), its construction (an ExistenceRecord), the refusal for a near
-miss, and its theorem.  `family_rules` is the one checked lookup of a
-piece's rows, for either part in either regime: `lambda_top` completes the
-lower row to a BundleProfile (the bound and the rule's theorem labels), and
-bounds.upper_existence_piece takes the smallest construction.  A new bound
-or construction is one more row; a piece no lower row covers raises
-UnsupportedBundleError.  The RP^m table of 3-regular maps is here too.
+miss, and its theorem.  `require_piece` checks a piece, and `resolve` walks
+its rows once: it returns the lower row's BundleProfile (the bound and the
+theorem labels) or the UnsupportedBundleError refusing the piece, with the
+smallest construction.  A new bound or construction is one more row.  The
+RP^m table of 3-regular maps is here too.
 """
 
 from __future__ import annotations
@@ -234,36 +233,47 @@ _NO_RULE = {REAL: "has no real-regime rule (closed specs need exactly two "
             COMPLEX: "has no complex-regime rule"}
 
 
-def family_rules(spec: ManifoldSpec, points: int, regime: str,
-                 part: str) -> list:
-    """The rules with `part` ("lower" or "construct") whose family holds
-    `spec`, in table order; the piece matches those whose `points` holds.
-    Refuses point counts other than integers >= 2, unknown regimes, non-specs.
-    """
-    if not isinstance(points, int) or points < 2:
-        raise ValueError(
-            f"point count must be an integer >= 2, got {points!r}")
-    by_kind = _BY_KIND.get(regime)
-    if by_kind is None:
+def require_piece(spec: ManifoldSpec, points: int, regime: str) -> None:
+    """Refuses an unknown regime, a non-spec, a bad point count, in order."""
+    if regime not in _BY_KIND:
         raise ValueError(f"unknown regime {regime!r}")
-    rules = by_kind.get(type(spec))
-    if rules is None:
-        require_spec(spec)
-        return []
-    return [rule for rule in rules if getattr(rule, part) is not None
-            and (rule.where is None or rule.where(spec))]
+    require_spec(spec)
+    if not isinstance(points, int) or points < 2:
+        raise ValueError(f"piece ({render(spec)}, {points!r}): "
+                         "point count must be an integer >= 2")
+
+
+def resolve(spec: ManifoldSpec, points: int, regime: str) -> tuple:
+    """(profile, construction) of a piece `require_piece` passed, from one
+    walk of its rows in table order.  The profile is a BundleProfile or the
+    UnsupportedBundleError that refuses the piece; the construction is the
+    smallest ExistenceRecord of its matching rows, or None."""
+    profile, records = None, []
+    for rule in _BY_KIND[regime].get(type(spec), ()):
+        if rule.where is not None and not rule.where(spec):
+            continue
+        if rule.lower is not None and profile is None:
+            if rule.points(points):
+                profile = BundleProfile(spec, points, regime,
+                                        *rule.lower(spec, points),
+                                        rule.theorem, rule.union)
+            elif rule.refusal is not None:
+                profile = UnsupportedBundleError(
+                    f"({render(spec)}, {points}): {rule.refusal}")
+        if rule.construct is not None and rule.points(points):
+            records.append(rule.construct(spec, points))
+    if profile is None:
+        profile = UnsupportedBundleError(
+            f"({render(spec)}, {points}) {_NO_RULE[regime]}")
+    return profile, min(filter(None, records), default=None,
+                        key=lambda record: record.ambient_dim)
 
 
 def lambda_top(spec: ManifoldSpec, points: int = 2,
                regime: str = REAL) -> BundleProfile:
     """BundleProfile from the lower rule covering the piece, else a refusal."""
-    for rule in family_rules(spec, points, regime, "lower"):
-        if rule.points(points):
-            return BundleProfile(spec, points, regime,
-                                 *rule.lower(spec, points),
-                                 rule.theorem, rule.union)
-        if rule.refusal is not None:
-            raise UnsupportedBundleError(
-                f"({render(spec)}, {points}): {rule.refusal}")
-    raise UnsupportedBundleError(
-        f"({render(spec)}, {points}) {_NO_RULE[regime]}")
+    require_piece(spec, points, regime)
+    profile = resolve(spec, points, regime)[0]
+    if isinstance(profile, ValueError):
+        raise profile
+    return profile

@@ -32,7 +32,7 @@ from typing import Callable, Optional, Sequence
 
 from .bounds import RegularQuery, bound_disjoint
 from .bundles import projective_table_matches
-from .expr import parse_expression, parse_manifold, render_query
+from .expr import parse_expression, parse_manifold
 from .fields import lucas_binom_mod_p
 from .grassmann import cached_presentation, chern_height_of_first_class
 from .manifolds import (RealProj, dual_sw, render, top_dual_degree,
@@ -60,20 +60,21 @@ def _cmd_bound(args) -> dict:
             "source": report.construction.source,
             "tight": report.tight,
         }
+    rows = [{
+        "piece": render(piece.spec),
+        "points": piece.points,
+        "top_degree": piece.top_degree,
+        "contribution": piece.contribution,
+        "lower_bound_only": piece.is_lower_bound,
+        "source": piece.source,
+    } for piece in report.breakdown]
     return {
         "schema": "1",
-        "query": render_query(query),
+        "query": " + ".join(f"({r['piece']}, {r['points']})" for r in rows),
         "regime": query.regime,
         "bound": report.bound,
         "theorem": report.theorem,
-        "breakdown": [{
-            "piece": render(piece.spec),
-            "points": piece.points,
-            "top_degree": piece.top_degree,
-            "contribution": piece.contribution,
-            "lower_bound_only": piece.is_lower_bound,
-            "source": piece.source,
-        } for piece in report.breakdown],
+        "breakdown": rows,
         "tightness": tightness,
     }
 

@@ -163,21 +163,41 @@ def test_entry_points_refuse_a_string_spec(call):
 
 
 @pytest.mark.parametrize("points, regime, message", [
-    (2.5, REAL, "point count must be an integer >= 2, got 2.5"),
-    (1, REAL, "point count must be an integer >= 2, got 1"),
-    (-1, REAL, "point count must be an integer >= 2, got -1"),
-    (True, REAL, "point count must be an integer >= 2, got True"),
-    ("2", REAL, "point count must be an integer >= 2, got '2'"),
+    (2.5, REAL, "piece (R^2, 2.5): point count must be an integer >= 2"),
+    (1, REAL, "piece (R^2, 1): point count must be an integer >= 2"),
+    (-1, REAL, "piece (R^2, -1): point count must be an integer >= 2"),
+    (True, REAL, "piece (R^2, True): point count must be an integer >= 2"),
+    ("2", REAL, "piece (R^2, '2'): point count must be an integer >= 2"),
     (2, "octonionic", "unknown regime 'octonionic'"),
 ], ids=["float", "one", "negative", "bool", "text", "regime"])
 def test_bound_and_construction_lookups_refuse_alike(points, regime,
                                                      message):
-    # One checked lookup serves both parts, so both refuse with one text.
-    for lookup in (lambda_top, upper_existence_piece):
+    # One validator checks every entry point, so all refuse with one text.
+    for lookup in (lambda_top, upper_existence_piece,
+                   lambda spec, points, regime:
+                   RegularQuery(((spec, points),), regime)):
         with pytest.raises(ValueError) as err:
             lookup(Euclid(2), points, regime)
         assert type(err.value) is ValueError
         assert str(err.value) == message, lookup
+
+
+@pytest.mark.parametrize("pieces, regime, message", [
+    (((Sphere(3), 2), (Euclid(2), 3), (Sphere(4), 5)), REAL,
+     "(R^2, 3): plane rule needs a power-of-two point count"),
+    (((Sphere(3), 2), (Euclid(2), 4), (ComplexProj(3), 2)), COMPLEX,
+     "(R^2, 4): complex plane pieces need an odd prime point count"),
+], ids=["real", "complex"])
+def test_union_raises_its_first_refusing_piece(pieces, regime, message):
+    # The second and third pieces both refuse; the second is named.
+    with pytest.raises(UnsupportedBundleError) as err:
+        bound_disjoint(RegularQuery(pieces, regime))
+    assert str(err.value) == message
+
+
+def test_bound_disjoint_refuses_anything_but_a_query():
+    with pytest.raises(ValueError):
+        bound_disjoint(((Sphere(3), 2),))
 
 
 def test_adding_a_piece_strictly_increases_the_bound():
