@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .fields import digit_sum_base_p, is_prime
+from .fields import is_prime
 from .grassmann import chern_height_of_first_class
 from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, Product,
                         RealProj, Sphere, is_closed, real_dimension, render,
@@ -71,10 +71,10 @@ class TableRow(Record):
 PROJECTIVE_3REGULAR_TABLE: tuple[TableRow, ...] = (
     TableRow("m = 8q+3 or 8q+5 (q > 0)",
              lambda m: m % 8 in (3, 5) and m // 8 > 0,
-             lambda m: 2 * m - min(5, digit_sum_base_p(m // 8, 2))),
+             lambda m: 2 * m - min(5, (m // 8).bit_count())),
     TableRow("m = 8q+1 (q > 0)",
              lambda m: m % 8 == 1 and m // 8 > 0,
-             lambda m: 2 * m - min(7, digit_sum_base_p(m // 8, 2)) + 2),
+             lambda m: 2 * m - min(7, (m // 8).bit_count()) + 2),
     TableRow("m = 32q+7 (q > 0)",
              lambda m: m % 32 == 7 and m // 32 > 0,
              lambda m: 2 * m - 6),
@@ -106,14 +106,18 @@ def projective_table_matches(m: int) -> list[tuple[TableRow, int]]:
             if row.matches(m)]
 
 
-def projective_3regular_upper(m: int) -> Optional[ExistenceRecord]:
-    """Smallest tabled ambient dimension for a 3-regular map of RP^m."""
+def projective_3regular_upper(m: int,
+                              suffix: str = "") -> Optional[ExistenceRecord]:
+    """Smallest tabled ambient dimension for a 3-regular map of RP^m.
+
+    The record's source names the table row, followed by `suffix`.
+    """
     hits = projective_table_matches(m)
     if not hits:
         return None
     row, ambient = min(hits, key=lambda pair: pair[1])
-    return ExistenceRecord(ambient,
-                           f"3-regular projective construction, {row.label}")
+    return ExistenceRecord(
+        ambient, f"3-regular projective construction, {row.label}{suffix}")
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +176,8 @@ def _complex_cp_profile(spec, k):
 
 
 def _projective_construction(spec, k):
-    record = projective_3regular_upper(spec.m)
-    if record is None or k == 3:
-        return record
-    return ExistenceRecord(record.ambient_dim,
-                           record.source + " (restricted to 2-regular)")
+    return projective_3regular_upper(
+        spec.m, "" if k == 3 else " (restricted to 2-regular)")
 
 
 def _is_plane(spec):

@@ -7,11 +7,15 @@ projective constructions).  All output is ASCII.
 
 One table, `COMMANDS`, describes the grammar: for each subcommand its
 handler, its text renderer, its positionals and its options, each with its
-converter (int or text) or choices, its default and whether it is required.
-`EVERY_COMMAND` lists the options all subcommands take (--json).  `main`
-reads argv against the table in one pass and generates -h/--help from it.
-Options take exact names, as `--name value` or `--name=value`, anywhere
-after the subcommand; the last of a repeated option wins.
+type (int or text) or choices, its default and whether it is required.
+`EVERY_COMMAND` lists the options all subcommands take (--json).  Building
+the table chooses each argument's reader once: `_int`, a choice check, or
+the text itself (a flag has none).  `main` reads argv against the table in
+one pass and generates -h/--help from it.  Options take exact names, as
+`--name value` or `--name=value`, anywhere after the subcommand; the last
+of a repeated option wins.  The usual `--name value` costs one lookup in
+the subcommand's `flags` and one reader call; only the rarer tokens
+(`--name=value`, `--`, -h/--help, unknown options) are split at '='.
 
 Each subcommand's handler returns one payload dict, and `main` alone writes
 it: --json prints it as one deterministic JSON object, and otherwise the
@@ -239,12 +243,21 @@ def _arg(name: str, convert: Optional[Callable] = str, choices: tuple = (),
          help: str = "") -> SimpleNamespace:
     """One positional, or one option spelled `--name` on the command line.
 
-    `convert` turns the argument's text into its value (`int` or `str`);
-    an option whose `convert` is None is a flag, which takes no value and
-    reads True when given.  A value outside non-empty `choices` is refused.
+    `convert` is the argument's type (`int` or `str`); an option whose
+    `convert` is None is a flag, which takes no value and reads True when
+    given.  A text argument with non-empty `choices` refuses any other
+    value.  `read(label, text)`, chosen here once, turns the argument's
+    text into its value (None for a flag).
     """
+    if convert is None:
+        read = None
+    elif choices:
+        read = _choice(choices)
+    else:
+        read = _int if convert is int else _text
     return SimpleNamespace(name=name, convert=convert, choices=choices,
-                           default=default, required=required, help=help)
+                           default=default, required=required, help=help,
+                           read=read)
 
 
 def _command(help: str, handler: Callable, text: Callable,
@@ -253,17 +266,59 @@ def _command(help: str, handler: Callable, text: Callable,
 
     `flags` is the `--flag` lookup over its options and EVERY_COMMAND's,
     `defaults` holds the optional ones' defaults and `required` the
-    (flag, name) pairs of the required ones.
+    (flag, name) pairs of the required ones.  `arity` counts every name a
+    complete argv sets, so a shorter result means something is missing.
     """
     flags = {f"--{option.name}": option
              for option in options + EVERY_COMMAND}
+    names = [arg.name for arg in positionals + options + EVERY_COMMAND]
+    if len(set(names)) != len(names):
+        raise ValueError(f"argument names repeat: {names}")
     return SimpleNamespace(
         help=help, handler=handler, text=text, positionals=positionals,
-        options=options, flags=flags,
+        options=options, flags=flags, arity=len(names),
         defaults={option.name: option.default
                   for option in flags.values() if not option.required},
         required=[(flag, option.name) for flag, option in flags.items()
                   if option.required])
+
+
+def _is_int(text: str) -> bool:
+    """Whether an argument is an integer: ASCII digits after at most one sign.
+
+    Every integer argument meets this rule before int(), which also reads
+    other scripts' digits, '_' and surrounding spaces; isdigit() alone also
+    takes superscript digits.
+    """
+    digits = text[1:] if text[:1] in "+-" else text
+    return digits.isdigit() and digits.isascii()
+
+
+def _int(label: str, text: str) -> int:
+    """The integer an argument spells, or a usage error naming `label`."""
+    # _is_int, written out: this runs for every integer argument.
+    digits = text[1:] if text[:1] in "+-" else text
+    if not (digits.isdigit() and digits.isascii()):
+        raise _UsageError(f"{label}: invalid int value {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        raise _UsageError(f"{label}: integer too long "
+                          f"({len(text.lstrip('+-'))} digits)") from None
+
+
+def _text(label: str, text: str) -> str:
+    return text
+
+
+def _choice(choices: tuple) -> Callable:
+    """The reader of a text argument that must be one of `choices`."""
+    def read(label: str, text: str) -> str:
+        if text not in choices:
+            raise _UsageError(f"{label}: invalid choice {text!r} (choose "
+                              f"from {', '.join(choices)})")
+        return text
+    return read
 
 
 # The command table: every subcommand's handler, text renderer and
@@ -311,17 +366,6 @@ COMMANDS = {
 _HELP = ("-h", "--help")
 
 
-def _is_int(text: str) -> bool:
-    """Whether an argument is an integer: ASCII digits after at most one sign.
-
-    Every integer argument meets this rule before int(), which also reads
-    other scripts' digits, '_' and surrounding spaces; isdigit() alone also
-    takes superscript digits.
-    """
-    digits = text[1:] if text[:1] in "+-" else text
-    return digits.isdigit() and digits.isascii()
-
-
 def _names_option(token: str) -> bool:
     """Whether a token is an option name rather than a value.
 
@@ -335,25 +379,6 @@ def _names_option(token: str) -> bool:
             and not token[1:2].isdigit())
 
 
-def _int(label: str, text: str) -> int:
-    """The integer an argument spells, or a usage error naming `label`."""
-    if not _is_int(text):
-        raise _UsageError(f"{label}: invalid int value {text!r}")
-    try:
-        return int(text)
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        raise _UsageError(f"{label}: integer too long "
-                          f"({len(text.lstrip('+-'))} digits)") from None
-
-
-def _convert(arg: SimpleNamespace, label: str, text: str):
-    value = _int(label, text) if arg.convert is int else text
-    if arg.choices and value not in arg.choices:
-        raise _UsageError(f"{label}: invalid choice {text!r} (choose from "
-                          f"{', '.join(arg.choices)})")
-    return value
-
-
 def _parse(argv: Sequence[str]) -> tuple:
     """(command name, arguments) for argv, read in one pass over the table.
 
@@ -361,6 +386,11 @@ def _parse(argv: Sequence[str]) -> tuple:
     it asks for the top-level help.  Options may come anywhere after the
     subcommand as `--name value` or `--name=value`, the last one given
     wins, and every token after `--` is a positional.
+
+    A token that spells an option takes one `flags` lookup, and its value
+    goes straight to the option's reader; a value is checked against
+    `_names_option` only when it starts with '-'.  Only `--name=value`,
+    `--`, -h/--help and unknown options are split at '='.
     """
     if not argv:
         raise _UsageError(f"a command is required (choose from "
@@ -372,43 +402,51 @@ def _parse(argv: Sequence[str]) -> tuple:
     if command is None:
         raise _UsageError(f"invalid command {name!r} (choose from "
                           f"{', '.join(COMMANDS)})")
+    flags = command.flags
     values = dict(command.defaults)
-    positionals = command.positionals
-    filled = 0
+    slots = iter(command.positionals)
     tokens = iter(argv[1:])
-    only_positionals = False
     for token in tokens:
-        if not only_positionals and _names_option(token):
-            if token == "--":
-                only_positionals = True
-                continue
-            if token in _HELP:
-                return name, None
-            flag, equals, text = token.partition("=")
-            option = command.flags.get(flag)
-            if option is None:
-                raise _UsageError(f"unknown option {flag!r} for {name}")
-            if option.convert is None:
-                if equals:
+        option = flags.get(token)
+        if option is None:
+            if token[:1] == "-" and _names_option(token):
+                if token == "--":
+                    break
+                if token in _HELP:
+                    return name, None
+                # Not a flag itself, so a known flag here has an '='.
+                flag, _, text = token.partition("=")
+                option = flags.get(flag)
+                if option is None:
+                    raise _UsageError(f"unknown option {flag!r} for {name}")
+                if option.read is None:
                     raise _UsageError(f"{flag} takes no value, got {text!r}")
-                values[option.name] = True
-                continue
-            if not equals:
-                text = next(tokens, None)
-                if text is None or _names_option(text):
-                    raise _UsageError(f"{flag} expects a value")
-            values[option.name] = _convert(option, flag, text)
-        elif filled < len(positionals):
-            arg = positionals[filled]
-            values[arg.name] = _convert(arg, arg.name, token)
-            filled += 1
+                values[option.name] = option.read(flag, text)
+            else:
+                _read_positional(name, slots, values, token)
+        elif option.read is None:
+            values[option.name] = True
         else:
-            raise _UsageError(f"unexpected argument {token!r} for {name}")
-    missing = [arg.name for arg in positionals[filled:]]
-    missing += [flag for flag, key in command.required if key not in values]
-    if missing:
+            text = next(tokens, None)
+            if text is None or text[:1] == "-" and _names_option(text):
+                raise _UsageError(f"{token} expects a value")
+            values[option.name] = option.read(token, text)
+    for token in tokens:  # every token after '--'
+        _read_positional(name, slots, values, token)
+    if len(values) < command.arity:
+        missing = [arg.name for arg in slots]
+        missing += [flag for flag, key in command.required
+                    if key not in values]
         raise _UsageError(f"{name} requires {', '.join(missing)}")
     return name, SimpleNamespace(**values)
+
+
+def _read_positional(name: str, slots, values: dict, token: str) -> None:
+    """Fill the next open positional of command `name` from `token`."""
+    arg = next(slots, None)
+    if arg is None:
+        raise _UsageError(f"unexpected argument {token!r} for {name}")
+    values[arg.name] = arg.read(arg.name, token)
 
 
 def _metavar(arg: SimpleNamespace) -> str:

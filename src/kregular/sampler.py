@@ -29,17 +29,18 @@ the whole column's.
 
 Sampling is reproducible: trial i draws from a generator seeded with seed *
 1000003 + i, so verdicts and witnesses are independent of trial order and
-identical across runs.  One random.Random is reseeded for each trial, which
-gives the same stream as a new generator per trial.  The parts of a trial
-draw one after another, each in one loop of its family's `sample`.  For
-every point the loop draws the numerators and denominators as ints, off
+identical across runs.  One random.Random, built with trial 0's seed (an
+unseeded one would read OS entropy first), is reseeded for each later trial,
+which gives the same stream as a new generator per trial.  The parts of a
+trial draw one after another, each in one loop of its family's `sample`.
+For every point the loop draws the numerators and denominators as ints, off
 exactly the bits that random.randint would consume (getrandbits of the
 range's bit length, drawn again while the value is out of range); it keys
 the point, skips it if the part already holds that key, and builds the
-column of a kept point from those ints.  The key is exact: every
-denominator divides 840, so a * 840 // b is equal for two draws exactly
-when a/b is, and the points of a part are pairwise distinct.  Only the
-points of a kept witness become Fractions.
+column of a kept point from those ints.  The key is exact: every denominator
+divides 840, so a * 840 // b is equal for two draws exactly when a/b is, and
+the points of a part are pairwise distinct.  Only the points of a kept
+witness become Fractions.
 The draws of a part range over a finite grid, and a tuple size above its
 part's grid raises ValueError.
 """
@@ -440,10 +441,11 @@ def sample_check_regular(example: ExampleMap,
     drawn = min(trials, _MAX_WITNESSES) if expected_violation else trials
     violations = 0
     witnesses: list[Witness] = []
-    rng = random.Random()
+    rng = random.Random(seed * _SEED_STRIDE)
     bits = rng.getrandbits
     for trial in range(drawn):
-        rng.seed(seed * _SEED_STRIDE + trial)
+        if trial:
+            rng.seed(seed * _SEED_STRIDE + trial)
         columns = [part.sample(bits, size) for part, size in zip(parts, sizes)]
         if expected_violation or not all(map(_full_rank, parts, columns)):
             violations += 1

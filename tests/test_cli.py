@@ -655,6 +655,55 @@ def test_command_help_lists_every_argument(capsys):
         assert run_cli(capsys, name, "--json", "--help") == (code, out, err)
 
 
+# For every option of every command: the other arguments a valid argv
+# needs, and a valid value.
+VALID_OPTION_VALUES = {
+    ("bound", "regime"): (("S^4",), "complex"),
+    ("height", "k"): (("--n", "5"), "2"),
+    ("height", "n"): (("--k", "2"), "5"),
+    ("height", "regime"): (("--k", "2", "--n", "5"), "real"),
+    ("lucas", "p"): (("7", "3"), "3"),
+    ("verify", "tuple"): (("vandermonde:3", "--trials", "5"), "3"),
+    ("verify", "trials"): (("sphere:2",), "5"),
+    ("verify", "seed"): (("vandermonde:2", "--trials", "5"), "-3"),
+}
+
+
+@pytest.mark.parametrize("name, option", [
+    (name, option.name) for name, command in COMMANDS.items()
+    for option in command.options])
+def test_option_value_spellings_agree(capsys, name, option):
+    # A new option needs its entry above.
+    others, value = VALID_OPTION_VALUES[name, option]
+    spaced = run_cli(capsys, name, *others, f"--{option}", value)
+    joined = run_cli(capsys, name, *others, f"--{option}={value}")
+    assert spaced == joined
+    assert spaced[0] == EXIT_OK, spaced
+
+
+def test_tokens_after_double_dash_are_positionals(capsys):
+    assert run_cli(capsys, "bound", "--", "--json") == (
+        EXIT_USAGE, "", "error: expected a name, got '--json' (at position "
+                        "0)\n")
+    assert run_cli(capsys, "lucas", "--", "7", "3", "--p", "2") == (
+        EXIT_USAGE, "", "error: unexpected argument '--p' for lucas\n")
+
+
+def test_missing_arguments_name_positionals_then_options(capsys):
+    assert run_cli(capsys, "lucas", "5") == (
+        EXIT_USAGE, "", "error: lucas requires k, --p\n")
+    assert run_cli(capsys, "height", "--n", "5") == (
+        EXIT_USAGE, "", "error: height requires --k\n")
+
+
+def test_last_repeated_option_wins_in_both_spellings(capsys):
+    # C(7, 3) = 35 is 2 mod 3 and 1 mod 2.
+    assert run_cli(capsys, "lucas", "7", "3", "--p=2", "--p", "3") == (
+        EXIT_OK, "2\n", "")
+    assert run_cli(capsys, "lucas", "7", "3", "--p", "3", "--p=2") == (
+        EXIT_OK, "1\n", "")
+
+
 # (argv, the malformed integer stderr must name)
 MALFORMED_INTEGERS = [
     (("height", "--k", "\u0662", "--n", "5"), "\u0662"),
