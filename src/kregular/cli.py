@@ -372,8 +372,8 @@ def _names_option(token: str) -> bool:
     A token that starts with '-' names an option unless it is '-' alone,
     holds a space, as an expression may, or has a digit after the '-', in
     any script.  So `lucas -5 2` and `--seed -5` pass numbers, and a
-    malformed number, in another script's digits say, reaches its
-    converter, which names it.
+    malformed number, in another script's digits say, reaches its reader,
+    which names it.
     """
     return (token[:1] == "-" and token != "-" and " " not in token
             and not token[1:2].isdigit())
