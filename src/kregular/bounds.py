@@ -26,13 +26,19 @@ class RegularQuery(Record):
     __slots__ = ("pieces", "regime")
 
     def __init__(self, pieces: tuple, regime: str = REAL):
-        pieces = tuple((spec, points) for spec, points in pieces)
+        pieces = tuple([(spec, points) for spec, points in pieces])
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
             require_piece(spec, points, regime)
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "regime", regime)
+        _set_pieces(self, pieces)
+        _set_regime(self, regime)
+
+
+# The constructor sets its slots through their member descriptors, as
+# generated ones do (record.py).
+_set_pieces = RegularQuery.pieces.__set__
+_set_regime = RegularQuery.regime.__set__
 
 
 class BoundReport(Record):
@@ -88,13 +94,14 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
     if not isinstance(query, RegularQuery):
         raise ValueError(f"not a regular query: {query!r}")
     regime = query.regime
-    breakdown, records = [], []
+    breakdown, records, bound = [], [], 0
     for spec, points in query.pieces:
         profile, record = resolve(spec, points, regime)
         if isinstance(profile, ValueError):
             raise profile
         breakdown.append(profile)
         records.append(record)
+        bound += profile.contribution
     if len(breakdown) == 1:
         theorem = breakdown[0].theorem
     else:
@@ -103,7 +110,6 @@ def bound_disjoint(query: RegularQuery) -> BoundReport:
             theorem = unions.pop()
         else:
             theorem = DISJOINT_COMPLEX if regime == COMPLEX else DISJOINT_REAL
-    bound = sum(piece.contribution for piece in breakdown)
     return BoundReport(bound, theorem, tuple(breakdown), _direct_sum(records))
 
 

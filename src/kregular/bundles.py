@@ -18,8 +18,11 @@ from typing import Optional
 from .fields import is_prime
 from .grassmann import chern_height_of_first_class
 from .manifolds import (Atom, ComplexProj, Euclid, ManifoldSpec, Product,
-                        RealProj, Sphere, is_closed, real_dimension, render,
-                        require_spec, top_dual_degree)
+                        RealProj, Sphere, _free, atoms, is_closed, render,
+                        require_spec)
+# Unused here, but kbench/test_smoke.py asserts that the tracer wraps
+# bundles.top_dual_degree; ROADMAP item 4 moves that pin.
+from .manifolds import top_dual_degree  # noqa: F401
 from .record import Record
 
 REAL = "real"
@@ -148,7 +151,11 @@ def _plane_profile(spec, k):
 
 
 def _closed_profile(spec, k):
-    degree = real_dimension(spec) + top_dual_degree(spec).top_degree
+    # Dimension plus top dual degree, in one walk: each factor's share of
+    # the top dual degree is dim_per_m * _free(atom) (Lucas's theorem).
+    degree = 0
+    for atom in atoms(spec):
+        degree += atom.dim_per_m * (atom.m + _free(atom))
     return (degree, degree + 2, False,
             "two-point bundle over a closed manifold: dimension plus top "
             "dual class degree")
@@ -248,8 +255,9 @@ def resolve(spec: ManifoldSpec, points: int, regime: str) -> tuple:
     """(profile, construction) of a piece `require_piece` passed, from one
     walk of its rows in table order.  The profile is a BundleProfile or the
     UnsupportedBundleError that refuses the piece; the construction is the
-    smallest ExistenceRecord of its matching rows, or None."""
-    profile, records = None, []
+    smallest ExistenceRecord of its matching rows (the first of equals in
+    table order), or None."""
+    profile, best = None, None
     for rule in _BY_KIND[regime].get(type(spec), ()):
         if rule.where is not None and not rule.where(spec):
             continue
@@ -262,12 +270,14 @@ def resolve(spec: ManifoldSpec, points: int, regime: str) -> tuple:
                 profile = UnsupportedBundleError(
                     f"({render(spec)}, {points}): {rule.refusal}")
         if rule.construct is not None and rule.points(points):
-            records.append(rule.construct(spec, points))
+            record = rule.construct(spec, points)
+            if record is not None and (best is None or record.ambient_dim
+                                       < best.ambient_dim):
+                best = record
     if profile is None:
         profile = UnsupportedBundleError(
             f"({render(spec)}, {points}) {_NO_RULE[regime]}")
-    return profile, min(filter(None, records), default=None,
-                        key=lambda record: record.ambient_dim)
+    return profile, best
 
 
 def lambda_top(spec: ManifoldSpec, points: int = 2,

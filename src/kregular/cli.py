@@ -64,17 +64,21 @@ def _cmd_bound(args) -> dict:
             "source": report.construction.source,
             "tight": report.tight,
         }
-    rows = [{
-        "piece": render(piece.spec),
-        "points": piece.points,
-        "top_degree": piece.top_degree,
-        "contribution": piece.contribution,
-        "lower_bound_only": piece.is_lower_bound,
-        "source": piece.source,
-    } for piece in report.breakdown]
+    rows, shown = [], []
+    for piece in report.breakdown:
+        text = render(piece.spec)
+        rows.append({
+            "piece": text,
+            "points": piece.points,
+            "top_degree": piece.top_degree,
+            "contribution": piece.contribution,
+            "lower_bound_only": piece.is_lower_bound,
+            "source": piece.source,
+        })
+        shown.append(f"({text}, {piece.points})")
     return {
         "schema": "1",
-        "query": " + ".join(f"({r['piece']}, {r['points']})" for r in rows),
+        "query": " + ".join(shown),
         "regime": query.regime,
         "bound": report.bound,
         "theorem": report.theorem,

@@ -9,11 +9,13 @@ Grammar (tokens separated by optional whitespace):
 The "x" may touch the next factor name: "S^2xRP^3" is "S^2 x RP^3".  Names
 and INTs are runs of ASCII letters and digits.  The lexer is one
 `re.findall` per text, into runs of letters, runs of digits and single
-non-space characters (regex whitespace is exactly str.isspace).  The
-parser walks that list.  After an atom, a token that starts with "x" gives
-up its "x" as the separator, and the rest is the next name.  Token
-positions are looked up again, with `finditer`, only to report an error;
-end of input is at len(text).
+non-space characters (regex whitespace is exactly str.isspace), with ""
+appended as the end of input.  The parser is a walk of plain functions over
+that list: each takes the text, the list and a token index, and returns
+what it parsed with the index after it.  After an atom, a token that
+starts with "x" gives up its "x" as the separator, and the rest is the
+next name.  Token positions are looked up again, with `finditer`, only to
+report an error (`_position`, `_error`); end of input is at len(text).
 
 A bare product parses to a manifold spec, a parenthesized list to a
 RegularQuery (regime chosen by the caller, default real).  Errors carry the
@@ -49,125 +51,105 @@ _DIGITS = frozenset("0123456789")
 _TOKEN = re.compile(r"[A-Za-z]+|[0-9]+|\S")
 
 
-class _Tokens:
-    """The text's tokens, walked by index `i`; '' past the end."""
-
-    __slots__ = ("text", "items", "i")
-
-    def __init__(self, text: str):
-        if not isinstance(text, str):
-            raise ParseError("expected a string expression", 0)
-        self.text = text
-        self.items = _TOKEN.findall(text)
-        self.items.append("")
-        self.i = 0
-
-    def position(self, index: int) -> int:
-        """Character position of token `index`, or len(text) past the end."""
-        for at, match in enumerate(_TOKEN.finditer(self.text)):
-            if at == index:
-                # A name that gave up its leading "x" starts one later.
-                return match.end() - len(self.items[index])
-        return len(self.text)
-
-    def error(self, expected: str) -> ParseError:
-        """Syntax error naming the run of non-space text at the next token."""
-        position = self.position(self.i)
-        rest = self.text[position:].split(None, 1)
-        got = repr(rest[0]) if rest else "end of input"
-        return ParseError(f"expected {expected}, got {got}", position)
-
-    def take_symbol(self, symbol: str) -> None:
-        if self.items[self.i] != symbol:
-            raise self.error(repr(symbol))
-        self.i += 1
-
-    def take_separator(self) -> bool:
-        """Take a product's "x", which may be the head of the next name."""
-        token = self.items[self.i]
-        if token[:1] != "x":
-            return False
-        if token == "x":
-            self.i += 1
-        else:
-            self.items[self.i] = token[1:]
-        return True
+def _position(text: str, items: list, index: int) -> int:
+    """Character position of token `index`, or len(text) past the end."""
+    for at, match in enumerate(_TOKEN.finditer(text)):
+        if at == index:
+            # A name that gave up its leading "x" starts one later.
+            return match.end() - len(items[index])
+    return len(text)
 
 
-def _take_int(tokens: _Tokens) -> tuple[int, int]:
-    """An integer token's value and index."""
-    index = tokens.i
-    digits = tokens.items[index]
+def _error(text: str, items: list, index: int, expected: str) -> ParseError:
+    """Syntax error naming the run of non-space text at token `index`."""
+    position = _position(text, items, index)
+    rest = text[position:].split(None, 1)
+    got = repr(rest[0]) if rest else "end of input"
+    return ParseError(f"expected {expected}, got {got}", position)
+
+
+def _int(text: str, items: list, index: int) -> int:
+    """The value of the integer token at `index`."""
+    digits = items[index]
     if digits[:1] not in _DIGITS:
-        raise tokens.error("an integer")
-    tokens.i = index + 1
+        raise _error(text, items, index, "an integer")
     try:
-        return int(digits), index
+        return int(digits)
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         raise ParseError(f"integer too long ({len(digits)} digits)",
-                         tokens.position(index)) from None
+                         _position(text, items, index)) from None
 
 
-def _parse_atom(tokens: _Tokens) -> ManifoldSpec:
-    index = tokens.i
-    name = tokens.items[index]
-    family = _FAMILIES.get(name)
-    if family is None:
-        if name[:1] not in _LETTERS:
-            raise tokens.error("a name")
-        *others, last = _FAMILIES
-        raise ParseError(f"unknown space {name!r} (expected "
-                         f"{', '.join(others)}, or {last})",
-                         tokens.position(index))
-    tokens.i = index + 1
-    tokens.take_symbol("^")
-    m, m_index = _take_int(tokens)
-    try:
-        return family(m)
-    except ValueError as exc:
-        raise ParseError(str(exc), tokens.position(m_index)) from None
+def _parse_product(text: str, items: list, i: int) -> tuple:
+    """(spec, index after it) for the product that starts at token `i`."""
+    factors = []
+    while True:
+        name = items[i]
+        family = _FAMILIES.get(name)
+        if family is None:
+            if name[:1] not in _LETTERS:
+                raise _error(text, items, i, "a name")
+            *others, last = _FAMILIES
+            raise ParseError(f"unknown space {name!r} (expected "
+                             f"{', '.join(others)}, or {last})",
+                             _position(text, items, i))
+        if items[i + 1] != "^":
+            raise _error(text, items, i + 1, "'^'")
+        m = _int(text, items, i + 2)
+        try:
+            factors.append(family(m))
+        except ValueError as exc:
+            raise ParseError(str(exc), _position(text, items, i + 2)) from None
+        i += 3
+        # The "x" between factors may be the head of the next name.
+        token = items[i]
+        if token[:1] != "x":
+            break
+        if token == "x":
+            i += 1
+        else:
+            items[i] = token[1:]
+    return factors[0] if len(factors) == 1 else Product(tuple(factors)), i
 
 
-def _parse_product(tokens: _Tokens) -> ManifoldSpec:
-    factors = [_parse_atom(tokens)]
-    while tokens.take_separator():
-        factors.append(_parse_atom(tokens))
-    return factors[0] if len(factors) == 1 else Product(tuple(factors))
-
-
-def _parse_query(tokens: _Tokens, regime: str) -> RegularQuery:
+def _parse_query(text: str, items: list, i: int, regime: str) -> tuple:
+    """(query, index after it) for the pieces that start at token `i`."""
     pieces = []
     while True:
-        tokens.take_symbol("(")
-        spec = _parse_product(tokens)
-        tokens.take_symbol(",")
-        points, points_index = _take_int(tokens)
+        if items[i] != "(":
+            raise _error(text, items, i, "'('")
+        spec, i = _parse_product(text, items, i + 1)
+        if items[i] != ",":
+            raise _error(text, items, i, "','")
+        points = _int(text, items, i + 1)
         if points < 2:
             raise ParseError(f"point count must be >= 2, got {points}",
-                             tokens.position(points_index))
-        tokens.take_symbol(")")
+                             _position(text, items, i + 1))
+        if items[i + 2] != ")":
+            raise _error(text, items, i + 2, "')'")
         pieces.append((spec, points))
-        if tokens.items[tokens.i] != "+":
-            break
-        tokens.i += 1
-    return RegularQuery(tuple(pieces), regime)
+        i += 3
+        if items[i] != "+":
+            return RegularQuery(tuple(pieces), regime), i
+        i += 1
 
 
 def parse_expression(text: str,
                      regime: str = "real"
                      ) -> Union[ManifoldSpec, RegularQuery]:
     """Parse a product or a query; the whole string must be consumed."""
-    tokens = _Tokens(text)
-    first = tokens.items[0]
-    if not first:
+    if not isinstance(text, str):
+        raise ParseError("expected a string expression", 0)
+    items = _TOKEN.findall(text)
+    if not items:
         raise ParseError("empty expression", len(text))
-    if first == "(":
-        result: Union[ManifoldSpec, RegularQuery] = _parse_query(tokens,
-                                                                 regime)
+    items.append("")
+    if items[0] == "(":
+        result, i = _parse_query(text, items, 0, regime)
     else:
-        result = _parse_product(tokens)
-    if tokens.items[tokens.i]:
-        raise tokens.error("end of input")
+        result, i = _parse_product(text, items, 0)
+    if items[i]:
+        raise _error(text, items, i, "end of input")
     return result
 
 

@@ -46,20 +46,25 @@ class Atom(Record):
 
     __slots__ = ("m",)
 
-    prefix: ClassVar[str]
+    prefix: ClassVar[Optional[str]] = None
     closed: ClassVar[bool] = True
     dim_per_m: ClassVar[int] = 1
     letter: ClassVar[Optional[str]] = None
 
     def __init__(self, m: int):
-        if not hasattr(self, "prefix"):
+        if self.prefix is None:
             raise TypeError(f"{type(self).__name__} sets no prefix; build a "
                             "family such as Sphere or RealProj")
         least = 2 if self.closed else 1
         if not isinstance(m, int) or isinstance(m, bool) or m < least:
             raise ValueError(f"{self.prefix}^m needs an integer dimension "
                              f">= {least}, got {m!r}")
-        object.__setattr__(self, "m", m)
+        _set_m(self, m)
+
+
+# The hand-written constructors set their slots through the slots' member
+# descriptors, as generated ones do (record.py).
+_set_m = Atom.m.__set__
 
 
 class Sphere(Atom):
@@ -111,7 +116,10 @@ class Product(Record):
         if len(flat) == 1:
             raise ValueError(f"a product needs at least two factors, got "
                              f"{render(flat[0])} alone")
-        object.__setattr__(self, "factors", tuple(flat))
+        _set_factors(self, tuple(flat))
+
+
+_set_factors = Product.factors.__set__
 
 
 ManifoldSpec = Union[Atom, Product]
@@ -128,16 +136,22 @@ def atoms(spec: ManifoldSpec) -> tuple:
 
 
 def real_dimension(spec: ManifoldSpec) -> int:
-    return sum(atom.dim_per_m * atom.m for atom in atoms(spec))
+    dimension = 0
+    for atom in atoms(spec):
+        dimension += atom.dim_per_m * atom.m
+    return dimension
 
 
 def is_closed(spec: ManifoldSpec) -> bool:
-    return all(atom.closed for atom in atoms(spec))
+    for atom in atoms(spec):
+        if not atom.closed:
+            return False
+    return True
 
 
 def render(spec: ManifoldSpec) -> str:
     """ASCII form like 'S^3 x RP^5'; inverse of the expression parser."""
-    return " x ".join(f"{atom.prefix}^{atom.m}" for atom in atoms(spec))
+    return " x ".join([f"{atom.prefix}^{atom.m}" for atom in atoms(spec)])
 
 
 def _free(atom: Atom) -> int:

@@ -7,7 +7,9 @@ when it is defined, as `collections.namedtuple` does; a class that checks
 its input writes its own.  A generated constructor sets each field through
 the `__set__` of its slot's member descriptor, looked up once per class
 (inherited slots too), which skips the attribute lookup that
-`object.__setattr__(self, name, value)` makes per field.
+`object.__setattr__(self, name, value)` makes per field.  A hand-written
+constructor sets its fields the same way, through module-level names such
+as `_set_m = Atom.m.__set__` bound right after its class.
 Instances are equal only to instances of the very same class with equal
 fields (so `Sphere(3) != RealProj(3)`, and a record never equals a tuple),
 hash as the tuple of their fields, read as `Name(field=value, ...)`,

@@ -83,7 +83,7 @@ class VandermondeMap(Record):
     def __init__(self, k: int):
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"need an integer k >= 2, got {k!r}")
-        object.__setattr__(self, "k", k)
+        _set_k(self, k)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.k}"
@@ -178,7 +178,7 @@ class SphereOneI(Record):
     def __init__(self, m: int):
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"need an integer m >= 2, got {m!r}")
-        object.__setattr__(self, "m", m)
+        _set_m(self, m)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.m}"
@@ -250,7 +250,14 @@ class DirectSum(Record):
         for part in parts:
             if not isinstance(part, tuple(_FAMILIES.values())):
                 raise ValueError(f"not a summable map: {part!r}")
-        object.__setattr__(self, "parts", parts)
+        _set_parts(self, parts)
+
+
+# The hand-written constructors set their slots through the slots' member
+# descriptors, as generated ones do (record.py).
+_set_k = VandermondeMap.k.__set__
+_set_m = SphereOneI.m.__set__
+_set_parts = DirectSum.parts.__set__
 
 
 ExampleMap = Union[VandermondeMap, SphereOneI, DirectSum]

@@ -1,9 +1,15 @@
 """Configuration-bundle top degrees: supported rules and refusals."""
 
+import random
+
 import pytest
 
-from kregular import (COMPLEX, REAL, ComplexProj, Euclid, Product, RealProj,
-                      Sphere, UnsupportedBundleError, lambda_top)
+from kregular import (COMPLEX, REAL, ComplexProj, Euclid, Product, QuatProj,
+                      RealProj, Sphere, UnsupportedBundleError, lambda_top,
+                      main_theorem_1_closed_form, real_dimension,
+                      top_dual_degree)
+from kregular import bundles
+from kregular.bundles import ExistenceRecord, PieceRule, resolve
 from rank_oracles import chern_height_by_rank
 
 
@@ -83,3 +89,46 @@ def test_complex_cp_bound_matches_row_reduced_height(m):
     assert profile.top_degree == chern_height_by_rank(2, m) == 2 * m - 2
     assert profile.contribution == 2 * m
     assert profile.is_lower_bound
+
+
+# m = 2^j - 1, 2^j and 2^j + 1 up to 257, where the top dual degree jumps.
+_POWER_EDGES = sorted({2 ** j + d for j in range(1, 9) for d in (-1, 0, 1)}
+                      - {1})
+
+
+def test_closed_profile_agrees_with_both_methods_up_to_m_300():
+    # The lower rule sums each factor's dimension and Lucas share in one
+    # walk; real_dimension with top_dual_degree, and the closed form, are
+    # the two other readings of the same number.
+    rng = random.Random(38)
+    families = (Sphere, RealProj, ComplexProj, QuatProj)
+    for _ in range(600):
+        factors = tuple(
+            rng.choice(families)(rng.choice(_POWER_EDGES) if rng.random() < 0.5
+                                 else rng.randint(2, 300))
+            for _ in range(rng.randint(1, 4)))
+        spec = factors[0] if len(factors) == 1 else Product(factors)
+        assert (lambda_top(spec).top_degree
+                == real_dimension(spec) + top_dual_degree(spec).top_degree
+                == main_theorem_1_closed_form(spec) - 2), spec
+
+
+@pytest.mark.parametrize("ambients, chosen", [
+    ((None, 9, 5, 5, None), 2),
+    ((5, 9, None, 5), 0),
+    ((None, None), None),
+])
+def test_resolve_keeps_the_first_smallest_construction(monkeypatch,
+                                                        ambients, chosen):
+    # Rows whose constructions return None are skipped, a larger record
+    # loses, and of equal smallest records the first in table order wins.
+    records = [None if ambient is None
+               else ExistenceRecord(ambient, f"row {i}")
+               for i, ambient in enumerate(ambients)]
+    rows = [PieceRule(REAL, (Sphere,), lambda k: True,
+                      construct=lambda spec, k, record=record: record)
+            for record in records]
+    monkeypatch.setitem(bundles._BY_KIND[REAL], Sphere, rows)
+    profile, record = resolve(Sphere(4), 2, REAL)
+    assert isinstance(profile, UnsupportedBundleError)
+    assert record is (None if chosen is None else records[chosen])

@@ -131,6 +131,12 @@ SYNTAX_ERRORS = [
     ("\uff33^2", "expected a name, got '\uff33^2' (at position 0)"),
     ("S^\xb2", "expected an integer, got '\xb2' (at position 2)"),
     ("S^\u0663", "expected an integer, got '\u0663' (at position 2)"),
+    # Each symbol a query needs, missing at its own place.
+    ("(S^3, 2) + S^2", "expected '(', got 'S^2' (at position 11)"),
+    ("(S^3, 2", "expected ')', got end of input (at position 7)"),
+    ("(S^3, 2) +", "expected '(', got end of input (at position 10)"),
+    ("(S^3 2)", "expected ',', got '2)' (at position 5)"),
+    ("S^2 x (R^2, 4)", "expected a name, got '(R^2,' (at position 6)"),
 ]
 
 
@@ -191,6 +197,17 @@ def test_parse_manifold_rejects_queries():
 def test_non_string_input():
     with pytest.raises(ParseError):
         parse_expression(None)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty expression (at position 0)"),
+    (5, "expected a string expression (at position 0)"),
+])
+def test_messages_before_any_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_expression(text)
+    assert str(err.value) == message
+    assert err.value.position == 0
 
 
 def test_fuzz_never_crashes():
