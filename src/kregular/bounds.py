@@ -24,21 +24,15 @@ class RegularQuery(Record):
     """Pieces (spec, point count) asked about together, with a regime."""
 
     __slots__ = ("pieces", "regime")
+    _defaults = {"regime": REAL}
 
-    def __init__(self, pieces: tuple, regime: str = REAL):
+    def _check(self, pieces: tuple, regime: str) -> tuple:
         pieces = tuple([(spec, points) for spec, points in pieces])
         if not pieces:
             raise ValueError("a query needs at least one piece")
         for spec, points in pieces:
             require_piece(spec, points, regime)
-        _set_pieces(self, pieces)
-        _set_regime(self, regime)
-
-
-# The constructor sets its slots through their member descriptors, as
-# generated ones do (record.py).
-_set_pieces = RegularQuery.pieces.__set__
-_set_regime = RegularQuery.regime.__set__
+        return pieces, regime
 
 
 class BoundReport(Record):

@@ -51,7 +51,7 @@ class Atom(Record):
     dim_per_m: ClassVar[int] = 1
     letter: ClassVar[Optional[str]] = None
 
-    def __init__(self, m: int):
+    def _check(self, m: int) -> tuple:
         if self.prefix is None:
             raise TypeError(f"{type(self).__name__} sets no prefix; build a "
                             "family such as Sphere or RealProj")
@@ -59,12 +59,7 @@ class Atom(Record):
         if not isinstance(m, int) or isinstance(m, bool) or m < least:
             raise ValueError(f"{self.prefix}^m needs an integer dimension "
                              f">= {least}, got {m!r}")
-        _set_m(self, m)
-
-
-# The hand-written constructors set their slots through the slots' member
-# descriptors, as generated ones do (record.py).
-_set_m = Atom.m.__set__
+        return (m,)
 
 
 class Sphere(Atom):
@@ -101,7 +96,7 @@ class Euclid(Atom):
 class Product(Record):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: tuple):
+    def _check(self, factors: tuple) -> tuple:
         flat: list[Atom] = []
         for factor in factors:
             if isinstance(factor, Product):
@@ -116,10 +111,7 @@ class Product(Record):
         if len(flat) == 1:
             raise ValueError(f"a product needs at least two factors, got "
                              f"{render(flat[0])} alone")
-        _set_factors(self, tuple(flat))
-
-
-_set_factors = Product.factors.__set__
+        return (tuple(flat),)
 
 
 ManifoldSpec = Union[Atom, Product]

@@ -1,15 +1,17 @@
 """Immutable value records: the shared base of every result and spec class.
 
 A record class declares its fields once, in `__slots__`, and its trailing
-fields may take defaults from the class's `_defaults`.  A class that writes
-no `__init__`, and inherits none or only a generated one, gets one generated
-when it is defined, as `collections.namedtuple` does; a class that checks
-its input writes its own.  A generated constructor sets each field through
-the `__set__` of its slot's member descriptor, looked up once per class
-(inherited slots too), which skips the attribute lookup that
-`object.__setattr__(self, name, value)` makes per field.  A hand-written
-constructor sets its fields the same way, through module-level names such
-as `_set_m = Atom.m.__set__` bound right after its class.
+fields may take defaults from the class's `_defaults`.  Every record gets
+its constructor generated when its class is defined, as
+`collections.namedtuple` does, and a class that writes its own `__init__`
+is refused.  A record that normalises and checks its input states a
+`_check(self, *fields)`: it takes the constructor's arguments in field
+order, raises on bad input, and returns the normalised field values as a
+tuple, which the constructor stores.  A `_check` needs at least one field
+to return.  The constructor sets each field through the `__set__` of its
+slot's member descriptor, looked up once per class (inherited slots too),
+which skips the attribute lookup that `object.__setattr__(self, name,
+value)` makes per field.
 Instances are equal only to instances of the very same class with equal
 fields (so `Sphere(3) != RealProj(3)`, and a record never equals a tuple),
 hash as the tuple of their fields, read as `Name(field=value, ...)`,
@@ -21,26 +23,26 @@ constructor.  This is not `dataclasses`, which imports
 from __future__ import annotations
 
 
-# The constructors `_constructor` made, so a subclass that adds fields gets
-# its own instead of inheriting one that leaves them unset.
-_GENERATED: set = set()
-
-
 def _constructor(cls: type):
-    """An `__init__` that sets `cls._fields` from its arguments, in order."""
-    fields, defaults = cls._fields, cls._defaults
+    """An `__init__` that passes its arguments through `cls._check`, if the
+    class states one, and sets `cls._fields` from them, in order."""
+    fields, defaults, check = cls._fields, cls._defaults, cls._check
     tail = fields[len(fields) - len(defaults):]
     if set(tail) != set(defaults):
         raise TypeError(f"only trailing fields may have defaults: {defaults}")
-    body = "".join(f"\n    _set_{name}(self, {name})" for name in fields)
+    if check is not None and not fields:
+        raise TypeError(f"{cls.__qualname__} has no fields to _check")
+    names = ", ".join(fields)
+    lines = [f"{names}, = _check(self, {names})"] if check else []
+    lines += [f"_set_{name}(self, {name})" for name in fields] or ["pass"]
     namespace = {f"_set_{name}": getattr(cls, name).__set__
                  for name in fields}
-    exec(f"def __init__(self, {', '.join(fields)}):{body or ' pass'}",
+    namespace["_check"] = check
+    exec(f"def __init__(self, {names}):\n    " + "\n    ".join(lines),
          namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(map(defaults.get, tail))
     init.__qualname__ = f"{cls.__qualname__}.__init__"
-    _GENERATED.add(init)
     return init
 
 
@@ -50,14 +52,18 @@ class Record:
     __slots__ = ()
     # Field names in definition order, base class fields first.
     _fields: tuple = ()
-    # Defaults of trailing fields, for a generated constructor.
+    # Defaults of trailing fields.
     _defaults: dict = {}
+    # Normalises and checks the constructor's arguments; None stores them.
+    _check = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__} writes its own __init__; "
+                            "a record states a _check instead")
         cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
-        if cls.__init__ is object.__init__ or cls.__init__ in _GENERATED:
-            cls.__init__ = _constructor(cls)
+        cls.__init__ = _constructor(cls)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

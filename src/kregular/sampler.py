@@ -80,10 +80,10 @@ class VandermondeMap(Record):
     __slots__ = ("k",)
     name = "vandermonde"
 
-    def __init__(self, k: int):
+    def _check(self, k: int) -> tuple:
         if not isinstance(k, int) or k < 2:
             raise ValueError(f"need an integer k >= 2, got {k!r}")
-        _set_k(self, k)
+        return (k,)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.k}"
@@ -95,6 +95,10 @@ class VandermondeMap(Record):
     @property
     def claimed(self) -> int:
         return self.k
+
+    # Sizes of at most this many bits fit in the grid without counting it:
+    # its integer points alone number (2 * _PLANE_BOUND + 1)^2.
+    grid_floor_bits = 2 * ((2 * _PLANE_BOUND + 1).bit_length() - 1)
 
     @property
     def grid_size(self) -> int:
@@ -175,10 +179,10 @@ class SphereOneI(Record):
     name = "sphere"
     claimed = 3
 
-    def __init__(self, m: int):
+    def _check(self, m: int) -> tuple:
         if not isinstance(m, int) or m < 2:
             raise ValueError(f"need an integer m >= 2, got {m!r}")
-        _set_m(self, m)
+        return (m,)
 
     def __str__(self) -> str:
         return f"{self.name}:{self.m}"
@@ -186,6 +190,12 @@ class SphereOneI(Record):
     @property
     def dim(self) -> int:
         return self.m + 2
+
+    @property
+    def grid_floor_bits(self) -> int:
+        """Sizes of at most this many bits fit in the grid without counting
+        it: its integer points alone number (2 * _SPHERE_BOUND + 1)^m."""
+        return self.m * ((2 * _SPHERE_BOUND + 1).bit_length() - 1)
 
     @property
     def grid_size(self) -> int:
@@ -243,21 +253,14 @@ class DirectSum(Record):
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple):
+    def _check(self, parts: tuple) -> tuple:
         parts = tuple(parts)
         if not parts:
             raise ValueError("empty direct sum")
         for part in parts:
             if not isinstance(part, tuple(_FAMILIES.values())):
                 raise ValueError(f"not a summable map: {part!r}")
-        _set_parts(self, parts)
-
-
-# The hand-written constructors set their slots through the slots' member
-# descriptors, as generated ones do (record.py).
-_set_k = VandermondeMap.k.__set__
-_set_m = SphereOneI.m.__set__
-_set_parts = DirectSum.parts.__set__
+        return (parts,)
 
 
 ExampleMap = Union[VandermondeMap, SphereOneI, DirectSum]
@@ -432,10 +435,12 @@ def sample_check_regular(example: ExampleMap,
         if isinstance(size, bool) or not isinstance(size, int) or size < 1:
             raise ValueError(
                 f"tuple sizes must be positive integers, got {size!r}")
-        if size > part.grid_size:
-            raise ValueError(f"tuple size {size} exceeds the "
-                             f"{part.grid_size} distinct sample points of "
-                             f"{part}")
+        # Counting the grid of sphere:m sums numbers of about 1.23 m digits.
+        if size.bit_length() > part.grid_floor_bits:
+            grid_size = part.grid_size
+            if size > grid_size:
+                raise ValueError(f"tuple size {size} exceeds the {grid_size} "
+                                 f"distinct sample points of {part}")
     if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
         raise ValueError("trials must be a positive integer")
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator, Mapping, Optional, Sequence
 
+from .record import Record
+
 
 class RingMismatchError(ValueError):
     """Operands live in structurally different rings."""
@@ -124,14 +126,10 @@ class SeriesRing:
                 f"cannot mix elements of {self!r} and {other!r}")
 
 
-class GradedSeries:
+class GradedSeries(Record):
     """Element of a SeriesRing: the frozenset of its terms' exponents."""
 
     __slots__ = ("ring", "terms")
-
-    def __init__(self, ring: SeriesRing, terms: frozenset[tuple[int, ...]]):
-        self.ring = ring
-        self.terms = terms
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -153,13 +151,6 @@ class GradedSeries:
 
     def coefficient(self, exponents: Sequence[int]) -> int:
         return int(tuple(exponents) in self.terms)
-
-    def __eq__(self, other: object) -> bool:
-        return (isinstance(other, GradedSeries) and other.ring == self.ring
-                and other.terms == self.terms)
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
 
     def __add__(self, other: "GradedSeries") -> "GradedSeries":
         self.ring.require_same(other.ring)

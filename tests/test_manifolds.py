@@ -128,8 +128,16 @@ def test_dimension_validation():
 
 def test_bare_atom_is_rejected():
     # The base sets no prefix, so it could not be rendered or parsed back.
-    with pytest.raises(TypeError, match="Atom sets no prefix"):
-        Atom(2)
+    class Bare(Atom):
+        __slots__ = ()
+
+    for cls in (Atom, Bare):
+        for m in (2, 3):
+            with pytest.raises(TypeError) as info:
+                cls(m)
+            assert str(info.value) == (f"{cls.__name__} sets no prefix; "
+                                       "build a family such as Sphere or "
+                                       "RealProj")
 
 
 def test_product_flattening_and_validation():

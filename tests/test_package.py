@@ -15,6 +15,7 @@ from kregular import (BoundReport, BundleProfile, ComplexProj, DirectSum,
 from kregular.bundles import PieceRule, TableRow
 from kregular.manifolds import DualClass
 from kregular.record import Record
+from kregular.series import GradedSeries, SeriesRing
 
 # Every name the package exported when it imported all its submodules.
 EXPORTS = {
@@ -120,6 +121,9 @@ RECORDS = [
     (SphereOneI, {"m": 2}, "SphereOneI(m=2)"),
     (DirectSum, {"parts": (VandermondeMap(2), SphereOneI(3))},
      "DirectSum(parts=(VandermondeMap(k=2), SphereOneI(m=3)))"),
+    (GradedSeries, {"ring": SeriesRing([("a", 1), ("b", 2)], 3),
+                    "terms": frozenset({(0, 0), (1, 1)})},
+     "<series 1 + a*b in SeriesRing(a:1, b:2; trunc=3)>"),
     (Witness, {"trial": 4, "points": (((1, 2),),)},
      "Witness(trial=4, points=(((1, 2),),))"),
     (RegularityReport, {"example": VandermondeMap(2), "tuple_sizes": (2,),
@@ -165,10 +169,7 @@ def test_record_signature_lists_its_fields(cls, fields, shown):
     assert tuple(p.name for p in parameters) == cls._fields
     defaults = {p.name: p.default for p in parameters
                 if p.default is not p.empty}
-    # RegularQuery validates its input, so it writes its own constructor
-    # and keeps its default there.
-    assert defaults == ({"regime": "real"} if cls is RegularQuery
-                        else cls._defaults)
+    assert defaults == cls._defaults
 
 
 @pytest.mark.parametrize("cls, fields, shown", RECORDS,
@@ -251,6 +252,44 @@ def test_record_defaults_must_trail():
         class Unknown(Record):
             __slots__ = ("a",)
             _defaults = {"b": None}
+
+
+def test_record_refuses_a_written_constructor():
+    with pytest.raises(TypeError, match="Written writes its own __init__"):
+        class Written(Record):
+            __slots__ = ("a",)
+
+            def __init__(self, a):
+                pass
+    # A _check needs a field to return.
+    with pytest.raises(TypeError, match="Fieldless has no fields to _check"):
+        class Fieldless(Record):
+            __slots__ = ()
+
+            def _check(self):
+                return ()
+
+
+class _Checked(_Base):
+    __slots__ = ("b",)
+    _defaults = {"b": ()}
+
+    def _check(self, a, b):
+        if a < 0:
+            raise ValueError(f"negative a: {a}")
+        return a, tuple(b)
+
+
+def test_record_check_normalises_before_storing():
+    # The generated constructor passes every field, defaults included, in
+    # field order to _check and stores what it returns.
+    assert tuple(inspect.signature(_Checked).parameters) == ("a", "b")
+    record = _Checked(1, [2, 3])
+    assert (record.a, record.b) == (1, (2, 3))
+    assert record == _Checked(b=(2, 3), a=1) and _Checked(1).b == ()
+    with pytest.raises(ValueError, match="negative a: -1"):
+        _Checked(-1)
+    assert copy.deepcopy(record) == record
 
 
 def test_record_validation_is_unchanged():

@@ -399,6 +399,7 @@ def test_draw_keys_match_fraction_equality():
         assert len(points) == len(columns) == 663
         assert points == {Fraction(a, b) for a, b in coordinates}
     assert VandermondeMap(2).grid_size == 663 ** 2
+    assert 2 ** VandermondeMap(2).grid_floor_bits <= 663 ** 2
     for m, size in ((2, 1929), (3, 36_111)):
         draws = [(d, a) for d in range(1, 9)
                  for a in itertools.product(range(-8, 9), repeat=m)]
@@ -409,6 +410,7 @@ def test_draw_keys_match_fraction_equality():
         points = {sphere.point(column) for column in columns}
         assert len(points) == len(columns) == size
         assert sphere.grid_size == size
+        assert 2 ** sphere.grid_floor_bits <= size
 
 
 def test_plane_prefix_falls_back_to_the_full_column():
@@ -523,14 +525,29 @@ def test_sum_report_matches_the_full_column_oracle():
 
 
 def test_tuple_larger_than_the_grid_is_refused():
-    with pytest.raises(ValueError, match="1929"):
+    with pytest.raises(ValueError, match="1929") as info:
         sample_check_regular(SphereOneI(2), tuple_sizes=1930, trials=1)
+    assert str(info.value) == ("tuple size 1930 exceeds the 1929 distinct "
+                               "sample points of sphere:2")
     with pytest.raises(ValueError, match="439569"):
         sample_check_regular(parse_map("sphere:3+vandermonde:2"),
                              (3, 663 ** 2 + 1), trials=1)
     # The whole grid is reachable.
     report = sample_check_regular(SphereOneI(2), tuple_sizes=1929, trials=1)
     assert report.violations == 1
+
+
+def test_tuple_that_surely_fits_skips_the_grid_count(monkeypatch):
+    # Counting the grid of sphere:m sums numbers of about 1.23 m digits; a
+    # size below 17^m fits in its integer points alone.
+    def uncounted(bound, m):
+        raise AssertionError(f"counted the grid of bound {bound}, m = {m}")
+
+    monkeypatch.setattr(sampler, "_grid_size", uncounted)
+    report = sample_check_regular(SphereOneI(50), tuple_sizes=3, trials=1)
+    assert report.verdict == "no-violation-found"
+    with pytest.raises(AssertionError, match="m = 2"):
+        sample_check_regular(SphereOneI(2), tuple_sizes=1930, trials=1)
 
 
 def test_clean_run_builds_no_fraction(monkeypatch):
