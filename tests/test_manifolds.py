@@ -127,7 +127,8 @@ def test_dimension_validation():
 
 
 def test_bare_atom_is_rejected():
-    # The base sets no prefix, so it could not be rendered or parsed back.
+    # The base, like any family that sets no prefix, could not be rendered
+    # or parsed back.
     class Bare(Atom):
         __slots__ = ()
 

@@ -525,7 +525,7 @@ def test_sum_report_matches_the_full_column_oracle():
 
 
 def test_tuple_larger_than_the_grid_is_refused():
-    with pytest.raises(ValueError, match="1929") as info:
+    with pytest.raises(ValueError) as info:
         sample_check_regular(SphereOneI(2), tuple_sizes=1930, trials=1)
     assert str(info.value) == ("tuple size 1930 exceeds the 1929 distinct "
                                "sample points of sphere:2")
@@ -539,7 +539,7 @@ def test_tuple_larger_than_the_grid_is_refused():
 
 def test_tuple_that_surely_fits_skips_the_grid_count(monkeypatch):
     # Counting the grid of sphere:m sums numbers of about 1.23 m digits; a
-    # size below 17^m fits in its integer points alone.
+    # size below 2^(4 m) <= 17^m fits in its integer points alone.
     def uncounted(bound, m):
         raise AssertionError(f"counted the grid of bound {bound}, m = {m}")
 
