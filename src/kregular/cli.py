@@ -157,9 +157,11 @@ def _cmd_lucas(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    # The sampler (and fractions) load here, not with the module: no other
-    # subcommand needs them.
-    from .sampler import parse_map, render_map, sample_check_regular
+    # The sampler (and random) load here, not with the module: no other
+    # subcommand needs them.  Witness points print from their integer
+    # columns, so no Fraction is built.
+    from .sampler import (map_parts, parse_map, render_map,
+                          sample_check_regular)
     example = parse_map(args.map)
     sizes: Optional[tuple[int, ...]] = None
     if args.tuple is not None:
@@ -170,6 +172,7 @@ def _cmd_verify(args) -> dict:
         sizes = tuple(_int("--tuple", chunk) for chunk in chunks)
     report = sample_check_regular(example, sizes, trials=args.trials,
                                   seed=args.seed)
+    parts = map_parts(example)
     return {
         "schema": "2",
         "map": render_map(example),
@@ -181,8 +184,8 @@ def _cmd_verify(args) -> dict:
         "expected_violation": report.expected_violation,
         "witnesses": [{
             "trial": witness.trial,
-            "points": [[[str(c) for c in point] for point in part_points]
-                       for part_points in witness.points],
+            "points": [list(map(part.point_text, columns))
+                       for part, columns in zip(parts, witness.points)],
         } for witness in report.witnesses],
     }
 

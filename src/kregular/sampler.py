@@ -4,15 +4,15 @@ Two map families and their direct sums: `VandermondeMap`, the monomial curve
 on the plane, and `SphereOneI`, the sphere embedding x -> (1, x).  A family
 class holds all that differs by family: its ambient dimension, claimed point
 count, name and grid of sample points; `sample`, which draws a part's points
-and returns their integer columns; and how a witness point is read back off
-its column and reads as text.  The rest of this module reads those, and
-`parse_map` finds a family by name in `_FAMILIES`.  Every verdict is exact,
-and a trial does only the work its verdict needs.  A direct sum's columns
-are independent exactly when each part's are, so the parts are checked one
-at a time and the first deficient part decides.  A part whose tuple size
-exceeds its `dim` has dependent columns in every trial, so the count
-decides: every trial violates, only the first three trials are drawn, for
-the witnesses, and nothing is ranked.
+and returns their integer columns; and which entries of a column hold its
+point's coordinates, over the column's first entry.  The rest of this module
+reads those, and `parse_map` finds a family by name in `_FAMILIES`.  Every
+verdict is exact, and a trial does only the work its verdict needs.  A
+direct sum's columns are independent exactly when each part's are, so the
+parts are checked one at a time and the first deficient part decides.  A
+part whose tuple size exceeds its `dim` has dependent columns in every
+trial, so the count decides: every trial violates, only the first three
+trials are drawn, for the witnesses, and nothing is ranked.
 
 Each point gives one integer column, its map value (or a prefix of it)
 times a positive integer, which leaves the rank unchanged.  A part's t
@@ -39,8 +39,10 @@ range's bit length, drawn again while the value is out of range); it keys
 the point, skips it if the part already holds that key, and builds the
 column of a kept point from those ints.  The key is exact: every denominator
 divides 840, so a * 840 // b is equal for two draws exactly when a/b is, and
-the points of a part are pairwise distinct.  Only the points of a kept
-witness become Fractions.
+the points of a part are pairwise distinct.  A kept witness holds the
+integer columns its trial ranked: `point` reads one back as exact Fractions,
+and `point_text` prints its coordinates as those Fractions print, from the
+integers alone, so a run builds no Fraction.
 The draws of a part range over a finite grid, and a tuple size above its
 part's grid raises ValueError.
 """
@@ -48,7 +50,6 @@ part's grid raises ValueError.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 from typing import Sequence, Union
 
@@ -66,7 +67,29 @@ _KEY_SCALE = 840
 _MOBIUS = (0, 1, -1, -1, 0, -1, 1, -1, 0)
 
 
-class VandermondeMap(Record):
+class _Family(Record):
+    """A map family's reading of its columns.  A point's coordinates are
+    the entries `_coordinates` of its column over the column's first entry,
+    which is positive."""
+
+    __slots__ = ()
+
+    @classmethod
+    def point(cls, column: Sequence[int]) -> tuple:
+        """The exact point whose column this is, as Fractions."""
+        from fractions import Fraction
+        scale = column[0]
+        return tuple([Fraction(c, scale) for c in column[cls._coordinates]])
+
+    @classmethod
+    def point_text(cls, column: Sequence[int]) -> tuple[str, ...]:
+        """The coordinates of `point(column)` as str() prints them."""
+        scale = column[0]
+        return tuple([_ratio_text(c, scale)
+                      for c in column[cls._coordinates]])
+
+
+class VandermondeMap(_Family):
     """z -> (1, z, ..., z^(k-1)) on the plane, realified; k-regular.
 
     Points are Gaussian rationals z = a/b + i c/e with a, c in [-64, 64] and
@@ -142,11 +165,7 @@ class VandermondeMap(Record):
                                          y // g))
         return columns
 
-    @staticmethod
-    def point(column: Sequence[int]) -> tuple[Fraction, Fraction]:
-        """The point z whose column this is."""
-        return (Fraction(column[1], column[0]),
-                Fraction(column[2], column[0]))
+    _coordinates = slice(1, 3)
 
     def whole_column(self, column: Sequence[int]) -> list[int]:
         """The whole column of the point whose sampled column this is.
@@ -163,7 +182,7 @@ class VandermondeMap(Record):
         return f"({point[0]}) + ({point[1]})*i"
 
 
-class SphereOneI(Record):
+class SphereOneI(_Family):
     """x -> (1, x) on S^m; 3-regular (a line meets a sphere twice).
 
     Points are rational points of S^m: the inverse stereographic images of
@@ -234,11 +253,7 @@ class SphereOneI(Record):
             columns.append(column)
         return columns
 
-    @staticmethod
-    def point(column: Sequence[int]) -> tuple[Fraction, ...]:
-        """The point x whose column this is."""
-        scale = column[0]
-        return tuple([Fraction(c, scale) for c in column[1:]])
+    _coordinates = slice(1, None)
 
     @staticmethod
     def render_point(point: Sequence[str]) -> str:
@@ -319,6 +334,16 @@ def _plane_column(top: int, d: int, wr: int, wi: int) -> list[int]:
     return column
 
 
+def _ratio_text(numerator: int, denominator: int) -> str:
+    """str(Fraction(numerator, denominator)) for a positive denominator:
+    the reduced numerator, then "/" and the reduced denominator unless it
+    is 1."""
+    g = gcd(numerator, denominator)
+    if g == denominator:
+        return str(numerator // g)
+    return f"{numerator // g}/{denominator // g}"
+
+
 def integer_rank_bareiss(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix by fraction-free elimination, by columns.
 
@@ -394,7 +419,12 @@ def _full_rank(part, columns: Sequence[Sequence[int]]) -> bool:
 
 
 class Witness(Record):
-    """A failing trial: its index and the sampled points per part."""
+    """A failing trial: its index and, per part, its points' integer columns.
+
+    Each column is a tuple of ints, the one the trial ranked: a sphere
+    point's whole column, a plane point's rescaled prefix.  `part.point`
+    reads a column's point exactly, and `part.point_text` as text.
+    """
 
     __slots__ = ("trial", "points")
 
@@ -412,13 +442,14 @@ def sample_check_regular(example: ExampleMap,
 
     tuple_sizes defaults to the claimed regularity (one entry per part).
     A rank below the requested total is counted as a violation and up to
-    three witnesses are kept, their points as exact Fractions.  Sizes above
-    the claimed regularity are allowed.  expected_violation is set only when
-    some part's tuple size exceeds that part's ambient dimension, its `dim`:
-    its columns are then dependent, so every trial violates, and only the
-    witnesses' trials are drawn.  Between the claim and the dimension a
-    violation is possible but not certain.  A size above the number of
-    distinct points its part can draw raises ValueError.
+    three witnesses are kept, each part's points as the integer columns the
+    trial ranked (see `Witness`).  Sizes above the claimed regularity are
+    allowed.  expected_violation is set only when some part's tuple size
+    exceeds that part's ambient dimension, its `dim`: its columns are then
+    dependent, so every trial violates, and only the witnesses' trials are
+    drawn.  Between the claim and the dimension a violation is possible but
+    not certain.  A size above the number of distinct points its part can
+    draw raises ValueError.
     """
     parts = map_parts(example)
     if tuple_sizes is None:
@@ -463,8 +494,8 @@ def sample_check_regular(example: ExampleMap,
             violations += 1
             if len(witnesses) < _MAX_WITNESSES:
                 witnesses.append(Witness(trial, tuple(
-                    tuple(map(part.point, part_columns))
-                    for part, part_columns in zip(parts, columns))))
+                    tuple(map(tuple, part_columns))
+                    for part_columns in columns)))
     if expected_violation:
         violations = trials
     return RegularityReport(

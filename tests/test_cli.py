@@ -789,7 +789,7 @@ def test_cli_import_does_not_load_numpy():
 
 
 def test_cli_import_loads_neither_sampler_nor_json():
-    # Only verify needs the sampler (with fractions and random), only --json
+    # Only verify needs the sampler (with random), only --json
     # needs json, and the records need no dataclasses.  `site` may preload
     # some of these, so the check is against what the import adds.
     code = "\n".join([
@@ -810,3 +810,30 @@ def test_cli_import_loads_neither_sampler_nor_json():
     payload = json.loads(proc.stdout)
     assert (payload["map"], payload["trials"], payload["violations"]) == \
         ("vandermonde:3", 2, 0)
+
+
+def test_verify_never_loads_fractions():
+    # Witness points print from their integer columns: no run of verify,
+    # witnessed or clean, text or --json, loads fractions (or the decimal
+    # and numbers modules it imports).
+    code = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import kregular.cli",
+        "for argv in (['sphere:2', '--tuple', '5', '--trials', '2'],",
+        "             ['vandermonde:4+sphere:2', '--tuple', '9,3',",
+        "              '--trials', '3'],",
+        "             ['vandermonde:3', '--trials', '2']):",
+        "    for extra in ([], ['--json']):",
+        "        kregular.cli.main(['verify', *argv, *extra])",
+        "added = set(sys.modules) - before",
+        "unwanted = {'fractions', 'decimal', 'numbers'}",
+        "assert not added & unwanted, sorted(added & unwanted)"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=_fresh_process_env())
+    assert proc.returncode == 0, proc.stderr
+    # The witnessed runs printed their witnesses, in text and in JSON.
+    assert proc.stdout.count("witness (trial ") == 2 + 3
+    payloads = [json.loads(line) for line in proc.stdout.splitlines()
+                if line.startswith("{")]
+    assert [len(p["witnesses"]) for p in payloads] == [2, 3, 0]

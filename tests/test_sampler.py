@@ -1,5 +1,6 @@
 """Exact and randomized rank checks for the explicit example maps."""
 
+import fractions
 import itertools
 import math
 import random
@@ -354,6 +355,13 @@ def test_sum_trial_matches_the_fraction_drawer():
                 assert rng.getstate() == oracle.getstate()
 
 
+def witness_points(example, witness):
+    """A witness's exact points per part, read off its integer columns."""
+    return tuple(tuple(map(part.point, columns))
+                 for part, columns in zip(sampler.map_parts(example),
+                                          witness.points))
+
+
 def test_witnesses_match_the_fraction_drawer():
     # Parts of a direct sum draw one after another from one generator.
     example = parse_map("vandermonde:4+sphere:2")
@@ -362,7 +370,7 @@ def test_witnesses_match_the_fraction_drawer():
     assert len(report.witnesses) == 3
     for witness in report.witnesses:
         rng = random.Random(seed * 1_000_003 + witness.trial)
-        assert witness.points == tuple(
+        assert witness_points(example, witness) == tuple(
             tuple(fraction_points(rng, part, size))
             for part, size in zip(example.parts, (9, 5)))
 
@@ -490,7 +498,12 @@ def oracle_report(example, sizes, trials, seed):
 
 
 def report_fields(report):
-    return (report.violations, report.witnesses, report.verdict,
+    """The report's verdict fields, with its witnesses' points read off
+    their integer columns as the oracle's exact points."""
+    witnesses = tuple(sampler.Witness(w.trial,
+                                      witness_points(report.example, w))
+                      for w in report.witnesses)
+    return (report.violations, witnesses, report.verdict,
             report.expected_violation)
 
 
@@ -552,20 +565,48 @@ def test_tuple_that_surely_fits_skips_the_grid_count(monkeypatch):
 
 def test_clean_run_builds_no_fraction(monkeypatch):
     made = []
+    new = Fraction.__new__
 
-    class CountingFraction(Fraction):
-        def __new__(cls, *args):
-            made.append(args)
-            return super().__new__(cls, *args)
+    def counting_new(cls, *args):
+        made.append(args)
+        return new(cls, *args)
 
-    monkeypatch.setattr(sampler, "Fraction", CountingFraction)
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
     for text in ("vandermonde:5", "sphere:4", "vandermonde:3+sphere:2"):
         report = sample_check_regular(parse_map(text), trials=50, seed=6)
         assert report.violations == 0
+    # Witnessed runs keep their points as integer columns, too.
+    for text, sizes in (("sphere:2", 5), ("vandermonde:4+sphere:2", (9, 3)),
+                        ("sphere:3", 8)):
+        report = sample_check_regular(parse_map(text), sizes, trials=5,
+                                      seed=3)
+        assert len(report.witnesses) == 3
     assert made == []
-    # Only kept witnesses become Fractions.
-    sample_check_regular(SphereOneI(2), tuple_sizes=5, trials=1, seed=3)
-    assert len(made) == 5 * 3
+    # Only reading a witness point back builds Fractions: one per
+    # coordinate.
+    report.example.point(report.witnesses[0].points[0][0])
+    assert len(made) == 4
+
+
+def test_point_text_prints_the_exact_point():
+    # point_text(c) == str() of each coordinate of point(c), for sampled
+    # columns (plane prefixes too) at every size, and for edge entries.
+    rng = random.Random(77)
+    parts = ([VandermondeMap(k) for k in range(2, 9)]
+             + [SphereOneI(m) for m in range(2, 7)])
+    for part in parts:
+        for size in range(1, part.dim + 3):
+            for column in part.sample(rng.getrandbits, size):
+                assert (part.point_text(column)
+                        == tuple(map(str, part.point(column)))), column
+    big = 10 ** 999
+    edges = [(1, 0, 1), (1, -1, 1), (1, 1, -1), (5, 0, -1), (7, 14, -21),
+             (6, -4, 9), (3 * big, 7 * big + 1, -(10 * big)),
+             (big + 1, big, -big - 1), (2 * big, big, -6 * big)]
+    for column in edges:
+        for part in (VandermondeMap, SphereOneI):
+            assert (part.point_text(column)
+                    == tuple(map(str, part.point(column)))), column
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +640,8 @@ def test_witnesses_reproduce_rank_deficiency():
                                   seed=3)
     assert report.witnesses
     for witness in report.witnesses:
-        rank, wanted = witness_rank(report.example, witness.points)
+        rank, wanted = witness_rank(report.example,
+                                    witness_points(report.example, witness))
         assert rank < wanted
 
 
@@ -631,7 +673,8 @@ def test_mixed_direct_sum_witnesses_recheck_exactly():
     report = sample_check_regular(example, (9, 5), trials=10, seed=4)
     assert report.violations == 10
     for witness in report.witnesses:
-        rank, wanted = witness_rank(example, witness.points)
+        rank, wanted = witness_rank(example,
+                                    witness_points(example, witness))
         assert wanted == 14 and rank < wanted
 
 
