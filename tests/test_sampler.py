@@ -1,6 +1,5 @@
 """Exact and randomized rank checks for the explicit example maps."""
 
-import fractions
 import itertools
 import math
 import random
@@ -368,6 +367,12 @@ def test_witnesses_match_the_fraction_drawer():
     seed = 4
     report = sample_check_regular(example, (9, 5), trials=10, seed=seed)
     assert len(report.witnesses) == 3
+    # Witness columns are tuples of ints, so reports hash and compare.
+    assert all(type(column) is tuple and all(type(c) is int for c in column)
+               for witness in report.witnesses
+               for columns in witness.points for column in columns)
+    assert hash(report) == hash(sample_check_regular(example, (9, 5),
+                                                     trials=10, seed=seed))
     for witness in report.witnesses:
         rng = random.Random(seed * 1_000_003 + witness.trial)
         assert witness_points(example, witness) == tuple(
@@ -571,7 +576,7 @@ def test_clean_run_builds_no_fraction(monkeypatch):
         made.append(args)
         return new(cls, *args)
 
-    monkeypatch.setattr(fractions.Fraction, "__new__", counting_new)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
     for text in ("vandermonde:5", "sphere:4", "vandermonde:3+sphere:2"):
         report = sample_check_regular(parse_map(text), trials=50, seed=6)
         assert report.violations == 0
